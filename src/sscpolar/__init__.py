@@ -59,16 +59,15 @@ from .experiments import (
 from .latency import (
     LatencyReport,
     NodeKind,
-    SscNode,
     SscTree,
     build_ssc_tree,
     decoding_weight,
-    iter_pruned_nodes,
     latency_report,
     latency_upper_bound,
     matched_parallelism,
     min_p_within_factor,
     scan_edge_profile,
+    scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
     serial_latency_estimate,

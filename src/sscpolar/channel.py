@@ -181,7 +181,7 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
     )
 
 
-def z_minus(z: float, rule: MinusRule = MinusRule.UPPER_BOUND) -> float:
+def z_minus(z: float) -> float:
     """Reliability of the worse synthetic channel: 2z - z^2.
 
     Exact on the BEC; a valid upper bound otherwise, which keeps the

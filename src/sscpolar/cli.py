@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional
 
@@ -164,20 +163,18 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         raise CliError("--out is required")
     fig = args.figure
-    threads = args.threads
     if fig == 6:
         kinds = [ChannelKind(args.channel)] if args.channel else tuple(ChannelKind)
         n_max = args.nmax if args.nmax is not None else 22
-        records = experiments.run_serial_sweep(kinds=kinds, n_max=n_max, threads=threads)
+        records = experiments.run_serial_sweep(kinds=kinds, n_max=n_max)
     elif fig == 7:
         n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
-        records = experiments.run_policy_sweep(n_max=n_max, threads=threads)
+        records = experiments.run_policy_sweep(n_max=n_max)
     else:
         if args.factor < 1.0:
             raise CliError(f"--factor must be >= 1, got {args.factor}")
         n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
-        records = experiments.run_parallelism_sweep(n_max=n_max, factor=args.factor,
-                                                    threads=threads)
+        records = experiments.run_parallelism_sweep(n_max=n_max, factor=args.factor)
     experiments.write_csv(records, args.out)
     print(f"rows={len(records)}")
     print(f"out={args.out}")
@@ -261,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--svg")
     p.add_argument("--gnuplot")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility with older command lines; ignored")
 
     p = sub.add_parser("bound", help="evaluate the pruned-latency upper bound curve")
     p.add_argument("--n", type=int)
@@ -289,13 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

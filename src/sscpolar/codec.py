@@ -9,7 +9,7 @@ to plain successive cancellation on every input.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -112,11 +112,18 @@ def _sc_rec(alpha: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, beta
 
 
-def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
-    """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
+def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != code.N:
         raise ValueError(f"LLR frame length {llrs.shape[1]} != N={code.N}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
+    return llrs
+
+
+def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
+    """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
+    llrs = _check_llrs(code, llrs)
     u, _ = _sc_rec(llrs, code.frozen)
     return u
 
@@ -130,12 +137,18 @@ def sc_decode(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 # simplified successive cancellation
 # ---------------------------------------------------------------------------
 
-def _ssc_rec(alpha: np.ndarray, node, frozen: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+def _ssc_rec(alpha: np.ndarray, kinds: list[list[int]], cursor: list[int], frozen: np.ndarray,
+             lo: int) -> tuple[np.ndarray, np.ndarray]:
+    # A depth-first walk meets the nodes of each level left to right, which is
+    # the order of kinds[s], so one cursor per level locates the current node.
     rows, m = alpha.shape
-    if node.kind is NodeKind.RATE0:
+    s = m.bit_length() - 1
+    kind = kinds[s][cursor[s]]
+    cursor[s] += 1
+    if kind == NodeKind.RATE0:
         zeros = np.zeros((rows, m), dtype=np.uint8)
         return zeros, zeros.copy()
-    if node.kind is NodeKind.RATE1:
+    if kind == NodeKind.RATE1:
         beta = _hard(alpha)
         u = polar_transform(beta)
         # A frame whose node input contains an exact 0 (a BEC erasure that
@@ -150,9 +163,8 @@ def _ssc_rec(alpha: np.ndarray, node, frozen: np.ndarray, lo: int) -> tuple[np.n
         return u, beta
     h = m // 2
     a, b = alpha[:, :h], alpha[:, h:]
-    left, right = node.children
-    u_left, beta_left = _ssc_rec(_f_vec(a, b), left, frozen, lo)
-    u_right, beta_right = _ssc_rec(_g_vec(b, a, beta_left), right, frozen, lo + h)
+    u_left, beta_left = _ssc_rec(_f_vec(a, b), kinds, cursor, frozen, lo)
+    u_right, beta_right = _ssc_rec(_g_vec(b, a, beta_left), kinds, cursor, frozen, lo + h)
     u = np.concatenate([u_left, u_right], axis=1)
     beta = np.concatenate([beta_left ^ beta_right, beta_right], axis=1)
     return u, beta
@@ -167,12 +179,13 @@ def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
     leaves through the (involutive) transform.  Output is bit-identical to
     sc_decode_batch on every frame.
     """
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    if llrs.shape[1] != code.N:
-        raise ValueError(f"LLR frame length {llrs.shape[1]} != N={code.N}")
+    llrs = _check_llrs(code, llrs)
     if tree is None:
         tree = build_ssc_tree(code)
-    u, _ = _ssc_rec(llrs, tree.root, code.frozen, 0)
+    elif tree.n != code.n:
+        raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
+    kinds = [level.tolist() for level in tree.kinds]  # plain ints compare fastest
+    u, _ = _ssc_rec(llrs, kinds, [0] * (code.n + 1), code.frozen, 0)
     return u
 
 
@@ -187,8 +200,7 @@ def ssc_decode(code: PolarCode, llrs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
-    # one independent child stream per trial so results do not depend on
-    # batching or thread partitioning
+    # one independent child stream per trial so results do not depend on batching
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
@@ -207,20 +219,28 @@ def _random_frames(code: PolarCode, channel: BmsChannel,
     return u, llr
 
 
+def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
+                   batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (input bits, LLRs) for the seeded trials, `batch` frames at a time."""
+    rngs = _trial_streams(seed, trials)
+    for start in range(0, trials, batch):
+        yield _random_frames(code, channel, rngs[start:start + batch])
+
+
+def _frame_errors(code: PolarCode, u: np.ndarray, u_hat: np.ndarray) -> int:
+    info = ~code.frozen
+    return int((u_hat[:, info] != u[:, info]).any(axis=1).sum())
+
+
 def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                     batch: int = 1024) -> float:
     """Frame error rate of the simplified decoder over seeded random trials."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     tree = build_ssc_tree(code)
-    rngs = _trial_streams(seed, trials)
     errors = 0
-    info = ~code.frozen
-    for start in range(0, trials, batch):
-        chunk = rngs[start:start + batch]
-        u, llr = _random_frames(code, channel, chunk)
-        u_hat = ssc_decode_batch(code, llr, tree)
-        errors += int((u_hat[:, info] != u[:, info]).any(axis=1).sum())
+    for u, llr in _frame_batches(code, channel, trials, seed, batch):
+        errors += _frame_errors(code, u, ssc_decode_batch(code, llr, tree))
     return errors / trials
 
 
@@ -234,15 +254,10 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     tree = build_ssc_tree(code)
-    rngs = _trial_streams(seed, trials)
-    agree = 0
-    errors = 0
-    info = ~code.frozen
-    for start in range(0, trials, batch):
-        chunk = rngs[start:start + batch]
-        u, llr = _random_frames(code, channel, chunk)
+    agree = errors = 0
+    for u, llr in _frame_batches(code, channel, trials, seed, batch):
         u_sc = sc_decode_batch(code, llr)
         u_ssc = ssc_decode_batch(code, llr, tree)
         agree += int((u_sc == u_ssc).all(axis=1).sum())
-        errors += int((u_ssc[:, info] != u[:, info]).any(axis=1).sum())
+        errors += _frame_errors(code, u, u_ssc)
     return agree, trials, errors / trials

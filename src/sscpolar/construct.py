@@ -27,7 +27,7 @@ from .channel import (
 )
 
 # Materializing all 2^n leaves beyond this point needs >100 MB of scratch;
-# the streaming iterator and the latency-module scans stay O(n).
+# the streaming iterator stays O(n) and the latency-module scans O(pruned nodes).
 MAX_MATERIALIZED_N = 24
 
 CODE_FILE_MAGIC = "polarcode v1"
@@ -100,7 +100,7 @@ def iter_leaf_reliabilities(channel: BmsChannel, n: int,
             continue
         # push the better branch first so the worse branch pops first
         stack.append((z_plus(z), depth + 1))
-        stack.append((z_minus(z, rule), depth + 1))
+        stack.append((z_minus(z), depth + 1))
 
 
 def leaf_reliabilities(channel: BmsChannel, n: int,

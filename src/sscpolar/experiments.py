@@ -16,9 +16,8 @@ for byte.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,13 +98,6 @@ def _check_n_range(n_min: int, n_max: int) -> range:
     return range(n_min, n_max + 1)
 
 
-def _pmap(fn, items: Sequence, threads: Optional[int]):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _sort_records(records: list[SweepRecord]) -> list[SweepRecord]:
     order = {name: i for i, name in enumerate(POLICIES + (SC_REFERENCE,))}
     return sorted(records, key=lambda r: (r.channel, r.capacity, r.pe, r.n,
@@ -115,8 +107,7 @@ def _sort_records(records: list[SweepRecord]) -> list[SweepRecord]:
 def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
                      capacities: Iterable[float] = DEFAULT_CAPACITIES,
                      error_targets: Iterable[float] = DEFAULT_ERROR_TARGETS,
-                     n_max: int = 22, n_min: int = 4,
-                     threads: Optional[int] = None) -> list[SweepRecord]:
+                     n_max: int = 22, n_min: int = 4) -> list[SweepRecord]:
     """Preset 6: fully-serial (P=1) pruned-decoder latency over the grid.
 
     Emits one record per (kind, capacity, pe, n) plus, per channel kind,
@@ -125,19 +116,14 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
     """
     ns = _check_n_range(n_min, n_max)
     kinds = tuple(kinds)
-    curves = [(kind, cap, pe) for kind in kinds
-              for cap in capacities for pe in error_targets]
-
-    def one_curve(curve) -> list[SweepRecord]:
-        kind, cap, pe = curve
-        channel = channel_from_capacity(kind, cap)
-        out = []
-        for n in ns:
-            latency = ssc_latency(scan_edge_profile(channel, n, pe), 1)
-            out.append(SweepRecord(kind.value, cap, pe, n, "one", 1, latency))
-        return out
-
-    records = [rec for curve in _pmap(one_curve, curves, threads) for rec in curve]
+    records = []
+    for kind in kinds:
+        for cap in capacities:
+            channel = channel_from_capacity(kind, cap)
+            for pe in error_targets:
+                for n in ns:
+                    latency = ssc_latency(scan_edge_profile(channel, n, pe), 1)
+                    records.append(SweepRecord(kind.value, cap, pe, n, "one", 1, latency))
     for kind in kinds:
         for n in ns:
             records.append(SweepRecord(kind.value, 0.0, 0.0, n, SC_REFERENCE, 1, n * 2 ** n))
@@ -146,42 +132,35 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
 
 def run_policy_sweep(n_max: int = 27, n_min: int = 4,
                      capacity: float = 0.5, pe: float = 1e-3,
-                     policies: Sequence[str] = POLICIES,
-                     threads: Optional[int] = None) -> list[SweepRecord]:
+                     policies: Sequence[str] = POLICIES) -> list[SweepRecord]:
     """Preset 7: latency ladder over PE policies, BEC at the given capacity."""
     ns = _check_n_range(n_min, n_max)
     channel = channel_from_capacity(ChannelKind.BEC, capacity)
     mu = SCALING_EXPONENT[ChannelKind.BEC]
-
-    def one_n(n: int) -> list[SweepRecord]:
+    records = []
+    for n in ns:
         profile = scan_edge_profile(channel, n, pe)
-        out = []
         for policy in policies:
             P = realize_policy(policy, n, mu)
-            out.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
-                                   policy, P, ssc_latency(profile, P)))
-        return out
-
-    records = [rec for group in _pmap(one_n, list(ns), threads) for rec in group]
+            records.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
+                                       policy, P, ssc_latency(profile, P)))
     return _sort_records(records)
 
 
 def run_parallelism_sweep(n_max: int = 27, n_min: int = 4, factor: float = 1.01,
-                          capacity: float = 0.5, pe: float = 1e-3,
-                          threads: Optional[int] = None) -> list[SweepRecord]:
+                          capacity: float = 0.5, pe: float = 1e-3) -> list[SweepRecord]:
     """Preset 8: smallest P within `factor` of the fully-parallel latency."""
     if factor < 1.0:
         raise ValueError(f"factor must be >= 1, got {factor}")
     ns = _check_n_range(n_min, n_max)
     channel = channel_from_capacity(ChannelKind.BEC, capacity)
-
-    def one_n(n: int) -> SweepRecord:
+    records = []
+    for n in ns:
         profile = scan_edge_profile(channel, n, pe)
         P = min_p_within_factor(profile, factor)
-        return SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
-                           "fixed", P, ssc_latency(profile, P))
-
-    return _sort_records(_pmap(one_n, list(ns), threads))
+        records.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
+                                   "fixed", P, ssc_latency(profile, P)))
+    return _sort_records(records)
 
 
 SWEEPS = {6: run_serial_sweep, 7: run_policy_sweep, 8: run_parallelism_sweep}

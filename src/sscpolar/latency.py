@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import BmsChannel, MinusRule, default_minus_rule, z_minus, z_plus
+from .channel import BmsChannel
 from .construct import PolarCode
 
 
@@ -26,49 +26,31 @@ class NodeKind(IntEnum):
     MIXED = 2
 
 
-@dataclass(frozen=True)
-class SscNode:
-    """One node of the pruned decoding tree.
+@dataclass(frozen=True, eq=False)
+class SscTree:
+    """The pruned decoding tree, stored level by level.
 
-    level counts from the leaves (level 0) up to the root (level n).
-    Rate-0 and Rate-1 nodes are pruned: they never carry children.
-    z is the node's synthetic-channel reliability, kept for diagnostics.
+    kinds[s] and z[s] hold one entry per node of the pruned tree at level s
+    (leaves are level 0, the root is level n), in leaf order.  Rate-0 and
+    Rate-1 nodes are pruned, so the nodes at level s-1 are exactly the
+    children of the MIXED nodes at level s, left child first.  z is each
+    node's synthetic-channel reliability.
     """
 
-    level: int
-    kind: NodeKind
-    z: float
-    children: tuple = ()
+    kinds: tuple[np.ndarray, ...]
+    z: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if self.kind is NodeKind.MIXED and len(self.children) != 2:
-            raise ValueError("mixed nodes must have exactly two children")
-        if self.kind is not NodeKind.MIXED and self.children:
-            raise ValueError("rate-0/rate-1 nodes are pruned and carry no children")
-
-
-@dataclass(frozen=True)
-class SscTree:
-    root: SscNode
-    n: int
-
-    def nodes(self) -> Iterator[SscNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
+    @property
+    def n(self) -> int:
+        return len(self.kinds) - 1
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return sum(k.size for k in self.kinds)
 
     def edge_profile(self) -> list[int]:
         """Count of tree edges entering each level s = 0 .. n-1."""
-        prof = [0] * self.n
-        for node in self.nodes():
-            if node.kind is NodeKind.MIXED:
-                prof[node.level - 1] += 2
-        return prof
+        return [2 * int(np.count_nonzero(self.kinds[s + 1] == NodeKind.MIXED))
+                for s in range(self.n)]
 
 
 ProfileLike = Union[Sequence[int], SscTree, PolarCode]
@@ -83,90 +65,110 @@ def decoding_weight(s: int, P: int) -> int:
     return (2 ** s + P - 1) // P
 
 
-def build_ssc_tree(code: PolarCode) -> SscTree:
-    """Classify every node of the code's decoding tree and prune pure subtrees.
+# Classifies one level's frontier: (z, node index within the full level, s)
+# -> (rate0, rate1) boolean masks.
+Classifier = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
-    Single pass over the frozen mask with O(1) range classification via a
-    prefix-sum table; only mixed nodes recurse, so the work is proportional
-    to the pruned tree, not to N.
-    """
-    frozen = code.frozen
+
+def _minus(y: np.ndarray) -> np.ndarray:
+    """2y - y*y in place in y; the same IEEE result as the expression."""
+    t = y * y
+    y *= 2.0
+    y -= t
+    return y
+
+
+def _walk(z0: float, n: int, classify: Classifier) -> SscTree:
+    """Build the pruned tree top-down, classifying one whole level at a time."""
+    kinds, zs = [], []
+    z = np.array([z0], dtype=np.float64)
+    index = np.zeros(1, dtype=np.int64)
+    for s in range(n, -1, -1):
+        rate0, rate1 = classify(z, index, s)
+        kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
+        kind[rate0] = NodeKind.RATE0
+        kind[rate1] = NodeKind.RATE1
+        kinds.append(kind)
+        zs.append(z)
+        mixed = kind == NodeKind.MIXED
+        zm, im = z[mixed], index[mixed]
+        # children interleaved, left (worse) first, so each level is in leaf order
+        z = np.empty(2 * zm.size, dtype=np.float64)
+        z[1::2] = zm * zm
+        z[0::2] = _minus(zm)
+        index = np.empty(2 * im.size, dtype=np.int64)
+        index[0::2] = 2 * im
+        index[1::2] = 2 * im + 1
+    kinds.reverse()
+    zs.reverse()
+    return SscTree(tuple(kinds), tuple(zs))
+
+
+def _stays(z: np.ndarray, steps: int, inside, step) -> np.ndarray:
+    """Mask of the z whose orbit z, step(z), .., step^steps(z) stays `inside`."""
+    keep = np.flatnonzero(inside(z))
+    y = z[keep]
+    for _ in range(steps):
+        if not keep.size:
+            break
+        y = step(y)
+        ok = inside(y)
+        keep, y = keep[ok], y[ok]
+    out = np.zeros(z.size, dtype=bool)
+    out[keep] = True
+    return out
+
+
+def _channel_classifier(threshold: float) -> Classifier:
+    # A node is Rate-1 iff its worst leaf, reached on the all-minus path, is
+    # under the freezing threshold, and Rate-0 iff its best leaf, on the
+    # all-plus path, is at or above it.  Every step of the path is tested, as
+    # in a per-node loop that stops at the first step out of range.
+    def classify(z, _index, s):
+        rate1 = _stays(z, s, lambda y: y < threshold, _minus)
+        rate0 = _stays(z, s, lambda y: y >= threshold, np.square)
+        return rate0, rate1
+
+    return classify
+
+
+def _mask_classifier(frozen: np.ndarray) -> Classifier:
     prefix = np.concatenate([[0], np.cumsum(frozen, dtype=np.int64)])
-    z0 = code.channel.z0
-    rule = code.rule
 
-    def rec(lo: int, hi: int, level: int, z: float) -> SscNode:
-        count = int(prefix[hi] - prefix[lo])
-        if count == hi - lo:
-            return SscNode(level, NodeKind.RATE0, z)
-        if count == 0:
-            return SscNode(level, NodeKind.RATE1, z)
-        mid = (lo + hi) // 2
-        left = rec(lo, mid, level - 1, z_minus(z, rule))
-        right = rec(mid, hi, level - 1, z_plus(z))
-        return SscNode(level, NodeKind.MIXED, z, (left, right))
+    def classify(_z, index, s):
+        lo = index << s
+        count = prefix[lo + (1 << s)] - prefix[lo]
+        return count == (1 << s), count == 0
 
-    return SscTree(rec(0, code.N, code.n, z0), code.n)
+    return classify
 
 
-# ---------------------------------------------------------------------------
-# streaming classification (no frozen mask in memory, O(n) space)
-# ---------------------------------------------------------------------------
+def build_ssc_tree(code: PolarCode) -> SscTree:
+    """Classify the code's decoding tree from its frozen mask and prune pure subtrees.
 
-def _classify(z: float, s: int, threshold: float, rule: MinusRule) -> NodeKind:
-    # Rate-1 iff the worst leaf below, reached by the all-minus path, stays
-    # under the freezing threshold; the minus transform is monotone increasing
-    # so the check can stop early once it crosses.
-    y = z
-    ok = True
-    for _ in range(s):
-        if y >= threshold:
-            ok = False
-            break
-        y = z_minus(y, rule)
-    if ok and y < threshold:
-        return NodeKind.RATE1
-    # Rate-0 iff the best leaf, reached by the all-plus path, is still frozen;
-    # squaring is monotone decreasing so it too stops early.
-    y = z
-    ok = True
-    for _ in range(s):
-        if y < threshold:
-            ok = False
-            break
-        y = z_plus(y)
-    if ok and y >= threshold:
-        return NodeKind.RATE0
-    return NodeKind.MIXED
-
-
-def iter_pruned_nodes(channel: BmsChannel, n: int, pe: float,
-                      rule: Optional[MinusRule] = None) -> Iterator[tuple[float, int, NodeKind]]:
-    """Stream (z, level, kind) over every node of the pruned decoding tree."""
-    rule = rule or default_minus_rule(channel.kind)
-    threshold = pe / 2 ** n
-    stack = [(channel.z0, n)]
-    while stack:
-        z, s = stack.pop()
-        kind = _classify(z, s, threshold, rule)
-        yield z, s, kind
-        if kind is NodeKind.MIXED:
-            stack.append((z_plus(z), s - 1))
-            stack.append((z_minus(z, rule), s - 1))
-
-
-def scan_edge_profile(channel: BmsChannel, n: int, pe: float,
-                      rule: Optional[MinusRule] = None) -> list[int]:
-    """Edge profile of the pruned tree for (channel, 2^n, pe), streamed.
-
-    Equivalent to build_ssc_tree(build_code(...)).edge_profile() but never
-    materializes the code, so it runs at n = 27 in O(n) memory.
+    Each node's frozen-leaf count comes from a prefix sum over the mask, so
+    the work after that sum is proportional to the pruned tree, not to N.
     """
-    prof = [0] * n
-    for _z, s, kind in iter_pruned_nodes(channel, n, pe, rule):
-        if kind is NodeKind.MIXED:
-            prof[s - 1] += 2
-    return prof
+    return _walk(code.channel.z0, code.n, _mask_classifier(code.frozen))
+
+
+def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
+    """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
+
+    Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
+    never materializes the 2^n leaves, so it reaches n = 27.  Time and
+    memory are O(pruned nodes).
+    """
+    return _walk(channel.z0, n, _channel_classifier(pe / 2 ** n))
+
+
+def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
+    """Edge profile of the pruned tree for (channel, 2^n, pe), scanned from the channel.
+
+    Equal to build_ssc_tree(build_code(...)).edge_profile(); time and memory
+    are O(pruned nodes), not O(2^n).
+    """
+    return scan_ssc_tree(channel, n, pe).edge_profile()
 
 
 def _coerce_profile(obj: ProfileLike) -> list[int]:
@@ -174,7 +176,10 @@ def _coerce_profile(obj: ProfileLike) -> list[int]:
         return build_ssc_tree(obj).edge_profile()
     if isinstance(obj, SscTree):
         return obj.edge_profile()
-    return list(obj)
+    prof = list(obj)
+    if any(count < 0 for count in prof):
+        raise ValueError(f"edge counts must be >= 0, got {prof}")
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +291,8 @@ def latency_report(code: ProfileLike, P: int, n: Optional[int] = None) -> Latenc
     prof = _coerce_profile(code)
     if n is None:
         n = len(prof)
+    elif n != len(prof):
+        raise ValueError(f"profile has {len(prof)} levels, expected n={n}")
     N = 2 ** n
     closed = None
     if P & (P - 1) == 0 and 1 <= P <= N // 2:

@@ -3,7 +3,9 @@
 The reference decoder here deliberately re-implements successive
 cancellation straight off the factor-graph recurrences (scalar math,
 per-bit recomputation, no memoization) so the package decoders are
-checked against something that shares none of their code.
+checked against something that shares none of their code.  The reference
+pruned-tree scan likewise classifies one node at a time, depth first,
+where the package classifies whole tree levels at once.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 
 from sscpolar import ChannelKind, channel_from_capacity, code_from_frozen, make_channel
 from sscpolar.channel import LLR_CAP
+from sscpolar.latency import NodeKind
 
 # The worked N=8, rate-1/2 example used across the latency tests:
 # frozen {0, 1, 2, 4}, information {3, 5, 6, 7}.
@@ -77,6 +80,57 @@ def reference_sc(llr, frozen):
             for j in range(base + half, base + blk):
                 beta[s, j] = beta[s - 1, j]
     return u
+
+
+def _reference_kind(z, s, threshold):
+    # Rate-1 iff the worst leaf below, reached by the all-minus path, stays
+    # under the freezing threshold; Rate-0 iff the best leaf, reached by the
+    # all-plus path, is still frozen.  Both loops stop at the first step that
+    # leaves the range.
+    y = z
+    ok = True
+    for _ in range(s):
+        if y >= threshold:
+            ok = False
+            break
+        y = 2.0 * y - y * y
+    if ok and y < threshold:
+        return NodeKind.RATE1
+    y = z
+    ok = True
+    for _ in range(s):
+        if y < threshold:
+            ok = False
+            break
+        y = y * y
+    if ok and y >= threshold:
+        return NodeKind.RATE0
+    return NodeKind.MIXED
+
+
+def reference_pruned_levels(channel, n, pe):
+    """Per level s = 0..n, the (z, kind) of every pruned-tree node in leaf order.
+
+    A depth-first scan with an explicit stack, one node at a time; the left
+    child pops first, so each level is visited left to right.
+    """
+    threshold = pe / 2 ** n
+    levels = [[] for _ in range(n + 1)]
+    stack = [(channel.z0, n)]
+    while stack:
+        z, s = stack.pop()
+        kind = _reference_kind(z, s, threshold)
+        levels[s].append((z, kind))
+        if kind is NodeKind.MIXED:
+            stack.append((z * z, s - 1))
+            stack.append((2.0 * z - z * z, s - 1))
+    return levels
+
+
+def tree_levels(tree):
+    """An SscTree's level arrays as the lists reference_pruned_levels returns."""
+    return [list(zip(z.tolist(), map(NodeKind, kinds.tolist())))
+            for z, kinds in zip(tree.z, tree.kinds)]
 
 
 def random_bsc():

@@ -19,7 +19,6 @@ from sscpolar import (
     ChannelKind,
     build_code,
     channel_from_capacity,
-    iter_pruned_nodes,
     latency_upper_bound,
     make_channel,
     min_p_within_factor,
@@ -27,6 +26,7 @@ from sscpolar import (
     rate_forcing,
     realize_policy,
     scan_edge_profile,
+    scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
     sc_ssc_agreement,
@@ -196,13 +196,15 @@ def test_criterion_8_forced_node_kinds():
             for pe in (0.1, 1e-2, 1e-3):
                 if pe < 1.0 / N ** 2:
                     continue
-                for z, _s, kind in iter_pruned_nodes(channel, n, pe):
-                    forcing = rate_forcing(z, N)
-                    scanned += 1
-                    if forcing is NodeForcing.FORCED_RATE1:
-                        assert kind is NodeKind.RATE1, (eps, n, pe, z)
-                    elif forcing is NodeForcing.FORCED_RATE0:
-                        assert kind is NodeKind.RATE0, (eps, n, pe, z)
+                tree = scan_ssc_tree(channel, n, pe)
+                for zs, kinds in zip(tree.z, tree.kinds):
+                    for z, kind in zip(zs.tolist(), kinds.tolist()):
+                        forcing = rate_forcing(z, N)
+                        scanned += 1
+                        if forcing is NodeForcing.FORCED_RATE1:
+                            assert kind == NodeKind.RATE1, (eps, n, pe, z)
+                        elif forcing is NodeForcing.FORCED_RATE0:
+                            assert kind == NodeKind.RATE0, (eps, n, pe, z)
     elapsed = time.perf_counter() - t0
     line = report("8", True, f"{scanned} nodes scanned, no violations, {elapsed:.1f} s")
     assert elapsed < 10.0, line

@@ -175,6 +175,14 @@ class TestScDecode:
         with pytest.raises(ValueError):
             sc_decode(example8_code, np.zeros(4))
 
+    @pytest.mark.parametrize("decode", [sc_decode_batch, ssc_decode_batch])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llrs_rejected(self, example8_code, decode, bad):
+        llrs = np.ones((2, 8))
+        llrs[1, 5] = bad
+        with pytest.raises(ValueError):
+            decode(example8_code, llrs)
+
 
 class TestSscEquivalence:
     def test_all_frozen_is_single_pruned_node(self):
@@ -183,6 +191,12 @@ class TestSscEquivalence:
         assert tree.node_count() == 1
         llr = np.random.default_rng(0).normal(size=16)
         assert not ssc_decode(code, llr, tree).any()
+
+    def test_tree_of_other_length_rejected(self, example8_code):
+        # a single Rate-1 root would hard-decide every bit, frozen ones too
+        tree = build_ssc_tree(build_code(make_channel(ChannelKind.BSC, 0.0), 4, 0.5))
+        with pytest.raises(ValueError):
+            ssc_decode_batch(example8_code, np.ones((1, 8)), tree)
 
     @pytest.mark.parametrize("kind,param", [
         (ChannelKind.BEC, 0.5),

@@ -74,11 +74,6 @@ class TestSerialSweep:
                                  error_targets=(1e-3,), n_max=10)
         assert records_to_csv(records) == records_to_csv(again)
 
-    def test_threaded_run_identical(self, records):
-        threaded = run_serial_sweep(kinds=[ChannelKind.BEC], capacities=(0.5,),
-                                    error_targets=(1e-3,), n_max=10, threads=4)
-        assert records_to_csv(threaded) == records_to_csv(records)
-
     def test_n_range_validated(self):
         with pytest.raises(ValueError):
             run_serial_sweep(n_max=28)

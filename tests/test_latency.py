@@ -1,27 +1,32 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sscpolar import (
     ChannelKind,
     NodeKind,
     build_code,
     build_ssc_tree,
+    channel_from_capacity,
     code_from_frozen,
     decoding_weight,
-    iter_pruned_nodes,
     latency_report,
     latency_upper_bound,
     make_channel,
     matched_parallelism,
     min_p_within_factor,
     scan_edge_profile,
+    scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
     serial_latency_estimate,
     ssc_latency,
 )
+
+from conftest import reference_pruned_levels, tree_levels
 
 
 def bec(eps):
@@ -47,38 +52,42 @@ class TestDecodingWeight:
             decoding_weight(2, 0)
 
 
+M, R0, R1 = NodeKind.MIXED, NodeKind.RATE0, NodeKind.RATE1
+
+
+def kinds_by_level(tree):
+    return [k.tolist() for k in tree.kinds]
+
+
 class TestSscTree:
     def test_example8_shape(self, example8_code):
         tree = build_ssc_tree(example8_code)
+        assert tree.n == 3
         assert tree.node_count() == 11
-        root = tree.root
-        assert root.kind is NodeKind.MIXED and root.level == 3
-        left, right = root.children
-        assert left.kind is NodeKind.MIXED and right.kind is NodeKind.MIXED
-        level1 = [*left.children, *right.children]
-        assert [nd.kind for nd in level1] == [
-            NodeKind.RATE0, NodeKind.MIXED, NodeKind.MIXED, NodeKind.RATE1]
-        for mixed in (level1[1], level1[2]):
-            kinds = [child.kind for child in mixed.children]
-            assert kinds == [NodeKind.RATE0, NodeKind.RATE1]
+        assert kinds_by_level(tree) == [[R0, R1, R0, R1], [R0, M, M, R1], [M, M], [M]]
+
+    def test_example8_reliabilities(self, example8_code):
+        # root z0 = 1/2, children 2z - z^2 and z^2, left first
+        tree = build_ssc_tree(example8_code)
+        assert tree.z[3].tolist() == [0.5]
+        assert tree.z[2].tolist() == [0.75, 0.25]
+        assert tree.z[1].tolist() == [0.9375, 0.5625, 0.4375, 0.0625]
 
     def test_all_frozen_single_rate0_root(self):
         code = build_code(bec(1.0), 4, 0.5)
         tree = build_ssc_tree(code)
         assert tree.node_count() == 1
-        assert tree.root.kind is NodeKind.RATE0
+        assert kinds_by_level(tree) == [[], [], [], [], [R0]]
 
     def test_all_info_single_rate1_root(self):
         code = build_code(make_channel(ChannelKind.BSC, 0.0), 4, 0.5)
         tree = build_ssc_tree(code)
         assert tree.node_count() == 1
-        assert tree.root.kind is NodeKind.RATE1
+        assert kinds_by_level(tree) == [[], [], [], [], [R1]]
 
     def test_no_mixed_leaves(self):
         code = build_code(bec(0.5), 10, 1e-3)
-        for node in build_ssc_tree(code).nodes():
-            if node.level == 0:
-                assert node.kind is not NodeKind.MIXED
+        assert not (build_ssc_tree(code).kinds[0] == M).any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kinds_agree_with_leaf_scan(self, seed):
@@ -88,20 +97,24 @@ class TestSscTree:
         mask = rng.random(2 ** n) < rng.random()
         code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
         tree = build_ssc_tree(code)
+        offsets = [0]
+        for s in range(n, -1, -1):
+            kinds = tree.kinds[s].tolist()
+            assert len(kinds) == len(offsets)
+            for lo, kind in zip(offsets, kinds):
+                seg = mask[lo:lo + 2 ** s]
+                assert kind == (R0 if seg.all() else R1 if not seg.any() else M)
+            offsets = [lo + d for lo, kind in zip(offsets, kinds) if kind == M
+                       for d in (0, 2 ** (s - 1))]
+        assert offsets == []
 
-        def check(node, lo, hi):
-            seg = mask[lo:hi]
-            if seg.all():
-                assert node.kind is NodeKind.RATE0
-            elif not seg.any():
-                assert node.kind is NodeKind.RATE1
-            else:
-                assert node.kind is NodeKind.MIXED
-                mid = (lo + hi) // 2
-                check(node.children[0], lo, mid)
-                check(node.children[1], mid, hi)
 
-        check(tree.root, 0, 2 ** n)
+FAMILY_CAPACITIES = [(kind, cap) for kind in ChannelKind for cap in (0.1, 0.5, 0.9)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_channel(kind, cap):
+    return channel_from_capacity(kind, cap)
 
 
 class TestStreamingScan:
@@ -113,18 +126,39 @@ class TestStreamingScan:
         code = build_code(ch, n, pe)
         assert scan_edge_profile(ch, n, pe) == build_ssc_tree(code).edge_profile()
 
+    @pytest.mark.parametrize("pe", [1e-3, 1e-10])
+    @pytest.mark.parametrize("kind,cap", FAMILY_CAPACITIES)
+    def test_profile_matches_on_family_grid(self, kind, cap, pe):
+        ch = cached_channel(kind, cap)
+        for n in range(1, 17):
+            code = build_code(ch, n, pe)
+            assert scan_edge_profile(ch, n, pe) == build_ssc_tree(code).edge_profile(), n
+
     def test_profile_matches_at_larger_n(self, bec_half):
-        for n in (16, 18, 20):
+        for n in range(16, 23):
             code = build_code(bec_half, n, 1e-3)
             assert scan_edge_profile(bec_half, n, 1e-3) == build_ssc_tree(code).edge_profile()
 
-    def test_streamed_kinds_match_tree(self, bec_half):
-        code = build_code(bec_half, 9, 1e-3)
-        tree_nodes = sorted((nd.level, round(nd.z, 14), int(nd.kind))
-                            for nd in build_ssc_tree(code).nodes())
-        scan_nodes = sorted((s, round(z, 14), int(k))
-                            for z, s, k in iter_pruned_nodes(bec_half, 9, 1e-3))
-        assert tree_nodes == scan_nodes
+    def test_streamed_kinds_match_tree(self):
+        # node for node, z and kind, against the one-node-at-a-time reference
+        for kind in ChannelKind:
+            channel = cached_channel(kind, 0.5)
+            for n in (9, 14):
+                scanned = tree_levels(scan_ssc_tree(channel, n, 1e-3))
+                assert scanned == reference_pruned_levels(channel, n, 1e-3), (kind, n)
+                assert tree_levels(build_ssc_tree(build_code(channel, n, 1e-3))) == scanned
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(ChannelKind)),
+           cap=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
+           log_pe=st.floats(min_value=-12.0, max_value=-0.5),
+           n=st.integers(min_value=1, max_value=14))
+    def test_scan_equals_mask_build_and_reference(self, kind, cap, log_pe, n):
+        channel = cached_channel(kind, cap)
+        pe = 10.0 ** log_pe
+        scanned = tree_levels(scan_ssc_tree(channel, n, pe))
+        assert tree_levels(build_ssc_tree(build_code(channel, n, pe))) == scanned
+        assert reference_pruned_levels(channel, n, pe) == scanned
 
 
 class TestSscLatency:
@@ -146,6 +180,12 @@ class TestSscLatency:
         assert ssc_latency(example8_code, 4) == 10
         assert ssc_latency(tree, 4) == 10
         assert ssc_latency(tree.edge_profile(), 4) == 10
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError):
+            ssc_latency([-5, 3], 1)
+        with pytest.raises(ValueError):
+            min_p_within_factor([2, -2, 2], 1.01)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
@@ -277,6 +317,12 @@ class TestLatencyReport:
         rep = latency_report(example8_code, 3)
         assert rep.sc_closed is None
         assert rep.ssc <= rep.sc_tree
+
+    def test_profile_length_must_match_n(self, example8_code):
+        profile = build_ssc_tree(example8_code).edge_profile()
+        assert latency_report(profile, 4, n=3).ssc == 10
+        with pytest.raises(ValueError):
+            latency_report([2, 2, 2], 4, n=10)
 
     def test_invariants_across_p(self, bec_half):
         code = build_code(bec_half, 8, 1e-3)
