@@ -4,12 +4,21 @@ Decoders work on log-likelihood ratios with positive values favoring bit 0.
 The simplified decoder prunes all-frozen subtrees to zero vectors and
 all-information subtrees to one-shot hard decisions, and is bit-identical
 to plain successive cancellation on every input.
+
+Both decoders are one schedule compiler and one executor.  A level-wise
+tree compiles into a flat list of F, G, RATE1 and COMBINE ops, the same
+per-level F and G counts the latency model charges (schedule_profile).
+SC is the schedule of the unpruned tree, whose leaves are Rate-0 or Rate-1
+by the frozen mask; SSC is the schedule of the pruned SscTree.  The executor
+runs a schedule over frame-interleaved buffers: level s holds one
+(2^s, frames) LLR array, so a node's halves are contiguous row blocks, and
+one (N, frames) array holds the partial sums in place.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,19 +46,20 @@ def g_kernel(a: float, b: float, c_bit: int) -> float:
     return max(-LLR_CAP, min(LLR_CAP, out))
 
 
-def _f_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        out = 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
-    return np.clip(out, -LLR_CAP, LLR_CAP)
+def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
+    """The polar transform, in place, of a C-contiguous array; returns x.
 
-
-def _g_vec(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.clip(a + (1.0 - 2.0 * c) * b, -LLR_CAP, LLR_CAP)
-
-
-def _hard(llr: np.ndarray) -> np.ndarray:
-    # ties (llr exactly 0) decode to bit 0
-    return (llr < 0).astype(np.uint8)
+    x is read as runs of m symbols of `unit` consecutive elements each, and
+    each run is transformed: unit = 1 is the last axis of a (..., m) array,
+    unit = frames is axis 0 of an (m, frames) one.  The stage at `step`
+    XORs the second half of every 2*step-element block into its first half.
+    """
+    step = unit
+    while step < m * unit:
+        v = x.reshape(-1, 2, step)
+        v[:, 0] ^= v[:, 1]
+        step *= 2
+    return x
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
@@ -58,16 +68,11 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     Operates along the last axis; the transform is an involution, so it is
     both the encoder map and the map from node bit estimates back to leaves.
     """
-    x = np.array(u, dtype=np.uint8, copy=True)
+    x = np.array(u, dtype=np.uint8, order="C")  # a copy that reshapes into views
     m = x.shape[-1]
     if m == 0 or m & (m - 1):
         raise ValueError(f"length must be a power of two, got {m}")
-    step = 1
-    while step < m:
-        for off in range(0, m, 2 * step):
-            x[..., off:off + step] ^= x[..., off + step:off + 2 * step]
-        step *= 2
-    return x
+    return _butterflies(x, m, 1)
 
 
 def encode(code: PolarCode, u: np.ndarray) -> np.ndarray:
@@ -91,41 +96,178 @@ def encode_message(code: PolarCode, message: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# successive cancellation
+# decoding schedules
 # ---------------------------------------------------------------------------
 
-def _sc_rec(alpha: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched SC on one subtree: returns (leaf bits, node-level partial sums)."""
-    m = alpha.shape[1]
-    if m == 1:
-        if frozen[0]:
-            u = np.zeros((alpha.shape[0], 1), dtype=np.uint8)
-        else:
-            u = _hard(alpha)
-        return u, u.copy()
-    h = m // 2
-    a, b = alpha[:, :h], alpha[:, h:]
-    u_left, beta_left = _sc_rec(_f_vec(a, b), frozen[:h])
-    u_right, beta_right = _sc_rec(_g_vec(b, a, beta_left), frozen[h:])
-    u = np.concatenate([u_left, u_right], axis=1)
-    beta = np.concatenate([beta_left ^ beta_right, beta_right], axis=1)
-    return u, beta
+# Op codes.  An op is (code, s, lo) for the tree node at level s whose leaves
+# are lo .. lo + 2^s - 1.  F and G compute the LLRs entering its left and
+# right child, RATE1 hard-decides the node at once and COMBINE merges its
+# children's partial sums.  A Rate-0 node has no op: its partial sums stay 0.
+F, G, RATE1, COMBINE = range(4)
+
+Op = tuple[int, int, int]
+
+
+def _compile(kinds: Sequence[np.ndarray]) -> list[Op]:
+    """Flatten a level-wise tree (as SscTree.kinds) into its depth-first op list."""
+    # A depth-first walk meets the nodes of each level left to right, which is
+    # the order of kinds[s], so one cursor per level locates the current node.
+    levels = [level.tolist() for level in kinds]  # plain ints compare fastest
+    cursor = [0] * len(levels)
+    rate1, mixed = int(NodeKind.RATE1), int(NodeKind.MIXED)
+    ops: list[Op] = []
+    todo = [(None, len(levels) - 1, 0)]  # ops to emit, or (None, s, lo): visit a node
+    while todo:
+        item = todo.pop()
+        op, s, lo = item
+        if op is not None:
+            ops.append(item)
+            continue
+        kind = levels[s][cursor[s]]
+        cursor[s] += 1
+        if kind == rate1:
+            ops.append((RATE1, s, lo))
+        elif kind == mixed:
+            ops.append((F, s, lo))
+            todo += [(COMBINE, s, lo), (None, s - 1, lo + (1 << (s - 1))), (G, s, lo),
+                     (None, s - 1, lo)]
+    return ops
+
+
+def sc_schedule(frozen: np.ndarray) -> list[Op]:
+    """The unpruned decoder's ops: every internal node MIXED, leaves from the mask."""
+    frozen = np.asarray(frozen, dtype=bool)
+    N = frozen.size
+    if frozen.ndim != 1 or N == 0 or N & (N - 1):
+        raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
+    n = N.bit_length() - 1
+    leaves = np.where(frozen, NodeKind.RATE0, NodeKind.RATE1).astype(np.int8)
+    return _compile([leaves] + [np.full(1 << (n - s), NodeKind.MIXED, dtype=np.int8)
+                                for s in range(1, n + 1)])
+
+
+def ssc_schedule(tree: SscTree) -> list[Op]:
+    """The pruned decoder's ops, read off the level-wise tree."""
+    return _compile(tree.kinds)
+
+
+def schedule_profile(ops: Sequence[Op], n: int) -> list[int]:
+    """F and G ops whose output enters each level s = 0 .. n-1.
+
+    Each is one edge of the decoding tree, so this equals the edge profile
+    the latency model charges: tree.edge_profile() for ssc_schedule(tree).
+    """
+    counts = [0] * n
+    for op, s, _lo in ops:
+        if op == F or op == G:
+            counts[s - 1] += 1
+    return counts
+
+
+def _clamp(o: np.ndarray) -> None:
+    # np.clip's result without NaN, at half its per-call cost
+    np.minimum(o, LLR_CAP, out=o)
+    np.maximum(o, -LLR_CAP, out=o)
+
+
+# log of 1e-250: far above the subnormal range, so rounding cannot reach 0
+_LOG_TIE_FREE = math.log(1e-250)
+
+
+def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The frames (columns of a Rate-1 node's input a) that plain SC may decide otherwise.
+
+    SC inside a Rate-1 node equals the one-shot hard decision unless one of
+    its F outputs is exactly 0: a tie, decided as bit 0 at a lower level.
+    Every LLR SC computes there has tanh(|llr|/2) >= the product of
+    tanh(|a|/2) over the node's inputs, and the leftmost leaf attains it, so
+    a frame is tie-free when the log of that product stays above
+    _LOG_TIE_FREE.  An exact 0 in the input (a BEC erasure) gives -inf.
+    t is scratch for one half of a.
+    """
+    h = a.shape[0] // 2
+    total = np.zeros(a.shape[1])
+    for half in (a[:h], a[h:]):
+        np.abs(half, out=t)
+        t *= 0.5
+        np.tanh(t, out=t)
+        np.log(t, out=t)
+        total += t.sum(axis=0)
+    return np.flatnonzero(total <= _LOG_TIE_FREE)
+
+
+def _execute(ops: Sequence[Op], llr: np.ndarray, fallback: dict[int, list[Op]]) -> np.ndarray:
+    """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
+
+    Returns the root's partial sums, the (N, frames) bool codeword estimate.
+    Level s keeps one (2^s, frames) LLR buffer, so both halves of every node
+    are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1 of
+    the partial sums.  `fallback` caches the unpruned schedule of a Rate-1
+    node per level, run on the frames that hold a tie at that node.
+    """
+    N, frames = llr.shape
+    n = N.bit_length() - 1
+    A = [np.empty((1 << s, frames)) for s in range(n)] + [llr]
+    T = np.empty((N >> 1, frames))
+    B = np.zeros((N, frames), dtype=bool)
+    # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
+    with np.errstate(divide="ignore"):
+        for op, s, lo in ops:
+            if op == F:
+                h = 1 << (s - 1)
+                a, o, t = A[s], A[s - 1], T[:h]
+                # 2*arctanh(tanh(a/2)*tanh(b/2)) step by step: x*0.5 == x/2.0
+                np.multiply(a[:h], 0.5, out=t)
+                np.tanh(t, out=t)
+                np.multiply(a[h:], 0.5, out=o)
+                np.tanh(o, out=o)
+                o *= t
+                np.arctanh(o, out=o)
+                o *= 2.0
+                _clamp(o)
+            elif op == G:
+                h = 1 << (s - 1)
+                a, o, t = A[s], A[s - 1], T[:h].view(np.uint64)
+                # b + (1-2c)*a: multiplying by -1.0 flips exactly the sign bit
+                np.left_shift(B[lo:lo + h], 63, out=t, dtype=np.uint64)
+                np.bitwise_xor(a[:h].view(np.uint64), t, out=t)
+                np.add(a[h:], t.view(np.float64), out=o)
+                _clamp(o)
+            elif op == COMBINE:
+                h = 1 << (s - 1)
+                B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
+            else:  # RATE1; ties (llr exactly 0) decide bit 0
+                a, b = A[s], B[lo:lo + (1 << s)]
+                np.less(a, 0.0, out=b)
+                if s:
+                    redo = _tie_frames(a, T[:1 << (s - 1)])
+                    if redo.size:
+                        if s not in fallback:
+                            fallback[s] = sc_schedule(np.zeros(1 << s, dtype=bool))
+                        b[:, redo] = _execute(fallback[s], a[:, redo], fallback)
+    return B
+
+
+def _decode(ops: Sequence[Op], llr: np.ndarray, fallback: dict[int, list[Op]]) -> np.ndarray:
+    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
+    x = _execute(ops, llr, fallback).view(np.uint8)
+    return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
 def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
+    """A (batch, N) LLR matrix, validated, as the frame-interleaved (N, batch) copy."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != code.N:
         raise ValueError(f"LLR frame length {llrs.shape[1]} != N={code.N}")
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
-    return llrs
+    return np.ascontiguousarray(llrs.T)
 
 
 def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
-    llrs = _check_llrs(code, llrs)
-    u, _ = _sc_rec(llrs, code.frozen)
-    return u
+    u = _decode(sc_schedule(code.frozen), _check_llrs(code, llrs), {})
+    return np.ascontiguousarray(u.T)
 
 
 def sc_decode(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
@@ -133,60 +275,25 @@ def sc_decode(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     return sc_decode_batch(code, llrs)[0]
 
 
-# ---------------------------------------------------------------------------
-# simplified successive cancellation
-# ---------------------------------------------------------------------------
-
-def _ssc_rec(alpha: np.ndarray, kinds: list[list[int]], cursor: list[int], frozen: np.ndarray,
-             lo: int) -> tuple[np.ndarray, np.ndarray]:
-    # A depth-first walk meets the nodes of each level left to right, which is
-    # the order of kinds[s], so one cursor per level locates the current node.
-    rows, m = alpha.shape
-    s = m.bit_length() - 1
-    kind = kinds[s][cursor[s]]
-    cursor[s] += 1
-    if kind == NodeKind.RATE0:
-        zeros = np.zeros((rows, m), dtype=np.uint8)
-        return zeros, zeros.copy()
-    if kind == NodeKind.RATE1:
-        beta = _hard(alpha)
-        u = polar_transform(beta)
-        # A frame whose node input contains an exact 0 (a BEC erasure that
-        # survived to this node) is re-decoded sequentially: the one-shot
-        # decision and plain SC resolve the tie at different tree levels and
-        # would otherwise disagree on those frames.
-        ties = (alpha == 0.0).any(axis=1)
-        if ties.any():
-            u_t, beta_t = _sc_rec(alpha[ties], frozen[lo:lo + m])
-            u[ties] = u_t
-            beta[ties] = beta_t
-        return u, beta
-    h = m // 2
-    a, b = alpha[:, :h], alpha[:, h:]
-    u_left, beta_left = _ssc_rec(_f_vec(a, b), kinds, cursor, frozen, lo)
-    u_right, beta_right = _ssc_rec(_g_vec(b, a, beta_left), kinds, cursor, frozen, lo + h)
-    u = np.concatenate([u_left, u_right], axis=1)
-    beta = np.concatenate([beta_left ^ beta_right, beta_right], axis=1)
-    return u, beta
+def _ssc_ops(code: PolarCode, tree: Optional[SscTree]) -> list[Op]:
+    if tree is None:
+        tree = build_ssc_tree(code)
+    elif tree.n != code.n:
+        raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
+    return ssc_schedule(tree)
 
 
 def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
                      tree: Optional[SscTree] = None) -> np.ndarray:
     """Simplified-SC decode of a (batch, N) LLR matrix.
 
-    Traverses the pruned tree: all-frozen nodes emit zero vectors, all-info
-    nodes hard-decide at their own level and map the decisions back to the
-    leaves through the (involutive) transform.  Output is bit-identical to
-    sc_decode_batch on every frame.
+    Runs the pruned tree's schedule: all-frozen nodes emit zero vectors,
+    all-info nodes hard-decide at their own level.  Output is bit-identical
+    to sc_decode_batch on every frame.
     """
     llrs = _check_llrs(code, llrs)
-    if tree is None:
-        tree = build_ssc_tree(code)
-    elif tree.n != code.n:
-        raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
-    kinds = [level.tolist() for level in tree.kinds]  # plain ints compare fastest
-    u, _ = _ssc_rec(llrs, kinds, [0] * (code.n + 1), code.frozen, 0)
-    return u
+    u = _decode(_ssc_ops(code, tree), llrs, {})
+    return np.ascontiguousarray(u.T)
 
 
 def ssc_decode(code: PolarCode, llrs: np.ndarray,
@@ -206,22 +313,25 @@ def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
 
 def _random_frames(code: PolarCode, channel: BmsChannel,
                    rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Input bits and LLRs of the trials, both frame-interleaved: (N, trials)."""
     trials = len(rngs)
-    u = np.zeros((trials, code.N), dtype=np.uint8)
-    k = code.k
-    for t, rng in enumerate(rngs):
-        if k:
-            u[t, ~code.frozen] = rng.integers(0, 2, k, dtype=np.uint8)
-    x = polar_transform(u)
-    llr = np.empty((trials, code.N), dtype=np.float64)
-    for t, rng in enumerate(rngs):
-        llr[t] = sample_llrs(channel, x[t], rng)
+    u = np.zeros((code.N, trials), dtype=np.uint8)
+    info = ~code.frozen
+    if code.k:
+        for t, rng in enumerate(rngs):
+            u[info, t] = rng.integers(0, 2, code.k, dtype=np.uint8)
+    x = np.ascontiguousarray(_butterflies(u.copy(), code.N, trials).T)  # a codeword a row
+    llr = np.empty((code.N, trials), dtype=np.float64)
+    # eight frames at a time fill whole 64-byte cache lines of the interleaved rows
+    for start in range(0, trials, 8):
+        block = [sample_llrs(channel, x[t], rngs[t]) for t in range(start, min(start + 8, trials))]
+        llr[:, start:start + len(block)] = np.transpose(block)
     return u, llr
 
 
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                    batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (input bits, LLRs) for the seeded trials, `batch` frames at a time."""
+    """Yield interleaved (input bits, LLRs) for the seeded trials, `batch` frames at a time."""
     rngs = _trial_streams(seed, trials)
     for start in range(0, trials, batch):
         yield _random_frames(code, channel, rngs[start:start + batch])
@@ -229,7 +339,7 @@ def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
 
 def _frame_errors(code: PolarCode, u: np.ndarray, u_hat: np.ndarray) -> int:
     info = ~code.frozen
-    return int((u_hat[:, info] != u[:, info]).any(axis=1).sum())
+    return int((u_hat[info] != u[info]).any(axis=0).sum())
 
 
 def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
@@ -237,10 +347,10 @@ def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int
     """Frame error rate of the simplified decoder over seeded random trials."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = build_ssc_tree(code)
+    ops, fallback = _ssc_ops(code, None), {}
     errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        errors += _frame_errors(code, u, ssc_decode_batch(code, llr, tree))
+        errors += _frame_errors(code, u, _decode(ops, llr, fallback))
     return errors / trials
 
 
@@ -253,11 +363,11 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = build_ssc_tree(code)
+    sc_ops, ssc_ops, fallback = sc_schedule(code.frozen), _ssc_ops(code, None), {}
     agree = errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        u_sc = sc_decode_batch(code, llr)
-        u_ssc = ssc_decode_batch(code, llr, tree)
-        agree += int((u_sc == u_ssc).all(axis=1).sum())
+        u_sc = _decode(sc_ops, llr, fallback)
+        u_ssc = _decode(ssc_ops, llr, fallback)
+        agree += int((u_sc == u_ssc).all(axis=0).sum())
         errors += _frame_errors(code, u, u_ssc)
     return agree, trials, errors / trials

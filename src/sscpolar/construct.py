@@ -270,8 +270,10 @@ def _hex_to_frozen(text: str, N: int) -> np.ndarray:
     if len(text) != expected:
         raise ValueError(f"frozen string has {len(text)} nibbles, expected {expected}")
     vals = np.array([int(c, 16) for c in text], dtype=np.uint8)
-    bits = (vals[:, None] >> np.array([3, 2, 1, 0])) & 1
-    return bits.reshape(-1)[:N].astype(bool)
+    bits = ((vals[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
+    if bits[N:].any():
+        raise ValueError(f"frozen string has nonzero padding bits after N={N}")
+    return bits[:N].astype(bool)
 
 
 def code_to_text(code: PolarCode) -> str:

@@ -65,9 +65,9 @@ def decoding_weight(s: int, P: int) -> int:
     return (2 ** s + P - 1) // P
 
 
-# Classifies one level's frontier: (z, node index within the full level, s)
-# -> (rate0, rate1) boolean masks.
-Classifier = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+# Classifies one level's frontier: (z, node index within the full level or
+# None, s) -> (rate0, rate1) boolean masks.
+Classifier = Callable[[np.ndarray, Optional[np.ndarray], int], tuple[np.ndarray, np.ndarray]]
 
 
 def _minus(y: np.ndarray) -> np.ndarray:
@@ -78,11 +78,15 @@ def _minus(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _walk(z0: float, n: int, classify: Classifier) -> SscTree:
-    """Build the pruned tree top-down, classifying one whole level at a time."""
+def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> SscTree:
+    """Build the pruned tree top-down, classifying one whole level at a time.
+
+    Each node's index within its full level is tracked only when `indexed`;
+    the channel scan does not read it and would pay 8 bytes a node for it.
+    """
     kinds, zs = [], []
     z = np.array([z0], dtype=np.float64)
-    index = np.zeros(1, dtype=np.int64)
+    index = np.zeros(1, dtype=np.int64) if indexed else None
     for s in range(n, -1, -1):
         rate0, rate1 = classify(z, index, s)
         kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
@@ -91,14 +95,18 @@ def _walk(z0: float, n: int, classify: Classifier) -> SscTree:
         kinds.append(kind)
         zs.append(z)
         mixed = kind == NodeKind.MIXED
-        zm, im = z[mixed], index[mixed]
-        # children interleaved, left (worse) first, so each level is in leaf order
+        zm = z[mixed]
+        # children interleaved, left (worse) first, so each level is in leaf order;
+        # the right child's z*z doubles as the square in the left child's 2z - z*z
         z = np.empty(2 * zm.size, dtype=np.float64)
-        z[1::2] = zm * zm
-        z[0::2] = _minus(zm)
-        index = np.empty(2 * im.size, dtype=np.int64)
-        index[0::2] = 2 * im
-        index[1::2] = 2 * im + 1
+        np.multiply(zm, zm, out=z[1::2])
+        zm *= 2.0
+        np.subtract(zm, z[1::2], out=z[0::2])
+        if indexed:
+            im = index[mixed] << 1
+            index = np.empty(2 * im.size, dtype=np.int64)
+            index[0::2] = im
+            index[1::2] = im + 1
     kinds.reverse()
     zs.reverse()
     return SscTree(tuple(kinds), tuple(zs))
@@ -149,7 +157,7 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
     Each node's frozen-leaf count comes from a prefix sum over the mask, so
     the work after that sum is proportional to the pruned tree, not to N.
     """
-    return _walk(code.channel.z0, code.n, _mask_classifier(code.frozen))
+    return _walk(code.channel.z0, code.n, _mask_classifier(code.frozen), indexed=True)
 
 
 def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
@@ -157,9 +165,14 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
 
     Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
     never materializes the 2^n leaves, so it reaches n = 27.  Time and
-    memory are O(pruned nodes).
+    memory are O(pruned nodes).  Rejects n < 1 and pe outside (0, 1), as
+    build_code does.
     """
-    return _walk(channel.z0, n, _channel_classifier(pe / 2 ** n))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 < pe < 1.0:
+        raise ValueError(f"pe must be in (0, 1), got {pe}")
+    return _walk(channel.z0, n, _channel_classifier(pe / 2 ** n), indexed=False)
 
 
 def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:

@@ -103,6 +103,13 @@ class TestLatency:
         rc, _, err = run(capsys, "latency", "--code", example8_file, "--p", "0")
         assert rc == 2
 
+    def test_code_file_with_padding_bits_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "padded.code"
+        path.write_text("polarcode v1\nbec 0.5 0.5 0.5 1\nb\n", encoding="ascii")
+        rc, _, err = run(capsys, "latency", "--code", str(path), "--p", "1")
+        assert rc == 2
+        assert "padding" in err
+
     def test_p_and_policy_conflict(self, capsys, example8_file):
         rc, _, _ = run(capsys, "latency", "--code", example8_file,
                        "--p", "2", "--policy", "half")

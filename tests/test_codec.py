@@ -8,7 +8,9 @@ from sscpolar import (
     ChannelKind,
     build_code,
     build_ssc_tree,
+    channel_from_capacity,
     code_from_frozen,
+    decoding_weight,
     encode,
     encode_message,
     f_kernel,
@@ -19,16 +21,29 @@ from sscpolar import (
     sample_llrs,
     sc_decode,
     sc_decode_batch,
+    sc_latency_tree,
+    sc_schedule,
     sc_ssc_agreement,
+    schedule_profile,
     ssc_decode,
     ssc_decode_batch,
+    ssc_schedule,
 )
 from sscpolar.channel import LLR_CAP
+from sscpolar.codec import RATE1
 
 from conftest import EXAMPLE8_FROZEN, reference_sc
 
 finite_llr = st.floats(min_value=-LLR_CAP, max_value=LLR_CAP,
                        allow_nan=False, allow_infinity=False)
+
+# finite normal LLRs plus the values that make ties, signed zeros and
+# subnormal products inside the kernels
+edge_llr = st.one_of(
+    st.floats(min_value=-LLR_CAP, max_value=LLR_CAP, allow_nan=False,
+              allow_infinity=False, allow_subnormal=False),
+    st.sampled_from([0.0, -0.0, LLR_CAP, -LLR_CAP, 5e-324, -5e-324]),
+)
 
 
 class TestFKernel:
@@ -114,6 +129,17 @@ class TestTransformAndEncode:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             polar_transform(np.zeros(6, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    def test_matches_matrix_product(self, n):
+        # rows of a stacked, non-contiguous input against u @ F^(kron n) mod 2
+        kernel = np.array([[1, 0], [1, 1]], dtype=np.int64)
+        gen = np.ones((1, 1), dtype=np.int64)
+        for _ in range(n):
+            gen = np.kron(gen, kernel)
+        u = np.random.default_rng(n).integers(0, 2, (2, 3, 2 ** n), dtype=np.uint8)
+        u = u.transpose(1, 0, 2)
+        assert np.array_equal(polar_transform(u), (u.astype(np.int64) @ gen) % 2)
 
     def test_encode_checks_frozen_zeros(self, example8_code):
         u = np.ones(8, dtype=np.uint8)
@@ -227,6 +253,17 @@ class TestSscEquivalence:
         assert np.array_equal(u_sc, ssc_decode(code, llr))
         assert np.array_equal(u_sc, reference_sc(llr, code.frozen))
 
+    def test_tie_from_underflow_inside_pure_information_node(self):
+        # no input is 0, but an F output on the leftmost path underflows to 0,
+        # so SC meets a tie that the one-shot decision never sees
+        bsc = make_channel(ChannelKind.BSC, 0.11)
+        llr = np.array([1.0, -5e-324])
+        assert list(reference_sc(llr, [False, False])) == [0, 0]
+        assert list(ssc_decode(code_from_frozen(bsc, np.zeros(2, bool), 1e-2), llr)) == [0, 0]
+        code = code_from_frozen(bsc, np.zeros(1024, bool), 1e-2)
+        llrs = np.random.default_rng(0).normal(1.0, 1.0, size=(8, 1024))
+        assert np.array_equal(ssc_decode_batch(code, llrs), sc_decode_batch(code, llrs))
+
     def test_tie_in_pure_information_node(self):
         # size-2 all-information code with an erased first input: the one-shot
         # hard decision alone would disagree with sequential decoding here
@@ -236,6 +273,52 @@ class TestSscEquivalence:
         u_sc = sc_decode(code, llr)
         assert np.array_equal(u_sc, ssc_decode(code, llr))
         assert list(u_sc) == [0, 1]
+
+
+class TestSchedule:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=2 ** n, max_size=2 ** n),
+        st.lists(st.lists(edge_llr, min_size=2 ** n, max_size=2 ** n),
+                 min_size=1, max_size=3))))
+    def test_both_decoders_equal_reference(self, case):
+        mask, frames = np.array(case[0]), np.array(case[1], dtype=float)
+        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        expected = np.array([reference_sc(llr, mask) for llr in frames])
+        assert np.array_equal(sc_decode_batch(code, frames), expected)
+        assert np.array_equal(ssc_decode_batch(code, frames), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(ChannelKind)),
+           cap=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+           log_pe=st.floats(min_value=-12.0, max_value=-0.5),
+           n=st.integers(min_value=1, max_value=12))
+    def test_ssc_op_count_is_edge_profile(self, kind, cap, log_pe, n):
+        # the latency model charges exactly the F and G ops the decoder runs
+        code = build_code(channel_from_capacity(kind, cap), n, 10.0 ** log_pe)
+        tree = build_ssc_tree(code)
+        assert schedule_profile(ssc_schedule(tree), n) == tree.edge_profile()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sc_op_count_is_full_tree(self, n):
+        mask = np.random.default_rng(n).random(2 ** n) < 0.5
+        profile = schedule_profile(sc_schedule(mask), n)
+        assert profile == [2 ** (n - s) for s in range(n)]
+        for P in (1, 3, 2 ** (n - 1)):
+            assert (sum(c * decoding_weight(s, P) for s, c in enumerate(profile))
+                    == sc_latency_tree(n, P))
+
+    @pytest.mark.parametrize("shape", [(0,), (6,), (2, 4)])
+    def test_sc_schedule_rejects_bad_masks(self, shape):
+        with pytest.raises(ValueError):
+            sc_schedule(np.zeros(shape, dtype=bool))
+
+    def test_pure_roots(self):
+        # a Rate-0 root compiles to nothing, a Rate-1 root to one decision
+        bec = make_channel(ChannelKind.BEC, 0.5)
+        assert ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.ones(8, bool), 1e-2))) == []
+        assert ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.zeros(8, bool), 1e-2))) \
+            == [(RATE1, 3, 0)]
 
 
 class TestMonteCarlo:

@@ -201,6 +201,14 @@ class TestCodeFile:
         with pytest.raises(ValueError):
             code_from_text(mangle(text))
 
+    @pytest.mark.parametrize("nibble", ["1", "2", "b", "f"])
+    def test_rejects_nonzero_padding(self, nibble):
+        # N=2 uses the top two bits of its one nibble; the low two must be 0
+        lines = code_to_text(build_code(bec(0.5), 1, 0.5)).splitlines()
+        lines[2] = nibble
+        with pytest.raises(ValueError):
+            code_from_text("\n".join(lines))
+
     def test_rejects_inconsistent_capacity(self):
         text = code_to_text(build_code(bec(0.5), 3, 1e-2))
         lines = text.splitlines()

@@ -148,6 +148,16 @@ class TestStreamingScan:
                 assert scanned == reference_pruned_levels(channel, n, 1e-3), (kind, n)
                 assert tree_levels(build_ssc_tree(build_code(channel, n, 1e-3))) == scanned
 
+    @pytest.mark.parametrize("n,pe", [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, 1.0),
+                                      (4, 5.0), (4, -1e-3)])
+    def test_scan_rejects_what_build_code_rejects(self, bec_half, n, pe):
+        with pytest.raises(ValueError):
+            build_code(bec_half, n, pe)
+        with pytest.raises(ValueError):
+            scan_ssc_tree(bec_half, n, pe)
+        with pytest.raises(ValueError):
+            scan_edge_profile(bec_half, n, pe)
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(ChannelKind)),
            cap=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
@@ -197,6 +207,11 @@ class TestSscLatency:
             ).edge_profile()
             lats = [ssc_latency(profile, P) for P in range(1, 2 ** n + 2)]
             assert all(a >= b for a, b in zip(lats, lats[1:]))
+
+    @given(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=16),
+           st.integers(1, 2 ** 16))
+    def test_non_increasing_in_p_property(self, profile, P):
+        assert ssc_latency(profile, P) >= ssc_latency(profile, P + 1)
 
     def test_unprunable_tree_equals_full_tree(self):
         # alternating frozen/info leaves admit no pruning at all
@@ -302,6 +317,15 @@ class TestMinP:
         brute = next(P for P in range(1, 2 ** n // 2 + 1)
                      if ssc_latency(profile, P) <= target)
         assert min_p_within_factor(profile, factor) == brute
+
+
+    @given(st.lists(st.integers(0, 2 ** 12), min_size=1, max_size=12),
+           st.floats(min_value=1.0, max_value=4.0))
+    def test_result_is_minimal_property(self, profile, factor):
+        P = min_p_within_factor(profile, factor)
+        target = factor * ssc_latency(profile, max(1, 2 ** len(profile) // 2))
+        assert ssc_latency(profile, P) <= target
+        assert P == 1 or ssc_latency(profile, P - 1) > target
 
 
 class TestLatencyReport:
