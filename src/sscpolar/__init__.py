@@ -6,11 +6,11 @@ from .channel import (
     SCALING_EXPONENT,
     BmsChannel,
     ChannelKind,
-    MinusRule,
     bhattacharyya,
     capacity,
     channel_from_capacity,
     make_channel,
+    polarize,
     sample_llrs,
     z_minus,
     z_plus,
@@ -41,7 +41,6 @@ from .construct import (
     code_to_text,
     cube_interval,
     h2_inv,
-    iter_leaf_reliabilities,
     leaf_reliabilities,
     load_code,
     midzone_interval,

@@ -2,8 +2,8 @@
 
 Covers the three channel families used throughout the package (BEC, BSC,
 binary-input AWGN), their Bhattacharyya parameters and capacities, the
-single-step reliability transforms of channel polarization, and seeded
-LLR sampling for Monte Carlo decoding runs.
+reliability transforms of channel polarization (one step, and one whole
+level), and seeded LLR sampling for Monte Carlo decoding runs.
 """
 
 from __future__ import annotations
@@ -36,27 +36,6 @@ SCALING_EXPONENT = {
     ChannelKind.BSC: 4.2,
     ChannelKind.BAWGNC: 4.0,
 }
-
-
-class MinusRule(Enum):
-    """How the reliability of the worse synthetic channel is evolved.
-
-    Both rules evaluate 2z - z^2.  EXACT_BEC declares the value exact
-    (true only on the BEC); UPPER_BOUND declares it a conservative upper
-    bound, which is the correct reading for every other channel family.
-    """
-
-    EXACT_BEC = "exact-bec"
-    UPPER_BOUND = "upper-bound"
-
-
-def default_minus_rule(kind: ChannelKind) -> MinusRule:
-    return MinusRule.EXACT_BEC if kind is ChannelKind.BEC else MinusRule.UPPER_BOUND
-
-
-def validate_minus_rule(kind: ChannelKind, rule: MinusRule) -> None:
-    if rule is MinusRule.EXACT_BEC and kind is not ChannelKind.BEC:
-        raise ValueError(f"MinusRule.EXACT_BEC is only valid for the BEC, got {kind.value}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +172,21 @@ def z_minus(z: float) -> float:
 def z_plus(z: float) -> float:
     """Reliability of the better synthetic channel: z^2 (exact for all BMS)."""
     return z * z
+
+
+def polarize(z: np.ndarray) -> np.ndarray:
+    """One polarization level: the two children of every z, worse child first.
+
+    Returns [z_minus(z[0]), z_plus(z[0]), z_minus(z[1]), ...], so a level in
+    leaf order gives the next level in leaf order.  Each value is the same
+    IEEE result as z_minus or z_plus; z*z is computed once for both.
+    """
+    out = np.empty(2 * len(z), dtype=np.float64)
+    worse, better = out[0::2], out[1::2]
+    np.multiply(z, z, out=better)
+    np.multiply(z, 2.0, out=worse)
+    worse -= better
+    return out
 
 
 def _as_generator(seed) -> np.random.Generator:

@@ -171,8 +171,6 @@ def cmd_sweep(args) -> int:
         n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
         records = experiments.run_policy_sweep(n_max=n_max)
     else:
-        if args.factor < 1.0:
-            raise CliError(f"--factor must be >= 1, got {args.factor}")
         n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
         records = experiments.run_parallelism_sweep(n_max=n_max, factor=args.factor)
     experiments.write_csv(records, args.out)

@@ -6,7 +6,7 @@ all-information subtrees to one-shot hard decisions, and is bit-identical
 to plain successive cancellation on every input.
 
 Both decoders are one schedule compiler and one executor.  A level-wise
-tree compiles into a flat list of F, G, RATE1 and COMBINE ops, the same
+tree compiles into a stream of F, G, RATE1 and COMBINE ops, the same
 per-level F and G counts the latency model charges (schedule_profile).
 SC is the schedule of the unpruned tree, whose leaves are Rate-0 or Rate-1
 by the frozen mask; SSC is the schedule of the pruned SscTree.  The executor
@@ -18,7 +18,8 @@ one (N, frames) array holds the partial sums in place.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,13 +63,22 @@ def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
     return x
 
 
+def _check_bits(u) -> np.ndarray:
+    """u as an array, after checking that every entry is 0 or 1."""
+    u = np.asarray(u)
+    if u.dtype != bool and not ((u == 0) | (u == 1)).all():
+        raise ValueError("bit vectors must hold only 0 and 1")
+    return u
+
+
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Multiply by the polarization kernel's n-fold Kronecker power over GF(2).
 
     Operates along the last axis; the transform is an involution, so it is
     both the encoder map and the map from node bit estimates back to leaves.
+    Rejects any entry that is not 0 or 1.
     """
-    x = np.array(u, dtype=np.uint8, order="C")  # a copy that reshapes into views
+    x = np.array(_check_bits(u), dtype=np.uint8, order="C")  # a copy that reshapes into views
     m = x.shape[-1]
     if m == 0 or m & (m - 1):
         raise ValueError(f"length must be a power of two, got {m}")
@@ -77,7 +87,7 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 
 def encode(code: PolarCode, u: np.ndarray) -> np.ndarray:
     """Encode a full input vector (frozen positions must already be zero)."""
-    u = np.asarray(u, dtype=np.uint8)
+    u = _check_bits(u)
     if u.shape[-1] != code.N:
         raise ValueError(f"input length {u.shape[-1]} != N={code.N}")
     if np.any(u[..., code.frozen] != 0):
@@ -87,7 +97,7 @@ def encode(code: PolarCode, u: np.ndarray) -> np.ndarray:
 
 def encode_message(code: PolarCode, message: np.ndarray) -> np.ndarray:
     """Place k message bits into the information positions and encode."""
-    message = np.asarray(message, dtype=np.uint8)
+    message = _check_bits(message)
     if message.shape[-1] != code.k:
         raise ValueError(f"message length {message.shape[-1]} != k={code.k}")
     u = np.zeros(message.shape[:-1] + (code.N,), dtype=np.uint8)
@@ -108,50 +118,44 @@ F, G, RATE1, COMBINE = range(4)
 Op = tuple[int, int, int]
 
 
-def _compile(kinds: Sequence[np.ndarray]) -> list[Op]:
-    """Flatten a level-wise tree (as SscTree.kinds) into its depth-first op list."""
+def _compile(levels: Sequence[Iterable[int]]) -> Iterator[Op]:
+    """Yield a level-wise tree's ops depth first; levels[s] gives level s's kinds."""
     # A depth-first walk meets the nodes of each level left to right, which is
-    # the order of kinds[s], so one cursor per level locates the current node.
-    levels = [level.tolist() for level in kinds]  # plain ints compare fastest
-    cursor = [0] * len(levels)
+    # the order of levels[s], so one iterator per level yields the current node.
+    kinds = [iter(level) for level in levels]
     rate1, mixed = int(NodeKind.RATE1), int(NodeKind.MIXED)
-    ops: list[Op] = []
-    todo = [(None, len(levels) - 1, 0)]  # ops to emit, or (None, s, lo): visit a node
+    todo = [(None, len(kinds) - 1, 0)]  # ops to emit, or (None, s, lo): visit a node
     while todo:
         item = todo.pop()
         op, s, lo = item
         if op is not None:
-            ops.append(item)
+            yield item
             continue
-        kind = levels[s][cursor[s]]
-        cursor[s] += 1
+        kind = next(kinds[s])
         if kind == rate1:
-            ops.append((RATE1, s, lo))
+            yield (RATE1, s, lo)
         elif kind == mixed:
-            ops.append((F, s, lo))
+            yield (F, s, lo)
             todo += [(COMBINE, s, lo), (None, s - 1, lo + (1 << (s - 1))), (G, s, lo),
                      (None, s - 1, lo)]
-    return ops
 
 
-def sc_schedule(frozen: np.ndarray) -> list[Op]:
+def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
     """The unpruned decoder's ops: every internal node MIXED, leaves from the mask."""
     frozen = np.asarray(frozen, dtype=bool)
     N = frozen.size
     if frozen.ndim != 1 or N == 0 or N & (N - 1):
         raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
-    n = N.bit_length() - 1
-    leaves = np.where(frozen, NodeKind.RATE0, NodeKind.RATE1).astype(np.int8)
-    return _compile([leaves] + [np.full(1 << (n - s), NodeKind.MIXED, dtype=np.int8)
-                                for s in range(1, n + 1)])
+    leaves = np.where(frozen, NodeKind.RATE0, NodeKind.RATE1).tolist()
+    return _compile([leaves] + [repeat(int(NodeKind.MIXED))] * (N.bit_length() - 1))
 
 
-def ssc_schedule(tree: SscTree) -> list[Op]:
+def ssc_schedule(tree: SscTree) -> Iterator[Op]:
     """The pruned decoder's ops, read off the level-wise tree."""
-    return _compile(tree.kinds)
+    return _compile([level.tolist() for level in tree.kinds])  # plain ints compare fastest
 
 
-def schedule_profile(ops: Sequence[Op], n: int) -> list[int]:
+def schedule_profile(ops: Iterable[Op], n: int) -> list[int]:
     """F and G ops whose output enters each level s = 0 .. n-1.
 
     Each is one edge of the decoding tree, so this equals the edge profile
@@ -196,14 +200,14 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(total <= _LOG_TIE_FREE)
 
 
-def _execute(ops: Sequence[Op], llr: np.ndarray, fallback: dict[int, list[Op]]) -> np.ndarray:
+def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s keeps one (2^s, frames) LLR buffer, so both halves of every node
     are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1 of
-    the partial sums.  `fallback` caches the unpruned schedule of a Rate-1
-    node per level, run on the frames that hold a tie at that node.
+    the partial sums.  A Rate-1 node runs its unpruned schedule on the frames
+    that hold a tie there.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -242,21 +246,22 @@ def _execute(ops: Sequence[Op], llr: np.ndarray, fallback: dict[int, list[Op]]) 
                 if s:
                     redo = _tie_frames(a, T[:1 << (s - 1)])
                     if redo.size:
-                        if s not in fallback:
-                            fallback[s] = sc_schedule(np.zeros(1 << s, dtype=bool))
-                        b[:, redo] = _execute(fallback[s], a[:, redo], fallback)
+                        b[:, redo] = _execute(sc_schedule(np.zeros(1 << s, dtype=bool)),
+                                              a[:, redo])
     return B
 
 
-def _decode(ops: Sequence[Op], llr: np.ndarray, fallback: dict[int, list[Op]]) -> np.ndarray:
+def _decode(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
-    x = _execute(ops, llr, fallback).view(np.uint8)
+    x = _execute(ops, llr).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
 def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """A (batch, N) LLR matrix, validated, as the frame-interleaved (N, batch) copy."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    if llrs.ndim > 2:
+        raise ValueError(f"LLRs must be one frame or a (batch, N) matrix, got {llrs.shape}")
     if llrs.shape[1] != code.N:
         raise ValueError(f"LLR frame length {llrs.shape[1]} != N={code.N}")
     if not np.isfinite(llrs).all():
@@ -266,7 +271,7 @@ def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 
 def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
-    u = _decode(sc_schedule(code.frozen), _check_llrs(code, llrs), {})
+    u = _decode(sc_schedule(code.frozen), _check_llrs(code, llrs))
     return np.ascontiguousarray(u.T)
 
 
@@ -275,12 +280,12 @@ def sc_decode(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     return sc_decode_batch(code, llrs)[0]
 
 
-def _ssc_ops(code: PolarCode, tree: Optional[SscTree]) -> list[Op]:
+def _ssc_tree(code: PolarCode, tree: Optional[SscTree]) -> SscTree:
     if tree is None:
-        tree = build_ssc_tree(code)
-    elif tree.n != code.n:
+        return build_ssc_tree(code)
+    if tree.n != code.n:
         raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
-    return ssc_schedule(tree)
+    return tree
 
 
 def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
@@ -292,7 +297,7 @@ def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
     to sc_decode_batch on every frame.
     """
     llrs = _check_llrs(code, llrs)
-    u = _decode(_ssc_ops(code, tree), llrs, {})
+    u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs)
     return np.ascontiguousarray(u.T)
 
 
@@ -347,10 +352,10 @@ def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int
     """Frame error rate of the simplified decoder over seeded random trials."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ops, fallback = _ssc_ops(code, None), {}
+    tree = build_ssc_tree(code)
     errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        errors += _frame_errors(code, u, _decode(ops, llr, fallback))
+        errors += _frame_errors(code, u, _decode(ssc_schedule(tree), llr))
     return errors / trials
 
 
@@ -363,11 +368,12 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sc_ops, ssc_ops, fallback = sc_schedule(code.frozen), _ssc_ops(code, None), {}
+    tree = build_ssc_tree(code)
     agree = errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        u_sc = _decode(sc_ops, llr, fallback)
-        u_ssc = _decode(ssc_ops, llr, fallback)
+        # the schedules are streamed, so each batch compiles its own
+        u_sc = _decode(sc_schedule(code.frozen), llr)
+        u_ssc = _decode(ssc_schedule(tree), llr)
         agree += int((u_sc == u_ssc).all(axis=0).sum())
         errors += _frame_errors(code, u, u_ssc)
     return agree, trials, errors / trials

@@ -10,24 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
 
 import numpy as np
 
-from .channel import (
-    BmsChannel,
-    ChannelKind,
-    MinusRule,
-    default_minus_rule,
-    h2,
-    make_channel,
-    validate_minus_rule,
-    z_minus,
-    z_plus,
-)
+from .channel import BmsChannel, ChannelKind, h2, make_channel, polarize
 
-# Materializing all 2^n leaves beyond this point needs >100 MB of scratch;
-# the streaming iterator stays O(n) and the latency-module scans O(pruned nodes).
+# Materializing 2^n leaves holds the last two levels, 8 bytes a leaf: 192 MB
+# at this cap.  The latency-module scans are O(pruned nodes) and go further.
 MAX_MATERIALIZED_N = 24
 
 CODE_FILE_MAGIC = "polarcode v1"
@@ -47,7 +36,6 @@ class PolarCode:
     n: int
     pe: float
     frozen: np.ndarray
-    rule: MinusRule
 
     def __post_init__(self):
         if self.n < 1:
@@ -58,7 +46,6 @@ class PolarCode:
         if fr.shape != (2 ** self.n,):
             raise ValueError(f"frozen mask must have length 2^{self.n}")
         object.__setattr__(self, "frozen", fr)
-        validate_minus_rule(self.channel.kind, self.rule)
 
     @property
     def N(self) -> int:
@@ -72,63 +59,23 @@ class PolarCode:
     def rate(self) -> float:
         return self.k / self.N
 
-    @property
-    def threshold(self) -> float:
-        return self.pe / self.N
 
-    @property
-    def info_positions(self) -> np.ndarray:
-        return np.flatnonzero(~self.frozen)
+def leaf_reliabilities(channel: BmsChannel, n: int) -> np.ndarray:
+    """The 2^n leaf Bhattacharyya parameters in leaf order: n polarization levels.
 
-
-def iter_leaf_reliabilities(channel: BmsChannel, n: int,
-                            rule: Optional[MinusRule] = None) -> Iterator[float]:
-    """Stream the 2^n leaf Bhattacharyya parameters in leaf order.
-
-    Depth-first with an explicit stack: O(2^n) time, O(n) memory, so block
-    lengths up to 2^27 are reachable without materializing anything.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rule = rule or default_minus_rule(channel.kind)
-    validate_minus_rule(channel.kind, rule)
-    stack = [(channel.z0, 0)]
-    while stack:
-        z, depth = stack.pop()
-        if depth == n:
-            yield z
-            continue
-        # push the better branch first so the worse branch pops first
-        stack.append((z_plus(z), depth + 1))
-        stack.append((z_minus(z), depth + 1))
-
-
-def leaf_reliabilities(channel: BmsChannel, n: int,
-                       rule: Optional[MinusRule] = None) -> np.ndarray:
-    """Materialized leaf Bhattacharyya parameters (breadth-first, vectorized).
-
-    Bit-for-bit identical to the streamed order; capped at n = 24 because it
-    holds full levels in memory.
+    Capped at n = 24 because it holds full levels in memory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_MATERIALIZED_N:
-        raise ValueError(
-            f"n={n} too large to materialize; use iter_leaf_reliabilities or the latency scans"
-        )
-    rule = rule or default_minus_rule(channel.kind)
-    validate_minus_rule(channel.kind, rule)
+        raise ValueError(f"n={n} too large to materialize; use the latency scans")
     z = np.array([channel.z0], dtype=np.float64)
     for _ in range(n):
-        nxt = np.empty(2 * z.size, dtype=np.float64)
-        nxt[0::2] = 2.0 * z - z * z
-        nxt[1::2] = z * z
-        z = nxt
+        z = polarize(z)
     return z
 
 
-def build_code(channel: BmsChannel, n: int, pe: float,
-               rule: Optional[MinusRule] = None) -> PolarCode:
+def build_code(channel: BmsChannel, n: int, pe: float) -> PolarCode:
     """Construct the polar code for (channel, N=2^n, pe).
 
     Position i is frozen exactly when its leaf reliability Z_i >= pe/N;
@@ -136,21 +83,17 @@ def build_code(channel: BmsChannel, n: int, pe: float,
     """
     if not 0.0 < pe < 1.0:
         raise ValueError(f"pe must be in (0, 1), got {pe}")
-    rule = rule or default_minus_rule(channel.kind)
-    z = leaf_reliabilities(channel, n, rule)
-    frozen = z >= pe / (2 ** n)
-    return PolarCode(channel, n, pe, frozen, rule)
+    frozen = leaf_reliabilities(channel, n) >= pe / (2 ** n)
+    return PolarCode(channel, n, pe, frozen)
 
 
-def code_from_frozen(channel: BmsChannel, frozen, pe: float,
-                     rule: Optional[MinusRule] = None) -> PolarCode:
+def code_from_frozen(channel: BmsChannel, frozen, pe: float) -> PolarCode:
     """Wrap an explicit frozen mask (e.g. a textbook example code)."""
     fr = np.asarray(frozen, dtype=bool)
     n = int(fr.size).bit_length() - 1
     if 2 ** n != fr.size:
         raise ValueError(f"frozen mask length {fr.size} is not a power of two")
-    rule = rule or default_minus_rule(channel.kind)
-    return PolarCode(channel, n, pe, fr, rule)
+    return PolarCode(channel, n, pe, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +130,6 @@ class PolarizationStats:
     interval_lo: float
     interval_hi: float
     fraction_inside: float
-    gamma: Optional[float] = None
-    mu: Optional[float] = None
 
 
 def midzone_interval(n: int, gamma: float, mu: float) -> tuple[float, float]:
@@ -211,18 +152,14 @@ def cube_interval(N: int) -> tuple[float, float]:
     return 1.0 / N ** 3, 1.0 - 1.0 / N ** 3
 
 
-def unpolarized_fraction(channel: BmsChannel, n: int, lo: float, hi: float,
-                         rule: Optional[MinusRule] = None,
-                         gamma: Optional[float] = None,
-                         mu: Optional[float] = None) -> PolarizationStats:
+def unpolarized_fraction(channel: BmsChannel, n: int, lo: float,
+                         hi: float) -> PolarizationStats:
     """Fraction of level-n leaves whose reliability lies in [lo, hi]."""
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    inside = 0
-    for z in iter_leaf_reliabilities(channel, n, rule):
-        if lo <= z <= hi:
-            inside += 1
-    return PolarizationStats(n, lo, hi, inside / 2 ** n, gamma, mu)
+    z = leaf_reliabilities(channel, n)
+    inside = int(np.count_nonzero((lo <= z) & (z <= hi)))
+    return PolarizationStats(n, lo, hi, inside / 2 ** n)
 
 
 class NodeForcing(Enum):
@@ -302,7 +239,7 @@ def code_from_text(text: str) -> PolarCode:
             f"stored capacity {stored_capacity} inconsistent with {kind.value}({param})"
         )
     frozen = _hex_to_frozen(lines[2].strip(), 2 ** n)
-    return PolarCode(channel, n, pe, frozen, default_minus_rule(kind))
+    return PolarCode(channel, n, pe, frozen)
 
 
 def save_code(code: PolarCode, path) -> None:

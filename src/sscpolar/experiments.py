@@ -22,7 +22,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import ChannelKind, SCALING_EXPONENT, channel_from_capacity
-from .latency import min_p_within_factor, scan_edge_profile, ssc_latency
+from .latency import (
+    check_factor,
+    check_mu,
+    min_p_within_factor,
+    scan_edge_profile,
+    ssc_latency,
+)
 
 POLICIES = ("half", "sqrt", "invmu", "eighth", "one")
 
@@ -74,8 +80,10 @@ def realize_policy(policy: str, n: int, mu: float = SCALING_EXPONENT[ChannelKind
 
     Fractional targets are truncated toward zero (with a floor of 1 and a
     ceiling of N/2); truncation is what reproduces the reference latency
-    tables point for point, where round-half-up does not.
+    tables point for point, where round-half-up does not.  mu must be
+    positive and finite, whatever the policy.
     """
+    check_mu(mu)
     N = 2 ** n
     if policy == "half":
         return max(1, N // 2)
@@ -150,8 +158,7 @@ def run_policy_sweep(n_max: int = 27, n_min: int = 4,
 def run_parallelism_sweep(n_max: int = 27, n_min: int = 4, factor: float = 1.01,
                           capacity: float = 0.5, pe: float = 1e-3) -> list[SweepRecord]:
     """Preset 8: smallest P within `factor` of the fully-parallel latency."""
-    if factor < 1.0:
-        raise ValueError(f"factor must be >= 1, got {factor}")
+    check_factor(factor)
     ns = _check_n_range(n_min, n_max)
     channel = channel_from_capacity(ChannelKind.BEC, capacity)
     records = []
@@ -161,9 +168,6 @@ def run_parallelism_sweep(n_max: int = 27, n_min: int = 4, factor: float = 1.01,
         records.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
                                    "fixed", P, ssc_latency(profile, P)))
     return _sort_records(records)
-
-
-SWEEPS = {6: run_serial_sweep, 7: run_policy_sweep, 8: run_parallelism_sweep}
 
 
 # ---------------------------------------------------------------------------

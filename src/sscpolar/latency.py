@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import BmsChannel
+from .channel import BmsChannel, polarize, z_minus, z_plus
 from .construct import PolarCode
 
 
@@ -70,14 +70,6 @@ def decoding_weight(s: int, P: int) -> int:
 Classifier = Callable[[np.ndarray, Optional[np.ndarray], int], tuple[np.ndarray, np.ndarray]]
 
 
-def _minus(y: np.ndarray) -> np.ndarray:
-    """2y - y*y in place in y; the same IEEE result as the expression."""
-    t = y * y
-    y *= 2.0
-    y -= t
-    return y
-
-
 def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> SscTree:
     """Build the pruned tree top-down, classifying one whole level at a time.
 
@@ -95,13 +87,7 @@ def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> SscTree:
         kinds.append(kind)
         zs.append(z)
         mixed = kind == NodeKind.MIXED
-        zm = z[mixed]
-        # children interleaved, left (worse) first, so each level is in leaf order;
-        # the right child's z*z doubles as the square in the left child's 2z - z*z
-        z = np.empty(2 * zm.size, dtype=np.float64)
-        np.multiply(zm, zm, out=z[1::2])
-        zm *= 2.0
-        np.subtract(zm, z[1::2], out=z[0::2])
+        z = polarize(z[mixed])
         if indexed:
             im = index[mixed] << 1
             index = np.empty(2 * im.size, dtype=np.int64)
@@ -133,8 +119,8 @@ def _channel_classifier(threshold: float) -> Classifier:
     # all-plus path, is at or above it.  Every step of the path is tested, as
     # in a per-node loop that stops at the first step out of range.
     def classify(z, _index, s):
-        rate1 = _stays(z, s, lambda y: y < threshold, _minus)
-        rate0 = _stays(z, s, lambda y: y >= threshold, np.square)
+        rate1 = _stays(z, s, lambda y: y < threshold, z_minus)
+        rate0 = _stays(z, s, lambda y: y >= threshold, z_plus)
         return rate0, rate1
 
     return classify
@@ -232,14 +218,24 @@ def sc_latency_closed_form(N: int, P: int) -> int:
     return 2 * N + (N // P) * (n - 2 - p)
 
 
+def check_mu(mu: float) -> None:
+    """Reject a scaling exponent that is not positive and finite."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
 def latency_upper_bound(N: int, P: int, mu: float, c: float, eps: float) -> float:
     """Evaluate c*N^(1-1/mu) + (2+eps)*(N/P)*log2 log2 (N/P).
 
     The double logarithm requires N/P > 1; at N/P = 2 the second term is
-    exactly zero, which covers the fully-parallel operating point.
+    exactly zero, which covers the fully-parallel operating point.  Rejects
+    non-finite c and eps and a mu that is not positive and finite.
     """
     if N < 2 or P < 1:
         raise ValueError(f"need N >= 2 and P >= 1, got N={N}, P={P}")
+    check_mu(mu)
+    if not (math.isfinite(c) and math.isfinite(eps)):
+        raise ValueError(f"c and eps must be finite, got c={c}, eps={eps}")
     ratio = N / P
     inner = math.log2(ratio)
     if inner <= 0.0:
@@ -259,7 +255,14 @@ def matched_parallelism(N: int, mu: float) -> int:
     """N^(1/mu), the smallest PE count that keeps fully-parallel scaling."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    check_mu(mu)
     return max(1, int(N ** (1.0 / mu)))
+
+
+def check_factor(factor: float) -> None:
+    """Reject a latency factor that is not finite and >= 1."""
+    if not 1.0 <= factor < math.inf:
+        raise ValueError(f"factor must be finite and >= 1, got {factor}")
 
 
 def min_p_within_factor(tree: ProfileLike, factor: float) -> int:
@@ -268,8 +271,7 @@ def min_p_within_factor(tree: ProfileLike, factor: float) -> int:
     Binary search over P in [1, N/2], valid because the latency is monotone
     non-increasing in P.  The fully-parallel reference is P = N/2.
     """
-    if factor < 1.0:
-        raise ValueError(f"factor must be >= 1, got {factor}")
+    check_factor(factor)
     prof = _coerce_profile(tree)
     n = len(prof)
     half = max(1, 2 ** n // 2)

@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 
 from sscpolar import (
     ChannelKind,
-    MinusRule,
     bhattacharyya,
     capacity,
     channel_from_capacity,
     make_channel,
+    polarize,
     sample_llrs,
     z_minus,
     z_plus,
 )
-from sscpolar.channel import LLR_CAP, bsc_llr_magnitude, validate_minus_rule
+from sscpolar.channel import LLR_CAP, bsc_llr_magnitude
 
 
 class TestBhattacharyya:
@@ -120,11 +120,11 @@ class TestZTransforms:
         assert 0.0 <= z_plus(z) <= 1.0
         assert 0.0 <= z_minus(z) <= 1.0
 
-    def test_exact_bec_rule_rejected_off_bec(self):
-        with pytest.raises(ValueError):
-            validate_minus_rule(ChannelKind.BSC, MinusRule.EXACT_BEC)
-        validate_minus_rule(ChannelKind.BEC, MinusRule.EXACT_BEC)
-        validate_minus_rule(ChannelKind.BSC, MinusRule.UPPER_BOUND)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
+    def test_polarize_is_both_transforms_interleaved(self, zs):
+        # bit-exact against the scalar transforms, worse child first
+        got = polarize(np.array(zs, dtype=float))
+        assert got.tolist() == [y for z in zs for y in (z_minus(z), z_plus(z))]
 
 
 class TestChannelInvariants:

@@ -1,10 +1,12 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sscpolar import code_from_frozen, load_code, make_channel, save_code
 from sscpolar.channel import ChannelKind
 from sscpolar.cli import main
+from sscpolar.experiments import POLICIES
 
 from conftest import EXAMPLE8_FROZEN
 
@@ -213,3 +215,116 @@ class TestBound:
     def test_invalid_ratio_rejected(self, capsys):
         rc, _, _ = run(capsys, "bound", "--n", "1", "--p", "2")
         assert rc == 2
+
+
+class TestNonFiniteParameters:
+    def test_sweep_factor_nan(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "sweep", "--figure", "8", "--nmax", "6",
+                         "--factor", "nan", "--out", str(tmp_path / "f8.csv"))
+        assert rc == 2
+        assert "factor" in err
+        assert not (tmp_path / "f8.csv").exists()
+
+    @pytest.mark.parametrize("flag", [("--c", "inf"), ("--c", "nan"), ("--eps", "nan"),
+                                      ("--mu", "inf"), ("--mu", "-3")])
+    def test_bound_non_finite_constant(self, capsys, flag):
+        rc, _, err = run(capsys, "bound", "--n", "6", "--policy", "half", *flag)
+        assert rc == 2
+        assert err
+
+    @pytest.mark.parametrize("mu", ["inf", "nan", "0", "-1"])
+    def test_latency_policy_mu(self, capsys, mu):
+        rc, _, err = run(capsys, "latency", "--channel", "bec", "--capacity", "0.5",
+                         "--pe", "1e-3", "--n", "6", "--policy", "invmu", "--mu", mu)
+        assert rc == 2
+        assert "mu" in err
+
+
+# Values for every flag of every subcommand: finite, non-finite and out of
+# range, with sizes kept small (n <= 10, trials <= 16).
+_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-3", "0.11", "0.5",
+                     "0.9", "1", "1.01", "3.63", "1e300"]),
+    st.floats(min_value=-2.0, max_value=4.0).map(repr),
+)
+_SMALL_N = st.integers(-2, 10).map(str)
+_KINDS = st.sampled_from([k.value for k in ChannelKind])
+
+
+def _leaning(*valid):
+    """A flag value that is in range at least three times in four."""
+    return st.one_of(*[st.sampled_from(valid)] * 3, _FLOATS)
+
+
+def _given(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _given(name, values))
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda drawn: [x for part in drawn for x in part])
+
+
+def _group(complete, flags):
+    """A flag group drawn whole and consistent, or as any subset of its flags."""
+    return st.one_of(complete, _concat(*(_maybe(name, values) for name, values in flags)))
+
+
+_CHANNEL = _group(
+    _concat(_given("--channel", _KINDS),
+            st.one_of(_given("--capacity", _leaning("0.1", "0.5", "0.9")),
+                      _given("--param", _leaning("0.11", "0.5"))),
+            _given("--pe", _leaning("1e-3", "0.1")), _given("--n", _SMALL_N)),
+    [("--channel", _KINDS), ("--capacity", _FLOATS), ("--param", _FLOATS),
+     ("--pe", _FLOATS), ("--n", _SMALL_N)])
+_P = st.one_of(st.integers(1, 8), st.integers(-1, 600)).map(str)
+_POLICIES = st.sampled_from(POLICIES)
+_POLICY = _group(
+    st.one_of(_given("--p", _P),
+              _concat(_given("--policy", _POLICIES), _maybe("--mu", _leaning("2", "3.63")))),
+    [("--p", _P), ("--policy", _POLICIES), ("--mu", _FLOATS)])
+
+
+def _subcommands(tmp_path):
+    out = str(tmp_path / "out")
+    outs = st.sampled_from([out, out, out, str(tmp_path / "missing" / "out")])
+    code = tmp_path / "good.code"
+    save_code(code_from_frozen(make_channel(ChannelKind.BEC, 0.5), [1] * 6 + [0] * 10, 1e-3),
+              code)
+    (tmp_path / "bad.code").write_text("polarcode v1\nbec 0.5\n0\n")
+    codes = st.sampled_from([str(code), str(tmp_path / "bad.code"), str(tmp_path / "none")])
+    # a code file replaces the channel flags
+    source = st.one_of(_CHANNEL, _given("--code", codes),
+                       _concat(_CHANNEL, _given("--code", codes)))
+    return {
+        "construct": _concat(_CHANNEL, _given("--out", outs)),
+        "latency": _concat(source, _POLICY),
+        "simulate": _concat(source, _given("--trials", st.integers(-1, 16).map(str)),
+                            _maybe("--seed", st.integers(-1, 3).map(str))),
+        "sweep": _concat(_given("--figure", st.sampled_from(["6", "7", "8"])),
+                         _given("--nmax", st.one_of(st.integers(4, 10).map(str), _SMALL_N)),
+                         _maybe("--channel", _KINDS), _maybe("--factor", _leaning("1.01", "2")),
+                         _given("--out", outs), _maybe("--svg", outs),
+                         _maybe("--gnuplot", outs),
+                         _maybe("--threads", st.integers(-1, 4).map(str))),
+        "bound": _concat(_maybe("--n", _SMALL_N), _maybe("--nmax", _SMALL_N), _POLICY,
+                         _maybe("--c", _leaning("1")), _maybe("--eps", _leaning("0.5"))),
+    }
+
+
+@pytest.mark.parametrize("command", ["construct", "latency", "simulate", "sweep", "bound"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_cleanly(capsys, tmp_path, command, data):
+    # every outcome is an exit code: 0, 2 for usage or validation, 3 for I/O
+    argv = [command] + data.draw(_subcommands(tmp_path)[command])
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    capsys.readouterr()
+    assert rc in (0, 2, 3), argv

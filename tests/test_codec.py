@@ -152,6 +152,26 @@ class TestTransformAndEncode:
         assert list(u[~example8_code.frozen]) == [1, 0, 1, 1]
         assert not u[example8_code.frozen].any()
 
+    @pytest.mark.parametrize("bad", [[1.7, -3, 2, 0], [0, 1, 2, 0], [0, 0.5, 1, 1],
+                                     [np.nan, 0, 0, 0], [-1, 0, 0, 0]])
+    def test_transform_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError):
+            polar_transform(bad)
+
+    def test_bool_and_integer_bits_accepted(self):
+        assert list(polar_transform(np.array([False, True]))) == [1, 1]
+        assert list(polar_transform([0.0, 1.0])) == [1, 1]
+
+    @pytest.mark.parametrize("bad", [2, 255, 0.5, -1])
+    def test_encoders_reject_non_bits(self, example8_code, bad):
+        message = [1, bad, 0, 1]
+        with pytest.raises(ValueError):
+            encode_message(example8_code, message)
+        u = np.zeros(8)
+        u[~example8_code.frozen] = message
+        with pytest.raises(ValueError):
+            encode(example8_code, u)
+
 
 class TestScDecode:
     def test_noiseless_identity_exhaustive(self):
@@ -200,6 +220,11 @@ class TestScDecode:
     def test_frame_length_checked(self, example8_code):
         with pytest.raises(ValueError):
             sc_decode(example8_code, np.zeros(4))
+
+    @pytest.mark.parametrize("decode", [sc_decode_batch, ssc_decode_batch])
+    def test_three_dimensional_llrs_rejected(self, example8_code, decode):
+        with pytest.raises(ValueError, match="matrix"):
+            decode(example8_code, np.ones((2, 8, 8)))
 
     @pytest.mark.parametrize("decode", [sc_decode_batch, ssc_decode_batch])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -316,8 +341,9 @@ class TestSchedule:
     def test_pure_roots(self):
         # a Rate-0 root compiles to nothing, a Rate-1 root to one decision
         bec = make_channel(ChannelKind.BEC, 0.5)
-        assert ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.ones(8, bool), 1e-2))) == []
-        assert ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.zeros(8, bool), 1e-2))) \
+        assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.ones(8, bool), 1e-2)))) \
+            == []
+        assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.zeros(8, bool), 1e-2)))) \
             == [(RATE1, 3, 0)]
 
 

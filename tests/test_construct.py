@@ -11,14 +11,13 @@ from sscpolar import (
     code_to_text,
     cube_interval,
     h2_inv,
-    iter_leaf_reliabilities,
     leaf_reliabilities,
     make_channel,
     midzone_interval,
     rate_forcing,
     unpolarized_fraction,
 )
-from sscpolar.channel import MinusRule, h2
+from sscpolar.channel import h2, z_minus, z_plus
 from sscpolar.construct import MAX_MATERIALIZED_N
 
 
@@ -28,10 +27,10 @@ def bec(eps):
 
 class TestLeafEvolution:
     def test_single_level(self):
-        assert list(iter_leaf_reliabilities(bec(0.5), 1)) == [0.75, 0.25]
+        assert leaf_reliabilities(bec(0.5), 1).tolist() == [0.75, 0.25]
 
     def test_two_levels_hand_recursion(self):
-        got = list(iter_leaf_reliabilities(bec(0.5), 2))
+        got = leaf_reliabilities(bec(0.5), 2).tolist()
         assert got == [0.9375, 0.5625, 0.4375, 0.0625]
 
     def test_perfect_channel_stays_perfect(self):
@@ -40,15 +39,23 @@ class TestLeafEvolution:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_streamed_matches_materialized(self, n):
+        # a depth-first walk of the scalar transforms meets the leaves in leaf order
+        def leaves(z, depth):
+            if depth == n:
+                yield z
+            else:
+                yield from leaves(z_minus(z), depth + 1)
+                yield from leaves(z_plus(z), depth + 1)
+
         ch = bec(0.37)
-        streamed = np.fromiter(iter_leaf_reliabilities(ch, n), dtype=float)
+        streamed = np.fromiter(leaves(ch.z0, 0), dtype=float)
         assert np.array_equal(streamed, leaf_reliabilities(ch, n))
 
     @pytest.mark.parametrize("n", [4, 10, 16])
     def test_bec_erasure_conservation(self, n):
         # both transforms preserve average erasure probability exactly on the BEC
         for eps in (0.2, 0.5, 0.77):
-            z = leaf_reliabilities(bec(eps), n, MinusRule.EXACT_BEC)
+            z = leaf_reliabilities(bec(eps), n)
             assert abs(z.mean() - eps) <= 1e-10
 
     def test_extreme_leaves_are_the_pure_paths(self):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sscpolar import ChannelKind, fit_slope, realize_policy
@@ -40,6 +42,18 @@ class TestRealizePolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             realize_policy("third", 5)
+
+    @pytest.mark.parametrize("policy", ["invmu", "half"])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_mu_rejected(self, policy, mu):
+        with pytest.raises(ValueError):
+            realize_policy(policy, 5, mu)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, 0.5])
+def test_parallelism_sweep_rejects_bad_factor(factor):
+    with pytest.raises(ValueError):
+        run_parallelism_sweep(n_max=6, factor=factor)
 
 
 @pytest.fixture(scope="module")

@@ -289,6 +289,19 @@ class TestLatencyBound:
         assert matched_parallelism(2 ** 10, 2.0) == 32
         assert matched_parallelism(4, 10.0) == 1
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.0, -3.63])
+    def test_bad_mu_rejected(self, mu):
+        with pytest.raises(ValueError):
+            matched_parallelism(2 ** 10, mu)
+        with pytest.raises(ValueError):
+            latency_upper_bound(2 ** 10, 1, mu, 1.0, 0.5)
+
+    @pytest.mark.parametrize("c, eps", [(math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.5),
+                                        (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_constants_rejected(self, c, eps):
+        with pytest.raises(ValueError):
+            latency_upper_bound(2 ** 10, 1, 3.63, c, eps)
+
 
 class TestMinP:
     def test_example8(self, example8_code):
@@ -303,6 +316,11 @@ class TestMinP:
     def test_factor_validation(self, example8_code):
         with pytest.raises(ValueError):
             min_p_within_factor(example8_code, 0.99)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, example8_code, factor):
+        with pytest.raises(ValueError):
+            min_p_within_factor(example8_code, factor)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_linear_scan(self, seed):
