@@ -18,8 +18,6 @@ from .channel import (
 from .codec import (
     encode,
     encode_message,
-    f_kernel,
-    g_kernel,
     monte_carlo_fer,
     polar_transform,
     sc_decode,

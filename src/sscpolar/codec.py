@@ -6,13 +6,27 @@ all-information subtrees to one-shot hard decisions, and is bit-identical
 to plain successive cancellation on every input.
 
 Both decoders are one schedule compiler and one executor.  A level-wise
-tree compiles into a stream of F, G, RATE1 and COMBINE ops, the same
-per-level F and G counts the latency model charges (schedule_profile).
-SC is the schedule of the unpruned tree, whose leaves are Rate-0 or Rate-1
-by the frozen mask; SSC is the schedule of the pruned SscTree.  The executor
-runs a schedule over frame-interleaved buffers: level s holds one
-(2^s, frames) LLR array, so a node's halves are contiguous row blocks, and
-one (N, frames) array holds the partial sums in place.
+tree compiles into a stream of ops, one for each tree edge or pair of
+edges, so they count the per-level edges the latency model charges
+(schedule_profile).  SC is the schedule of the unpruned tree, whose leaves
+are Rate-0 or Rate-1 by the frozen mask; SSC is the schedule of the pruned
+SscTree.  The executor runs a schedule over frame-interleaved buffers:
+level s holds one (2^s, frames) LLR array, so a node's halves are
+contiguous row blocks, and one (N, frames) array holds the partial sums in
+place.
+
+Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
+node above level 1 runs F, G and COMBINE, except that the F or G into a
+Rate-0 child becomes a no-op RATE0 (a Rate-0 node's partial sums are 0
+whatever its LLRs).  The unpruned tree has no Rate-0 node above the
+leaves, so SC still runs its F and G into all-frozen subtrees there.  A
+MIXED node at level 1 is one op, coded by its two leaves' kinds, that
+decides them from signs alone.  A leaf's bit is 1 when its LLR is below 0;
+F's arctanh is odd, strictly increasing and 0 only at 0, and the x2 and
+the clamp to +-LLR_CAP keep the sign too, so the left bit is
+tanh(a0/2)*tanh(a1/2) < 0, and the right bit is a1 + (1-2c)*a0 < 0 without
+G's clamp.  A frozen left leaf has c = 0, so G is a1 + a0; a frozen right
+leaf needs no G, and two frozen leaves need nothing.
 """
 
 from __future__ import annotations
@@ -26,25 +40,6 @@ import numpy as np
 from .channel import LLR_CAP, BmsChannel, sample_llrs
 from .construct import PolarCode
 from .latency import NodeKind, SscTree, build_ssc_tree
-
-
-def f_kernel(a: float, b: float) -> float:
-    """Check-node update 2*arctanh(tanh(a/2)*tanh(b/2)), saturated to +/-LLR_CAP."""
-    t = math.tanh(a / 2.0) * math.tanh(b / 2.0)
-    if t >= 1.0:
-        return LLR_CAP
-    if t <= -1.0:
-        return -LLR_CAP
-    out = 2.0 * math.atanh(t)
-    return max(-LLR_CAP, min(LLR_CAP, out))
-
-
-def g_kernel(a: float, b: float, c_bit: int) -> float:
-    """Variable-node update a + (1-2c)*b for a known partial-sum bit c."""
-    if c_bit not in (0, 1):
-        raise ValueError(f"c_bit must be 0 or 1, got {c_bit}")
-    out = a + (1.0 - 2.0 * c_bit) * b
-    return max(-LLR_CAP, min(LLR_CAP, out))
 
 
 def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
@@ -112,8 +107,13 @@ def encode_message(code: PolarCode, message: np.ndarray) -> np.ndarray:
 # Op codes.  An op is (code, s, lo) for the tree node at level s whose leaves
 # are lo .. lo + 2^s - 1.  F and G compute the LLRs entering its left and
 # right child, RATE1 hard-decides the node at once and COMBINE merges its
-# children's partial sums.  A Rate-0 node has no op: its partial sums stay 0.
-F, G, RATE1, COMBINE = range(4)
+# children's partial sums.  RATE0 marks the edge into a Rate-0 node above the
+# leaves and does nothing: no op reads that node's LLRs, so no F or G feeds
+# it, and its partial sums stay 0, so no COMBINE is needed with it on the right.
+# A MIXED node at level 1 is one op that decides both leaves and combines
+# them, coded by its (left, right) leaf kinds: FROZEN_FROZEN, which does
+# nothing, FROZEN_INFO, INFO_FROZEN and INFO_INFO.
+F, G, RATE1, COMBINE, RATE0, FROZEN_FROZEN, FROZEN_INFO, INFO_FROZEN, INFO_INFO = range(9)
 
 Op = tuple[int, int, int]
 
@@ -121,23 +121,36 @@ Op = tuple[int, int, int]
 def _compile(levels: Sequence[Iterable[int]]) -> Iterator[Op]:
     """Yield a level-wise tree's ops depth first; levels[s] gives level s's kinds."""
     # A depth-first walk meets the nodes of each level left to right, which is
-    # the order of levels[s], so one iterator per level yields the current node.
+    # the order of levels[s], so one iterator per level yields the next node,
+    # and a node's children are the next two kinds of the level below it.
     kinds = [iter(level) for level in levels]
-    rate1, mixed = int(NodeKind.RATE1), int(NodeKind.MIXED)
-    todo = [(None, len(kinds) - 1, 0)]  # ops to emit, or (None, s, lo): visit a node
+    rate0, rate1, mixed = int(NodeKind.RATE0), int(NodeKind.RATE1), int(NodeKind.MIXED)
+    top = len(kinds) - 1
+    todo = [(None, top, 0, next(kinds[top]))]  # ops to emit, or (None, s, lo, kind): visit
     while todo:
         item = todo.pop()
-        op, s, lo = item
-        if op is not None:
+        if item[0] is not None:
             yield item
             continue
-        kind = next(kinds[s])
+        _, s, lo, kind = item
         if kind == rate1:
             yield (RATE1, s, lo)
         elif kind == mixed:
-            yield (F, s, lo)
-            todo += [(COMBINE, s, lo), (None, s - 1, lo + (1 << (s - 1))), (G, s, lo),
-                     (None, s - 1, lo)]
+            below = kinds[s - 1]
+            left, right = next(below), next(below)
+            if s == 1:  # leaves are Rate-0 (0) or Rate-1 (1)
+                yield (FROZEN_FROZEN + 2 * left + right, 1, lo)
+                continue
+            h = 1 << (s - 1)
+            if right == rate0:
+                todo.append((RATE0, s - 1, lo + h))
+            else:
+                todo += [(COMBINE, s, lo), (None, s - 1, lo + h, right), (G, s, lo)]
+            if left == rate0:
+                yield (RATE0, s - 1, lo)
+            else:
+                todo.append((None, s - 1, lo, left))
+                yield (F, s, lo)
 
 
 def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
@@ -146,25 +159,30 @@ def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
     N = frozen.size
     if frozen.ndim != 1 or N == 0 or N & (N - 1):
         raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
-    leaves = np.where(frozen, NodeKind.RATE0, NodeKind.RATE1).tolist()
+    leaves = (~frozen).view(np.uint8).tobytes()  # one byte a leaf: RATE0 = 0, RATE1 = 1
     return _compile([leaves] + [repeat(int(NodeKind.MIXED))] * (N.bit_length() - 1))
 
 
 def ssc_schedule(tree: SscTree) -> Iterator[Op]:
     """The pruned decoder's ops, read off the level-wise tree."""
-    return _compile([level.tolist() for level in tree.kinds])  # plain ints compare fastest
+    return _compile([level.tobytes() for level in tree.kinds])  # bytes yield plain ints
 
 
 def schedule_profile(ops: Iterable[Op], n: int) -> list[int]:
-    """F and G ops whose output enters each level s = 0 .. n-1.
+    """Tree edges entering each level s = 0 .. n-1 that a schedule decodes.
 
-    Each is one edge of the decoding tree, so this equals the edge profile
-    the latency model charges: tree.edge_profile() for ssc_schedule(tree).
+    An F, G or RATE0 op is one edge and a level-1 op is the two edges into
+    its leaves, so this equals the edge profile the latency model charges:
+    tree.edge_profile() for ssc_schedule(tree).
     """
     counts = [0] * n
     for op, s, _lo in ops:
         if op == F or op == G:
             counts[s - 1] += 1
+        elif op == RATE0:
+            counts[s] += 1
+        elif op >= FROZEN_FROZEN:
+            counts[0] += 2
     return counts
 
 
@@ -172,6 +190,34 @@ def _clamp(o: np.ndarray) -> None:
     # np.clip's result without NaN, at half its per-call cost
     np.minimum(o, LLR_CAP, out=o)
     np.maximum(o, -LLR_CAP, out=o)
+
+
+def _f(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
+    """F into o: 2*arctanh(tanh(a0/2)*tanh(a1/2)), clamped, for a's halves a0, a1.
+
+    t is scratch shaped like o.  arctanh(+-1) is +-inf, which the clamp
+    saturates; callers silence numpy's divide warning for it.
+    """
+    h = o.shape[0]
+    # step by step, and x*0.5 == x/2.0
+    np.multiply(a[:h], 0.5, out=t)
+    np.tanh(t, out=t)
+    np.multiply(a[h:], 0.5, out=o)
+    np.tanh(o, out=o)
+    o *= t
+    np.arctanh(o, out=o)
+    o *= 2.0
+    _clamp(o)
+
+
+def _g(a: np.ndarray, c: np.ndarray, o: np.ndarray) -> None:
+    """G into o, unclamped: a1 + (1-2c)*a0 for a's halves a0, a1 and the left child's bits c."""
+    h = o.shape[0]
+    # multiplying by -1.0 flips exactly the sign bit, so o is scratch for (1-2c)*a0
+    u = o.view(np.uint64)
+    np.left_shift(c, 63, out=u, dtype=np.uint64)
+    np.bitwise_xor(a[:h].view(np.uint64), u, out=u)
+    np.add(a[h:], o, out=o)
 
 
 # log of 1e-250: far above the subnormal range, so rounding cannot reach 0
@@ -204,43 +250,49 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
-    Level s keeps one (2^s, frames) LLR buffer, so both halves of every node
-    are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1 of
-    the partial sums.  A Rate-1 node runs its unpruned schedule on the frames
-    that hold a tie there.
+    Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
+    node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
+    of the partial sums.  A Rate-1 node runs its unpruned schedule on the
+    frames that hold a tie there.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
-    A = [np.empty((1 << s, frames)) for s in range(n)] + [llr]
-    T = np.empty((N >> 1, frames))
+    # no op writes leaf LLRs: a level-1 op decides its leaves from signs
+    A = [np.empty((1 << s, frames)) if s else None for s in range(n)] + [llr]
+    T = np.empty((max(N >> 1, 2), frames))
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
         for op, s, lo in ops:
             if op == F:
                 h = 1 << (s - 1)
-                a, o, t = A[s], A[s - 1], T[:h]
-                # 2*arctanh(tanh(a/2)*tanh(b/2)) step by step: x*0.5 == x/2.0
-                np.multiply(a[:h], 0.5, out=t)
-                np.tanh(t, out=t)
-                np.multiply(a[h:], 0.5, out=o)
-                np.tanh(o, out=o)
-                o *= t
-                np.arctanh(o, out=o)
-                o *= 2.0
-                _clamp(o)
+                _f(A[s], A[s - 1], T[:h])
             elif op == G:
                 h = 1 << (s - 1)
-                a, o, t = A[s], A[s - 1], T[:h].view(np.uint64)
-                # b + (1-2c)*a: multiplying by -1.0 flips exactly the sign bit
-                np.left_shift(B[lo:lo + h], 63, out=t, dtype=np.uint64)
-                np.bitwise_xor(a[:h].view(np.uint64), t, out=t)
-                np.add(a[h:], t.view(np.float64), out=o)
+                o = A[s - 1]
+                _g(A[s], B[lo:lo + h], o)
                 _clamp(o)
             elif op == COMBINE:
                 h = 1 << (s - 1)
                 B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
-            else:  # RATE1; ties (llr exactly 0) decide bit 0
+            elif op > FROZEN_FROZEN:
+                # A level-1 node with an information leaf.  A leaf's bit is the
+                # sign of its LLR, which F keeps without its arctanh, x2 and clamp
+                # and G without its clamp; a frozen left leaf's bit is 0.
+                a, b, t = A[1], B[lo:lo + 2], T[:2]
+                if op == FROZEN_INFO:
+                    np.add(a[1], a[0], out=t[0])
+                    np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
+                else:
+                    np.multiply(a, 0.5, out=t)
+                    np.tanh(t, out=t)
+                    np.multiply(t[0], t[1], out=t[0])
+                    np.less(t[0], 0.0, out=b[0])
+                    if op == INFO_INFO:
+                        _g(a, b[:1], t[1:])
+                        np.less(t[1], 0.0, out=b[1])
+                        b[0] ^= b[1]
+            elif op == RATE1:  # ties (llr exactly 0) decide bit 0
                 a, b = A[s], B[lo:lo + (1 << s)]
                 np.less(a, 0.0, out=b)
                 if s:
@@ -248,6 +300,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
                     if redo.size:
                         b[:, redo] = _execute(sc_schedule(np.zeros(1 << s, dtype=bool)),
                                               a[:, redo])
+            # RATE0 and FROZEN_FROZEN: a frozen node's partial sums stay 0
     return B
 
 

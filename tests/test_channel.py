@@ -15,7 +15,7 @@ from sscpolar import (
     z_minus,
     z_plus,
 )
-from sscpolar.channel import LLR_CAP, bsc_llr_magnitude
+from sscpolar.channel import _LOW_SNR_SIGMA, LLR_CAP, bsc_llr_magnitude
 
 
 class TestBhattacharyya:
@@ -69,6 +69,25 @@ class TestCapacity:
             loss = (weights * np.logaddexp(0.0, -2.0 * y / sigma ** 2)).sum()
             expected = 1.0 - loss / (math.log(2.0) * math.sqrt(math.pi))
             assert capacity(ChannelKind.BAWGNC, sigma) == pytest.approx(expected, abs=1e-8)
+
+    def test_bawgnc_low_snr_series_joins_quadrature(self):
+        # quad below _LOW_SNR_SIGMA, the series from it on: strictly
+        # decreasing through the switch, with no jump there
+        switch = _LOW_SNR_SIGMA
+        sigmas = switch * (1.0 + np.linspace(-1e-3, 1e-3, 41))
+        caps = [capacity(ChannelKind.BAWGNC, s) for s in sigmas]
+        assert all(a > b for a, b in zip(caps, caps[1:]))
+        below = capacity(ChannelKind.BAWGNC, math.nextafter(switch, 0.0))
+        assert capacity(ChannelKind.BAWGNC, switch) == pytest.approx(below, rel=1e-10)
+
+    def test_bawgnc_very_noisy_channels_are_useless(self):
+        # quad returned 1.0 from sigma = 1e5 on, where z0 rounds to 1
+        sigmas = [10.0 ** e for e in range(3, 301)]
+        caps = [capacity(ChannelKind.BAWGNC, s) for s in sigmas]
+        assert all(a > b or a == b == 0.0 for a, b in zip(caps, caps[1:]))
+        assert capacity(ChannelKind.BAWGNC, 1e5) == pytest.approx(1e-10 / (2 * math.log(2)))
+        assert caps[-1] == 0.0
+        assert make_channel(ChannelKind.BAWGNC, 1e300).capacity == 0.0
 
     @pytest.mark.parametrize("kind,grid", [
         (ChannelKind.BEC, np.linspace(0.01, 0.99, 25)),

@@ -54,6 +54,15 @@ class TestConstruct:
         assert rc == 0
         assert load_code(out).channel.param == 0.11
 
+    def test_useless_bawgnc_is_not_stored_as_perfect(self, capsys, tmp_path):
+        out = tmp_path / "c.code"
+        rc, stdout, _ = run(capsys, "construct", "--channel", "bawgnc",
+                            "--param", "1e300", "--pe", "1e-3", "--n", "4",
+                            "--out", str(out))
+        assert rc == 0
+        assert kv(stdout)["k"] == "0"
+        assert load_code(out).channel.capacity == 0.0
+
     @pytest.mark.parametrize("flags", [
         ("--channel", "bec", "--capacity", "1.5", "--pe", "1e-3", "--n", "4"),
         ("--channel", "bec", "--capacity", "0.0", "--pe", "1e-3", "--n", "4"),

@@ -13,8 +13,6 @@ from sscpolar import (
     decoding_weight,
     encode,
     encode_message,
-    f_kernel,
-    g_kernel,
     make_channel,
     monte_carlo_fer,
     polar_transform,
@@ -30,7 +28,18 @@ from sscpolar import (
     ssc_schedule,
 )
 from sscpolar.channel import LLR_CAP
-from sscpolar.codec import RATE1
+from sscpolar.codec import (
+    F,
+    FROZEN_FROZEN,
+    FROZEN_INFO,
+    G,
+    INFO_FROZEN,
+    INFO_INFO,
+    RATE1,
+    _clamp,
+    _f,
+    _g,
+)
 
 from conftest import EXAMPLE8_FROZEN, reference_sc
 
@@ -46,29 +55,47 @@ edge_llr = st.one_of(
 )
 
 
+def f_arm(a, b):
+    """The executor's F on one frame whose node LLRs are [a, b]."""
+    o, t = np.empty((1, 1)), np.empty((1, 1))
+    with np.errstate(divide="ignore"):
+        _f(np.array([[a], [b]]), o, t)
+    return o[0, 0]
+
+
+def g_arm(a, b, c_bit):
+    """The executor's G, clamped: a + (1-2c)*b for right input a, left input b, left bit c."""
+    o = np.empty((1, 1))
+    _g(np.array([[b], [a]]), np.array([[c_bit]], dtype=bool), o)
+    _clamp(o)
+    return o[0, 0]
+
+
 class TestFKernel:
+    """The executor's F arm, one element at a time."""
+
     def test_zero_annihilates(self):
-        assert f_kernel(0.0, 5.0) == 0.0
+        assert f_arm(0.0, 5.0) == 0.0
 
     def test_saturated_input_passes_through(self):
         for x in (-7.0, -1.5, 0.25, 3.0):
-            assert f_kernel(LLR_CAP, x) == pytest.approx(x, abs=1e-6)
+            assert f_arm(LLR_CAP, x) == pytest.approx(x, abs=1e-6)
 
     def test_direct_evaluation(self):
         # 2*atanh(tanh(1)^2)
-        assert f_kernel(2.0, 2.0) == pytest.approx(1.3250027473578643, abs=1e-12)
+        assert f_arm(2.0, 2.0) == pytest.approx(1.3250027473578643, abs=1e-12)
 
     def test_saturates_instead_of_overflowing(self):
-        assert f_kernel(LLR_CAP, LLR_CAP) == LLR_CAP
-        assert f_kernel(-LLR_CAP, LLR_CAP) == -LLR_CAP
+        assert f_arm(LLR_CAP, LLR_CAP) == LLR_CAP
+        assert f_arm(-LLR_CAP, LLR_CAP) == -LLR_CAP
 
     @given(finite_llr, finite_llr)
     def test_symmetry(self, a, b):
-        assert f_kernel(a, b) == f_kernel(b, a)
+        assert f_arm(a, b) == f_arm(b, a)
 
     @given(finite_llr, finite_llr)
     def test_sign_rule(self, a, b):
-        out = f_kernel(a, b)
+        out = f_arm(a, b)
         if a != 0 and b != 0:
             # sign(f) = sign(a) * sign(b) unless the product underflows to 0
             assert (out > 0) == ((a > 0) == (b > 0)) or out == 0
@@ -82,22 +109,20 @@ class TestFKernel:
 
     @given(moderate_llr, moderate_llr)
     def test_magnitude_contraction(self, a, b):
-        assert abs(f_kernel(a, b)) <= min(abs(a), abs(b)) + 1e-6
+        assert abs(f_arm(a, b)) <= min(abs(a), abs(b)) + 1e-6
 
 
 class TestGKernel:
+    """The executor's G arm, one element at a time."""
+
     def test_known_bit_zero_adds(self):
-        assert g_kernel(1.0, 2.0, 0) == 3.0
+        assert g_arm(1.0, 2.0, 0) == 3.0
 
     def test_known_bit_one_subtracts(self):
-        assert g_kernel(1.0, 2.0, 1) == -1.0
+        assert g_arm(1.0, 2.0, 1) == -1.0
 
     def test_zeros(self):
-        assert g_kernel(0.0, 0.0, 1) == 0.0
-
-    def test_bad_bit(self):
-        with pytest.raises(ValueError):
-            g_kernel(1.0, 1.0, 2)
+        assert g_arm(0.0, 0.0, 1) == 0.0
 
     small_llr = st.floats(min_value=-90.0, max_value=90.0,
                           allow_nan=False, allow_infinity=False)
@@ -105,8 +130,8 @@ class TestGKernel:
     @given(small_llr, small_llr, small_llr, st.integers(0, 1))
     def test_linear_in_first_argument(self, a1, a2, b, c):
         # away from saturation g is affine in its first argument
-        lhs = g_kernel(a1 + a2, b, c)
-        rhs = g_kernel(a1, b, c) + g_kernel(a2, b, c) - g_kernel(0.0, b, c)
+        lhs = g_arm(a1 + a2, b, c)
+        rhs = g_arm(a1, b, c) + g_arm(a2, b, c) - g_arm(0.0, b, c)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -313,6 +338,19 @@ class TestSchedule:
         assert np.array_equal(sc_decode_batch(code, frames), expected)
         assert np.array_equal(ssc_decode_batch(code, frames), expected)
 
+    def test_tie_from_cancellation_in_g(self):
+        # leaf 3's G adds two F outputs of nearly equal magnitude and opposite
+        # sign: rounded as math.tanh and math.atanh round they cancel to an
+        # exact 0, which decides bit 0, and as numpy's round they leave a
+        # negative LLR, so bit 3 depends on the elementary functions' last bit
+        mask = np.zeros(16, dtype=bool)
+        mask[2] = True
+        llr = np.array([0.0, -36, -36, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 37, -36, 0])
+        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        expected = reference_sc(llr, mask)
+        assert np.array_equal(sc_decode(code, llr), expected)
+        assert np.array_equal(ssc_decode(code, llr), expected)
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(ChannelKind)),
            cap=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
@@ -345,6 +383,54 @@ class TestSchedule:
             == []
         assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.zeros(8, bool), 1e-2)))) \
             == [(RATE1, 3, 0)]
+
+    # signed zeros, the smallest subnormal (halving it gives 0), values whose
+    # tanh product underflows, and saturation
+    GRID_LLRS = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1.0, -1.0, LLR_CAP, -LLR_CAP]
+
+    @pytest.mark.parametrize("mask", [pytest.param(mask, id="frozen=" + "".join(map(str, mask)))
+                                      for N in (2, 4)
+                                      for mask in itertools.product((0, 1), repeat=N)])
+    def test_small_codes_equal_reference_on_edge_llr_grid(self, mask):
+        # every ordered pair (p, q): as the whole frame at N = 2, and at N = 4
+        # in four placements, the last passing (p, q) through F to level 1
+        pairs = list(itertools.product(self.GRID_LLRS, repeat=2))
+        if len(mask) == 2:
+            frames = np.array(pairs)
+        else:
+            frames = np.array([frame for p, q in pairs for frame in (
+                [p, q, p, q], [p, q, q, p], [p, p, q, q], [p, q, LLR_CAP, LLR_CAP])])
+        mask = np.array(mask, dtype=bool)
+        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        expected = np.array([reference_sc(llr, mask) for llr in frames])
+        assert np.array_equal(sc_decode_batch(code, frames), expected)
+        assert np.array_equal(ssc_decode_batch(code, frames), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(ChannelKind)),
+           cap=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+           log_pe=st.floats(min_value=-12.0, max_value=-0.5),
+           n=st.integers(min_value=1, max_value=10))
+    def test_no_llrs_for_frozen_nodes(self, kind, cap, log_pe, n):
+        code = build_code(channel_from_capacity(kind, cap), n, 10.0 ** log_pe)
+        info = ~code.frozen
+        for op, s, lo in ssc_schedule(build_ssc_tree(code)):
+            assert s >= 1
+            h = 1 << (s - 1)
+            if op == F:
+                assert info[lo:lo + h].any()
+            elif op == G:
+                assert info[lo + h:lo + 2 * h].any()
+        ops = list(sc_schedule(code.frozen))
+        assert min(s for _op, s, _lo in ops) == 1
+        # one op per level-1 node, coded by its (left, right) leaf kinds
+        assert [(op, lo) for op, s, lo in ops if s == 1] \
+            == [(FROZEN_FROZEN + 2 * info[lo] + info[lo + 1], lo) for lo in range(0, code.N, 2)]
+
+    def test_level1_codes_on_all_four_leaf_pairs(self):
+        frozen = np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=bool)
+        assert [(op, lo) for op, s, lo in sc_schedule(frozen) if s == 1] \
+            == [(FROZEN_FROZEN, 0), (FROZEN_INFO, 2), (INFO_FROZEN, 4), (INFO_INFO, 6)]
 
 
 class TestMonteCarlo:
