@@ -8,38 +8,39 @@ to plain successive cancellation on every input.
 Both decoders are one schedule compiler and one executor.  A level-wise
 tree compiles into a stream of ops, one for each tree edge or pair of
 edges, so they count the per-level edges the latency model charges
-(schedule_profile).  SC is the schedule of the unpruned tree, whose leaves
-are Rate-0 or Rate-1 by the frozen mask; SSC is the schedule of the pruned
-SscTree.  The executor runs a schedule over frame-interleaved buffers:
-level s holds one (2^s, frames) LLR array, so a node's halves are
+(schedule_profile).  SSC is the schedule of the pruned SscTree.  SC is the
+schedule of the Rate-0-pruned tree, built by the same level-wise walk:
+every all-frozen subtree is one Rate-0 node, every other internal node is
+MIXED, and Rate-1 marks only the leaves, since SC decides each information
+bit on its own.  The executor runs a schedule over frame-interleaved
+buffers: level s holds one (2^s, frames) LLR array, so a node's halves are
 contiguous row blocks, and one (N, frames) array holds the partial sums in
 place.
 
 Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
 node above level 1 runs F, G and COMBINE, except that the F or G into a
-Rate-0 child becomes a no-op RATE0 (a Rate-0 node's partial sums are 0
-whatever its LLRs).  The unpruned tree has no Rate-0 node above the
-leaves, so SC still runs its F and G into all-frozen subtrees there.  A
-MIXED node at level 1 is one op, coded by its two leaves' kinds, that
-decides them from signs alone.  A leaf's bit is 1 when its LLR is below 0;
-F's arctanh is odd, strictly increasing and 0 only at 0, and the x2 and
-the clamp to +-LLR_CAP keep the sign too, so the left bit is
-tanh(a0/2)*tanh(a1/2) < 0, and the right bit is a1 + (1-2c)*a0 < 0 without
-G's clamp.  A frozen left leaf has c = 0, so G is a1 + a0; a frozen right
-leaf needs no G, and two frozen leaves need nothing.
+Rate-0 child becomes a no-op RATE0: a Rate-0 node's partial sums are 0
+whatever its LLRs, so neither decoder runs F, G or COMBINE inside an
+all-frozen subtree.  A node at level 1 with an information leaf is one
+op, coded by its two leaves' kinds, that decides them from signs alone; a
+Rate-1 node at level 1 is the op with two information leaves.  A leaf's
+bit is 1 when its LLR is below 0; F's arctanh is odd, strictly increasing
+and 0 only at 0, and the x2 and the clamp to +-LLR_CAP keep the sign too,
+so the left bit is tanh(a0/2)*tanh(a1/2) < 0, and the right bit is
+a1 + (1-2c)*a0 < 0 without G's clamp.  A frozen left leaf has c = 0, so G
+is a1 + a0, and a frozen right leaf needs no G.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, sample_llrs
 from .construct import PolarCode
-from .latency import NodeKind, SscTree, build_ssc_tree
+from .latency import NodeKind, SscTree, _mask_classifier, _walk, build_ssc_tree
 
 
 def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
@@ -111,9 +112,10 @@ def encode_message(code: PolarCode, message: np.ndarray) -> np.ndarray:
 # leaves and does nothing: no op reads that node's LLRs, so no F or G feeds
 # it, and its partial sums stay 0, so no COMBINE is needed with it on the right.
 # A MIXED node at level 1 is one op that decides both leaves and combines
-# them, coded by its (left, right) leaf kinds: FROZEN_FROZEN, which does
-# nothing, FROZEN_INFO, INFO_FROZEN and INFO_INFO.
-F, G, RATE1, COMBINE, RATE0, FROZEN_FROZEN, FROZEN_INFO, INFO_FROZEN, INFO_INFO = range(9)
+# them, coded by its (left, right) leaf kinds: FROZEN_INFO, INFO_FROZEN and
+# INFO_INFO, that is RATE0 + 2*left + right.  Two frozen leaves make a Rate-0
+# node, so no MIXED node has them.
+F, G, RATE1, COMBINE, RATE0, FROZEN_INFO, INFO_FROZEN, INFO_INFO = range(8)
 
 Op = tuple[int, int, int]
 
@@ -139,7 +141,7 @@ def _compile(levels: Sequence[Iterable[int]]) -> Iterator[Op]:
             below = kinds[s - 1]
             left, right = next(below), next(below)
             if s == 1:  # leaves are Rate-0 (0) or Rate-1 (1)
-                yield (FROZEN_FROZEN + 2 * left + right, 1, lo)
+                yield (RATE0 + 2 * left + right, 1, lo)
                 continue
             h = 1 << (s - 1)
             if right == rate0:
@@ -153,14 +155,29 @@ def _compile(levels: Sequence[Iterable[int]]) -> Iterator[Op]:
                 yield (F, s, lo)
 
 
+def _sc_tree(frozen: np.ndarray) -> SscTree:
+    """SC's decoding tree: each all-frozen subtree is one Rate-0 node.
+
+    SC decides every information bit at its own leaf, so Rate-1 marks only
+    leaves.  Built by the walk that builds the pruned tree, from z0 = 1:
+    the compiler reads only the kinds, so the z are not a channel's.
+    """
+    by_mask = _mask_classifier(frozen)
+
+    def classify(z, index, s):
+        rate0, rate1 = by_mask(z, index, s)
+        return rate0, rate1 & (s == 0)
+
+    return _walk(1.0, frozen.size.bit_length() - 1, classify, indexed=True)
+
+
 def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
-    """The unpruned decoder's ops: every internal node MIXED, leaves from the mask."""
+    """SC's ops: the Rate-0-pruned tree, every other internal node MIXED, leaves from the mask."""
     frozen = np.asarray(frozen, dtype=bool)
     N = frozen.size
     if frozen.ndim != 1 or N == 0 or N & (N - 1):
         raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
-    leaves = (~frozen).view(np.uint8).tobytes()  # one byte a leaf: RATE0 = 0, RATE1 = 1
-    return _compile([leaves] + [repeat(int(NodeKind.MIXED))] * (N.bit_length() - 1))
+    return ssc_schedule(_sc_tree(frozen))
 
 
 def ssc_schedule(tree: SscTree) -> Iterator[Op]:
@@ -181,7 +198,7 @@ def schedule_profile(ops: Iterable[Op], n: int) -> list[int]:
             counts[s - 1] += 1
         elif op == RATE0:
             counts[s] += 1
-        elif op >= FROZEN_FROZEN:
+        elif op > RATE0:
             counts[0] += 2
     return counts
 
@@ -252,8 +269,8 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  A Rate-1 node runs its unpruned schedule on the
-    frames that hold a tie there.
+    of the partial sums.  A Rate-1 node above level 1 runs SC's schedule,
+    which for it is the unpruned tree, on the frames that hold a tie there.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -275,10 +292,11 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
             elif op == COMBINE:
                 h = 1 << (s - 1)
                 B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
-            elif op > FROZEN_FROZEN:
+            elif op > RATE0 or op == RATE1 and s == 1:
                 # A level-1 node with an information leaf.  A leaf's bit is the
                 # sign of its LLR, which F keeps without its arctanh, x2 and clamp
-                # and G without its clamp; a frozen left leaf's bit is 0.
+                # and G without its clamp; a frozen left leaf's bit is 0.  This is
+                # SC's own computation, so a Rate-1 node here needs no tie check.
                 a, b, t = A[1], B[lo:lo + 2], T[:2]
                 if op == FROZEN_INFO:
                     np.add(a[1], a[0], out=t[0])
@@ -288,7 +306,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
                     np.tanh(t, out=t)
                     np.multiply(t[0], t[1], out=t[0])
                     np.less(t[0], 0.0, out=b[0])
-                    if op == INFO_INFO:
+                    if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
                         _g(a, b[:1], t[1:])
                         np.less(t[1], 0.0, out=b[1])
                         b[0] ^= b[1]
@@ -300,7 +318,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
                     if redo.size:
                         b[:, redo] = _execute(sc_schedule(np.zeros(1 << s, dtype=bool)),
                                               a[:, redo])
-            # RATE0 and FROZEN_FROZEN: a frozen node's partial sums stay 0
+            # RATE0: a frozen node's partial sums stay 0
     return B
 
 
@@ -324,7 +342,8 @@ def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 
 def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
-    u = _decode(sc_schedule(code.frozen), _check_llrs(code, llrs))
+    llrs = _check_llrs(code, llrs)
+    u = _decode(sc_schedule(code.frozen), llrs)
     return np.ascontiguousarray(u.T)
 
 
@@ -421,11 +440,11 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = build_ssc_tree(code)
+    sc_tree, tree = _sc_tree(code.frozen), build_ssc_tree(code)
     agree = errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
         # the schedules are streamed, so each batch compiles its own
-        u_sc = _decode(sc_schedule(code.frozen), llr)
+        u_sc = _decode(ssc_schedule(sc_tree), llr)
         u_ssc = _decode(ssc_schedule(tree), llr)
         agree += int((u_sc == u_ssc).all(axis=0).sum())
         errors += _frame_errors(code, u, u_ssc)

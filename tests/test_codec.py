@@ -30,15 +30,16 @@ from sscpolar import (
 from sscpolar.channel import LLR_CAP
 from sscpolar.codec import (
     F,
-    FROZEN_FROZEN,
     FROZEN_INFO,
     G,
     INFO_FROZEN,
     INFO_INFO,
+    RATE0,
     RATE1,
     _clamp,
     _f,
     _g,
+    _sc_tree,
 )
 
 from conftest import EXAMPLE8_FROZEN, reference_sc
@@ -364,8 +365,17 @@ class TestSchedule:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sc_op_count_is_full_tree(self, n):
+        # SC's ops plus the inner edges of each all-frozen subtree a RATE0 op
+        # skips are the full tree; its ops alone are the Rate-0-pruned tree
         mask = np.random.default_rng(n).random(2 ** n) < 0.5
-        profile = schedule_profile(sc_schedule(mask), n)
+        ops = list(sc_schedule(mask))
+        executed = schedule_profile(ops, n)
+        assert executed == _sc_tree(mask).edge_profile()
+        profile = list(executed)
+        for op, s, _lo in ops:
+            if op == RATE0:
+                for j in range(s):
+                    profile[j] += 2 ** (s - j)
         assert profile == [2 ** (n - s) for s in range(n)]
         for P in (1, 3, 2 ** (n - 1)):
             assert (sum(c * decoding_weight(s, P) for s, c in enumerate(profile))
@@ -378,6 +388,7 @@ class TestSchedule:
 
     def test_pure_roots(self):
         # a Rate-0 root compiles to nothing, a Rate-1 root to one decision
+        assert list(sc_schedule(np.ones(8, bool))) == []
         bec = make_channel(ChannelKind.BEC, 0.5)
         assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.ones(8, bool), 1e-2)))) \
             == []
@@ -414,23 +425,25 @@ class TestSchedule:
     def test_no_llrs_for_frozen_nodes(self, kind, cap, log_pe, n):
         code = build_code(channel_from_capacity(kind, cap), n, 10.0 ** log_pe)
         info = ~code.frozen
-        for op, s, lo in ssc_schedule(build_ssc_tree(code)):
-            assert s >= 1
-            h = 1 << (s - 1)
-            if op == F:
-                assert info[lo:lo + h].any()
-            elif op == G:
-                assert info[lo + h:lo + 2 * h].any()
         ops = list(sc_schedule(code.frozen))
-        assert min(s for _op, s, _lo in ops) == 1
-        # one op per level-1 node, coded by its (left, right) leaf kinds
-        assert [(op, lo) for op, s, lo in ops if s == 1] \
-            == [(FROZEN_FROZEN + 2 * info[lo] + info[lo + 1], lo) for lo in range(0, code.N, 2)]
+        for schedule in (ssc_schedule(build_ssc_tree(code)), ops):
+            for op, s, lo in schedule:
+                assert s >= 1
+                h = 1 << (s - 1)
+                if op == F:
+                    assert info[lo:lo + h].any()
+                elif op == G:
+                    assert info[lo + h:lo + 2 * h].any()
+        # one op per level-1 node with an information leaf, coded by its
+        # (left, right) leaf kinds
+        assert [(op, lo) for op, s, lo in ops if s == 1 and op != RATE0] \
+            == [(RATE0 + 2 * info[lo] + info[lo + 1], lo) for lo in range(0, code.N, 2)
+                if info[lo] or info[lo + 1]]
 
     def test_level1_codes_on_all_four_leaf_pairs(self):
         frozen = np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=bool)
         assert [(op, lo) for op, s, lo in sc_schedule(frozen) if s == 1] \
-            == [(FROZEN_FROZEN, 0), (FROZEN_INFO, 2), (INFO_FROZEN, 4), (INFO_INFO, 6)]
+            == [(RATE0, 0), (FROZEN_INFO, 2), (INFO_FROZEN, 4), (INFO_INFO, 6)]
 
 
 class TestMonteCarlo:
@@ -460,3 +473,16 @@ class TestMonteCarlo:
         a = monte_carlo_fer(code, bec_half, 333, seed=7, batch=10)
         b = monte_carlo_fer(code, bec_half, 333, seed=7, batch=1024)
         assert a == b
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from([ChannelKind.BEC, ChannelKind.BAWGNC]),
+           cap=st.sampled_from((0.3, 0.5, 0.7)),
+           n=st.integers(min_value=1, max_value=8),
+           trials=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_results_do_not_depend_on_batch_size(self, kind, cap, n, trials, seed):
+        channel = channel_from_capacity(kind, cap)
+        code = build_code(channel, n, 1e-3)
+        for run in (sc_ssc_agreement, monte_carlo_fer):
+            results = [run(code, channel, trials, seed, batch=b) for b in (1, 7, 1024)]
+            assert results[0] == results[1] == results[2]
