@@ -47,9 +47,7 @@ from .construct import (
     unpolarized_fraction,
 )
 from .experiments import (
-    SlopeFit,
     SweepRecord,
-    fit_slope,
     realize_policy,
     run_parallelism_sweep,
     run_policy_sweep,
@@ -64,7 +62,6 @@ from .latency import (
     decoding_weight,
     latency_report,
     latency_upper_bound,
-    matched_parallelism,
     min_p_within_factor,
     scan_edge_profile,
     scan_ssc_tree,

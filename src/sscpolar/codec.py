@@ -12,7 +12,11 @@ edges, so they count the per-level edges the latency model charges
 schedule of the Rate-0-pruned tree, built by the same level-wise walk:
 every all-frozen subtree is one Rate-0 node, every other internal node is
 MIXED, and Rate-1 marks only the leaves, since SC decides each information
-bit on its own.  The executor runs a schedule over frame-interleaved
+bit on its own.  So SC's schedule is SSC's with each Rate-1 node expanded
+into SC's schedule of an all-information code of its size, shifted to its
+leaves, and sc_ssc_agreement decodes both in one pass over SSC's schedule
+that computes each shared LLR once and runs SC's own ops only inside
+Rate-1 nodes.  The executor runs a schedule over frame-interleaved
 buffers: level s holds one (2^s, frames) LLR array, so a node's halves are
 contiguous row blocks, and one (N, frames) array holds the partial sums in
 place.
@@ -263,7 +267,8 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(total <= _LOG_TIE_FREE)
 
 
-def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
+def _execute(ops: Iterable[Op], llr: np.ndarray,
+             diverged: Optional[np.ndarray] = None) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
@@ -271,6 +276,12 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
     of the partial sums.  A Rate-1 node above level 1 runs SC's schedule,
     which for it is the unpruned tree, on the frames that hold a tie there.
+
+    With `diverged`, a (frames,) bool array, this is the shared pass of
+    sc_ssc_agreement over SSC's schedule: a Rate-1 node above level 1 runs
+    SC's schedule on every frame, in the level buffers below the node, keeps
+    SSC's bits, and sets diverged[j] where frame j's SC bits there differ
+    from SSC's.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -280,51 +291,73 @@ def _execute(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
-        for op, s, lo in ops:
-            if op == F:
-                h = 1 << (s - 1)
-                _f(A[s], A[s - 1], T[:h])
-            elif op == G:
-                h = 1 << (s - 1)
-                o = A[s - 1]
-                _g(A[s], B[lo:lo + h], o)
-                _clamp(o)
-            elif op == COMBINE:
-                h = 1 << (s - 1)
-                B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
-            elif op > RATE0 or op == RATE1 and s == 1:
-                # A level-1 node with an information leaf.  A leaf's bit is the
-                # sign of its LLR, which F keeps without its arctanh, x2 and clamp
-                # and G without its clamp; a frozen left leaf's bit is 0.  This is
-                # SC's own computation, so a Rate-1 node here needs no tie check.
-                a, b, t = A[1], B[lo:lo + 2], T[:2]
-                if op == FROZEN_INFO:
-                    np.add(a[1], a[0], out=t[0])
-                    np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
-                else:
-                    np.multiply(a, 0.5, out=t)
-                    np.tanh(t, out=t)
-                    np.multiply(t[0], t[1], out=t[0])
-                    np.less(t[0], 0.0, out=b[0])
-                    if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
-                        _g(a, b[:1], t[1:])
-                        np.less(t[1], 0.0, out=b[1])
-                        b[0] ^= b[1]
-            elif op == RATE1:  # ties (llr exactly 0) decide bit 0
-                a, b = A[s], B[lo:lo + (1 << s)]
+        _run(ops, A, T, B, diverged, {})
+    return B
+
+
+def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
+         diverged: Optional[np.ndarray], inside: dict[int, list[Op]]) -> None:
+    """_execute's loop over its level buffers A, scratch T and partial sums B.
+
+    `inside` holds the shared pass's SC schedule inside a Rate-1 node, by
+    level, so each level compiles once a call.
+    """
+    for op, s, lo in ops:
+        if op == F:
+            h = 1 << (s - 1)
+            _f(A[s], A[s - 1], T[:h])
+        elif op == G:
+            h = 1 << (s - 1)
+            o = A[s - 1]
+            _g(A[s], B[lo:lo + h], o)
+            _clamp(o)
+        elif op == COMBINE:
+            h = 1 << (s - 1)
+            B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
+        elif op > RATE0 or op == RATE1 and s == 1:
+            # A level-1 node with an information leaf.  A leaf's bit is the
+            # sign of its LLR, which F keeps without its arctanh, x2 and clamp
+            # and G without its clamp; a frozen left leaf's bit is 0.  This is
+            # SC's own computation, so a Rate-1 node here needs no tie check.
+            a, b, t = A[1], B[lo:lo + 2], T[:2]
+            if op == FROZEN_INFO:
+                np.add(a[1], a[0], out=t[0])
+                np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
+            else:
+                np.multiply(a, 0.5, out=t)
+                np.tanh(t, out=t)
+                np.multiply(t[0], t[1], out=t[0])
+                np.less(t[0], 0.0, out=b[0])
+                if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
+                    _g(a, b[:1], t[1:])
+                    np.less(t[1], 0.0, out=b[1])
+                    b[0] ^= b[1]
+        elif op == RATE1:  # ties (llr exactly 0) decide bit 0
+            a, b = A[s], B[lo:lo + (1 << s)]
+            if s and diverged is not None:
+                if s not in inside:
+                    inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
+                # SC's bits into b; its ops write LLRs only below level s, so a stays
+                _run(inside[s], A, T, b, None, inside)
+                d = np.less(a, 0.0)
+                d ^= b  # where the hard decision differs from SC
+                d[:, _tie_frames(a, T[:1 << (s - 1)])] = False  # ties keep SC's bits
+                b ^= d
+                diverged[d.any(axis=0)] = True
+            else:
                 np.less(a, 0.0, out=b)
                 if s:
                     redo = _tie_frames(a, T[:1 << (s - 1)])
                     if redo.size:
                         b[:, redo] = _execute(sc_schedule(np.zeros(1 << s, dtype=bool)),
                                               a[:, redo])
-            # RATE0: a frozen node's partial sums stay 0
-    return B
+        # RATE0: a frozen node's partial sums stay 0
 
 
-def _decode(ops: Iterable[Op], llr: np.ndarray) -> np.ndarray:
+def _decode(ops: Iterable[Op], llr: np.ndarray,
+            diverged: Optional[np.ndarray] = None) -> np.ndarray:
     """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
-    x = _execute(ops, llr).view(np.uint8)
+    x = _execute(ops, llr, diverged).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
@@ -406,9 +439,22 @@ def _random_frames(code: PolarCode, channel: BmsChannel,
     return u, llr
 
 
+# Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
+# about 22 bytes a frame-bit (tracemalloc at n = 12..16: the LLRs, one LLR
+# buffer per level, scratch, partial sums and input bits), so a batch stays
+# near 180 MB: 1024 frames up to n = 13, 512 at n = 14, 128 at n = 16 and 8 at
+# n = 20.  At n = 16, 128-frame batches ran 256 trials as fast as 256-frame
+# ones, and 64-frame batches took 30 % longer.
+_BATCH_FRAME_BITS = 1 << 23
+
+
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                    batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield interleaved (input bits, LLRs) for the seeded trials, `batch` frames at a time."""
+    """Yield interleaved (input bits, LLRs) for the seeded trials, `batch` frames at a time.
+
+    Batches hold at most _BATCH_FRAME_BITS // N frames.
+    """
+    batch = min(batch, max(1, _BATCH_FRAME_BITS // code.N))
     rngs = _trial_streams(seed, trials)
     for start in range(0, trials, batch):
         yield _random_frames(code, channel, rngs[start:start + batch])
@@ -436,16 +482,22 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     """Run both decoders on the same frames.
 
     Returns (frames on which the decoders agreed bitwise, trials, frame
-    error rate of the simplified decoder).
+    error rate of the simplified decoder).  Each batch is one shared pass
+    (see _execute): SC's schedule is SSC's with every Rate-1 node expanded,
+    so a frame whose SC bits match SSC's inside every Rate-1 node gets the
+    same output from both, and only the other frames are decoded by SC alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sc_tree, tree = _sc_tree(code.frozen), build_ssc_tree(code)
+    tree = build_ssc_tree(code)
     agree = errors = 0
     for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        # the schedules are streamed, so each batch compiles its own
-        u_sc = _decode(ssc_schedule(sc_tree), llr)
-        u_ssc = _decode(ssc_schedule(tree), llr)
-        agree += int((u_sc == u_ssc).all(axis=0).sum())
+        diverged = np.zeros(llr.shape[1], dtype=bool)
+        u_ssc = _decode(ssc_schedule(tree), llr, diverged)
+        redo = np.flatnonzero(diverged)
+        if redo.size:
+            u_sc = _decode(sc_schedule(code.frozen), llr[:, redo])
+            agree += int((u_sc == u_ssc[:, redo]).all(axis=0).sum())
+        agree += llr.shape[1] - redo.size
         errors += _frame_errors(code, u, u_ssc)
     return agree, trials, errors / trials

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .channel import ChannelKind, SCALING_EXPONENT, channel_from_capacity
 from .latency import (
     check_factor,
@@ -171,56 +169,8 @@ def run_parallelism_sweep(n_max: int = 27, n_min: int = 4, factor: float = 1.01,
 
 
 # ---------------------------------------------------------------------------
-# slope fitting and CSV emission
+# CSV emission
 # ---------------------------------------------------------------------------
-
-_FIELDS = {
-    "n": lambda r: float(r.n),
-    "log2N": lambda r: float(r.n),
-    "latency": lambda r: float(r.latency),
-    "latency_norm": lambda r: r.latency_norm,
-    "log2_latency": lambda r: r.log2_latency,
-    "log2P": lambda r: r.log2P,
-    "log2log2N": lambda r: r.log2log2N,
-}
-
-
-def field_values(records: Sequence[SweepRecord], name: str) -> np.ndarray:
-    try:
-        getter = _FIELDS[name]
-    except KeyError:
-        raise ValueError(f"unknown field {name!r}; one of {sorted(_FIELDS)}") from None
-    return np.array([getter(r) for r in records], dtype=float)
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    x_name: str
-    y_name: str
-    window: int
-    slope: float
-    intercept: float
-    residual: float
-
-
-def fit_slope(records: Sequence[SweepRecord], x_field: str, y_field: str,
-              window: int) -> SlopeFit:
-    """Ordinary least squares over the last `window` records."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    if len(records) < window:
-        raise ValueError(f"need at least {window} records, got {len(records)}")
-    tail = records[-window:]
-    xs = field_values(tail, x_field)
-    ys = field_values(tail, y_field)
-    if not np.all(np.diff(xs) > 0):
-        raise ValueError(f"{x_field} must be strictly increasing over the window")
-    xm, ym = xs.mean(), ys.mean()
-    slope = float(((xs - xm) * (ys - ym)).sum() / ((xs - xm) ** 2).sum())
-    intercept = float(ym - slope * xm)
-    residual = float(((ys - (slope * xs + intercept)) ** 2).sum())
-    return SlopeFit(x_field, y_field, window, slope, intercept, residual)
-
 
 def _fmt(x: float) -> str:
     return format(x, ".6g")

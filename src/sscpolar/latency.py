@@ -251,14 +251,6 @@ def serial_latency_estimate(N: int, eps: float = 0.0) -> float:
     return (2.0 + eps) * N * math.log2(math.log2(N))
 
 
-def matched_parallelism(N: int, mu: float) -> int:
-    """N^(1/mu), the smallest PE count that keeps fully-parallel scaling."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    check_mu(mu)
-    return max(1, int(N ** (1.0 / mu)))
-
-
 def check_factor(factor: float) -> None:
     """Reject a latency factor that is not finite and >= 1."""
     if not 1.0 <= factor < math.inf:

@@ -36,8 +36,11 @@ from sscpolar.codec import (
     INFO_INFO,
     RATE0,
     RATE1,
+    _BATCH_FRAME_BITS,
     _clamp,
+    _decode,
     _f,
+    _frame_batches,
     _g,
     _sc_tree,
 )
@@ -315,6 +318,13 @@ class TestSscEquivalence:
         llrs = np.random.default_rng(0).normal(1.0, 1.0, size=(8, 1024))
         assert np.array_equal(ssc_decode_batch(code, llrs), sc_decode_batch(code, llrs))
 
+    def test_agreement_through_underflow_ties(self):
+        # most of these frames underflow to a tie inside the Rate-1 root, so
+        # the shared pass must give SSC SC's bits there, as SSC alone does
+        noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
+        code = code_from_frozen(noisy, np.zeros(1024, bool), 1e-2)
+        assert sc_ssc_agreement(code, noisy, 8, 5) == (8, 8, monte_carlo_fer(code, noisy, 8, 5))
+
     def test_tie_in_pure_information_node(self):
         # size-2 all-information code with an erased first input: the one-shot
         # hard decision alone would disagree with sequential decoding here
@@ -362,6 +372,24 @@ class TestSchedule:
         code = build_code(channel_from_capacity(kind, cap), n, 10.0 ** log_pe)
         tree = build_ssc_tree(code)
         assert schedule_profile(ssc_schedule(tree), n) == tree.edge_profile()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(ChannelKind)),
+           cap=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+           log_pe=st.floats(min_value=-12.0, max_value=-0.5),
+           n=st.integers(min_value=1, max_value=12))
+    def test_sc_schedule_is_ssc_with_rate1_nodes_expanded(self, kind, cap, log_pe, n):
+        # sc_ssc_agreement's shared pass rests on this: outside its Rate-1
+        # nodes SSC runs SC's ops, so both compute the same LLRs there.  At
+        # s = 1 the expansion is the one INFO_INFO op.
+        code = build_code(channel_from_capacity(kind, cap), n, 10.0 ** log_pe)
+        expanded = []
+        for op, s, lo in ssc_schedule(build_ssc_tree(code)):
+            if op == RATE1:
+                expanded += [(o, t, lo + x) for o, t, x in sc_schedule(np.zeros(2 ** s, bool))]
+            else:
+                expanded.append((op, s, lo))
+        assert list(sc_schedule(code.frozen)) == expanded
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sc_op_count_is_full_tree(self, n):
@@ -486,3 +514,40 @@ class TestMonteCarlo:
         for run in (sc_ssc_agreement, monte_carlo_fer):
             results = [run(code, channel, trials, seed, batch=b) for b in (1, 7, 1024)]
             assert results[0] == results[1] == results[2]
+
+    def test_agreement_sees_disagreement(self, monkeypatch):
+        # With no tie frames SSC hard-decides its ties, so it can disagree with
+        # SC.  The shared pass must count agreement as SC and SSC decoded
+        # alone do.  On the all-information code an F output underflows to 0
+        # inside the Rate-1 root, which SC decides as bit 0.
+        monkeypatch.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
+        noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
+        bec = make_channel(ChannelKind.BEC, 0.5)
+        info = code_from_frozen(noisy, np.zeros(1024, bool), 1e-2)
+        cases = [(info, noisy, 8, 1024), (info, noisy, 10, 3),
+                 (code_from_frozen(noisy, np.arange(1024) < 512, 1e-2), noisy, 6, 4),
+                 (build_code(bec, 8, 1e-1), bec, 40, 16)]
+        agrees = []
+        for code, channel, trials, batch in cases:
+            tree = build_ssc_tree(code)
+            expected = 0
+            for _u, llr in _frame_batches(code, channel, trials, 5, batch):
+                u_sc = _decode(sc_schedule(code.frozen), llr)
+                u_ssc = _decode(ssc_schedule(tree), llr)
+                expected += int((u_sc == u_ssc).all(axis=0).sum())
+            agree, _, _ = sc_ssc_agreement(code, channel, trials, 5, batch)
+            assert agree == expected
+            agrees.append(agree)
+        assert agrees[0] < 8
+
+    def test_batches_fit_the_frame_bit_budget(self, bec_half, monkeypatch):
+        # the benchmark's simulate runs keep their batches: 1024 frames at
+        # n = 10 and 256 at n = 14
+        assert _BATCH_FRAME_BITS // 2 ** 10 >= 1024 and _BATCH_FRAME_BITS // 2 ** 14 >= 256
+        code = build_code(bec_half, 5, 1e-2)
+        runs = (sc_ssc_agreement, monte_carlo_fer)
+        results = [run(code, bec_half, 50, 3) for run in runs]
+        monkeypatch.setattr("sscpolar.codec._BATCH_FRAME_BITS", 7 * 32)
+        assert [llr.shape[1] for _u, llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
+            == [7] * 7 + [1]
+        assert [run(code, bec_half, 50, 3) for run in runs] == results

@@ -2,12 +2,11 @@ import math
 
 import pytest
 
-from sscpolar import ChannelKind, fit_slope, realize_policy
+from sscpolar import ChannelKind, realize_policy
 from sscpolar.experiments import (
     CSV_HEADER,
     SC_REFERENCE,
     SweepRecord,
-    field_values,
     records_to_csv,
     run_parallelism_sweep,
     run_policy_sweep,
@@ -265,42 +264,3 @@ class TestCsv:
         line = records_to_csv([rec]).splitlines()[1]
         assert line.endswith(",0,0,-inf")
 
-
-class TestFitSlope:
-    def make(self, xs, ys):
-        return [SweepRecord("bec", 0.5, 1e-3, int(x), "one", 1, int(y))
-                for x, y in zip(xs, ys)]
-
-    def test_exact_line(self):
-        recs = self.make(range(4, 12), [2 * n for n in range(4, 12)])
-        fit = fit_slope(recs, "n", "latency", window=5)
-        assert fit.slope == pytest.approx(2.0, abs=1e-12)
-        assert fit.intercept == pytest.approx(0.0, abs=1e-9)
-        assert fit.residual == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant(self):
-        recs = self.make(range(4, 10), [7] * 6)
-        assert fit_slope(recs, "n", "latency", window=4).slope == 0.0
-
-    def test_window_too_small(self):
-        recs = self.make(range(4, 10), range(6))
-        with pytest.raises(ValueError):
-            fit_slope(recs, "n", "latency", window=1)
-
-    def test_not_enough_points(self):
-        recs = self.make([4, 5], [1, 2])
-        with pytest.raises(ValueError):
-            fit_slope(recs, "n", "latency", window=3)
-
-    def test_x_must_increase(self):
-        recs = self.make([4, 4, 5], [1, 2, 3])
-        with pytest.raises(ValueError):
-            fit_slope(recs, "n", "latency", window=3)
-
-    def test_derived_fields(self):
-        recs = self.make([4, 8], [16, 128])
-        assert list(field_values(recs, "log2log2N")) == [2.0, 3.0]
-        assert list(field_values(recs, "log2P")) == [0.0, 0.0]
-        assert list(field_values(recs, "log2_latency")) == [4.0, 7.0]
-        with pytest.raises(ValueError):
-            field_values(recs, "bogus")

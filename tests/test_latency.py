@@ -16,7 +16,6 @@ from sscpolar import (
     latency_report,
     latency_upper_bound,
     make_channel,
-    matched_parallelism,
     min_p_within_factor,
     scan_edge_profile,
     scan_ssc_tree,
@@ -285,14 +284,8 @@ class TestLatencyBound:
     def test_serial_estimate(self):
         assert serial_latency_estimate(16) == pytest.approx(64.0)
 
-    def test_matched_parallelism(self):
-        assert matched_parallelism(2 ** 10, 2.0) == 32
-        assert matched_parallelism(4, 10.0) == 1
-
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.0, -3.63])
     def test_bad_mu_rejected(self, mu):
-        with pytest.raises(ValueError):
-            matched_parallelism(2 ** 10, mu)
         with pytest.raises(ValueError):
             latency_upper_bound(2 ** 10, 1, mu, 1.0, 0.5)
 
