@@ -198,16 +198,41 @@ def polarize(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def bsc_llr_magnitude(p: float) -> float:
     if p <= 0.0:
         return LLR_CAP
     return min(LLR_CAP, math.log((1.0 - p) / p))
+
+
+def _check_bits(u) -> np.ndarray:
+    """u as an array, after checking that every entry is 0 or 1."""
+    u = np.asarray(u)
+    if u.dtype != bool and not ((u == 0) | (u == 1)).all():
+        raise ValueError("bit vectors must hold only 0 and 1")
+    return u
+
+
+def _draw(channel: BmsChannel, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """The channel's noise into the contiguous out: standard normal on the BAWGNC, else uniform."""
+    return (rng.standard_normal if channel.kind is ChannelKind.BAWGNC else rng.random)(out=out)
+
+
+def _llrs(channel: BmsChannel, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The LLRs of uint8 codeword bits x from the noise d that _draw gave them, for
+    any two arrays of one shape, exactly by sample_llrs's formulas; overwrites d."""
+    if channel.kind is ChannelKind.BAWGNC:
+        sigma = channel.param
+        llr = np.multiply(x, 2.0)
+        np.subtract(1.0, llr, out=llr)  # the transmitted symbol, exactly +-1
+        llr += np.multiply(d, sigma, out=d)
+        llr *= 2.0
+        llr /= sigma * sigma
+        return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
+    hit = np.less(d, channel.param).view(np.uint8)  # erased on the BEC, flipped on the BSC
+    if channel.kind is ChannelKind.BEC:
+        return np.take(np.array([LLR_CAP, -LLR_CAP, 0.0, 0.0]), x + 2 * hit)  # +0.0 if erased
+    mag = bsc_llr_magnitude(channel.param)
+    return np.take(np.array([mag, -mag]), x ^ hit)
 
 
 def sample_llrs(channel: BmsChannel, codeword: np.ndarray, seed) -> np.ndarray:
@@ -215,23 +240,11 @@ def sample_llrs(channel: BmsChannel, codeword: np.ndarray, seed) -> np.ndarray:
 
     Deterministic for a fixed seed.  BEC outputs are +/-LLR_CAP with 0 on
     erasure; BSC outputs are +/-log((1-p)/p); BAWGNC outputs are 2y/sigma^2
-    for y = (1 - 2x) + noise.  Positive LLR favors bit 0.
+    for y = (1 - 2x) + noise.  Positive LLR favors bit 0.  Rejects non-bits.
     """
-    rng = _as_generator(seed)
-    x = np.asarray(codeword, dtype=np.uint8)
+    rng = np.random.default_rng(seed)  # a Generator is returned unaltered
+    x = np.asarray(_check_bits(codeword), dtype=np.uint8)
     if x.ndim != 1:
         raise ValueError("codeword must be a 1-D bit vector")
-
-    if channel.kind is ChannelKind.BEC:
-        llr = np.where(x == 0, LLR_CAP, -LLR_CAP)
-        llr[rng.random(x.shape) < channel.param] = 0.0
-        return llr
-
-    if channel.kind is ChannelKind.BSC:
-        mag = bsc_llr_magnitude(channel.param)
-        y = x ^ (rng.random(x.shape) < channel.param)
-        return np.where(y == 0, mag, -mag)
-
-    sigma = channel.param
-    y = (1.0 - 2.0 * x.astype(float)) + sigma * rng.standard_normal(x.shape)
-    return np.clip(2.0 * y / (sigma * sigma), -LLR_CAP, LLR_CAP)
+    d = _draw(channel, rng, np.empty(x.shape))
+    return _llrs(channel, x, d)

@@ -33,6 +33,10 @@ and 0 only at 0, and the x2 and the clamp to +-LLR_CAP keep the sign too,
 so the left bit is tanh(a0/2)*tanh(a1/2) < 0, and the right bit is
 a1 + (1-2c)*a0 < 0 without G's clamp.  A frozen left leaf has c = 0, so G
 is a1 + a0, and a frozen right leaf needs no G.
+
+Monte Carlo frames come from one seeded stream per trial, message bits
+first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
+time, so every frame equals the per-frame path bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import LLR_CAP, BmsChannel, sample_llrs
+from .channel import LLR_CAP, BmsChannel, _check_bits, _draw, _llrs
 from .construct import PolarCode
 from .latency import NodeKind, SscTree, _mask_classifier, _walk, build_ssc_tree
 
@@ -61,14 +65,6 @@ def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
         v[:, 0] ^= v[:, 1]
         step *= 2
     return x
-
-
-def _check_bits(u) -> np.ndarray:
-    """u as an array, after checking that every entry is 0 or 1."""
-    u = np.asarray(u)
-    if u.dtype != bool and not ((u == 0) | (u == 1)).all():
-        raise ValueError("bit vectors must hold only 0 and 1")
-    return u
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
@@ -421,22 +417,28 @@ def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
+# Frames a block: 16 float64 frames fill two 64-byte cache lines of an LLR row
+_FRAME_BLOCK = 16
+
+
 def _random_frames(code: PolarCode, channel: BmsChannel,
                    rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Input bits and LLRs of the trials, both frame-interleaved: (N, trials)."""
-    trials = len(rngs)
-    u = np.zeros((code.N, trials), dtype=np.uint8)
-    info = ~code.frozen
-    if code.k:
-        for t, rng in enumerate(rngs):
-            u[info, t] = rng.integers(0, 2, code.k, dtype=np.uint8)
-    x = np.ascontiguousarray(_butterflies(u.copy(), code.N, trials).T)  # a codeword a row
-    llr = np.empty((code.N, trials), dtype=np.float64)
-    # eight frames at a time fill whole 64-byte cache lines of the interleaved rows
-    for start in range(0, trials, 8):
-        block = [sample_llrs(channel, x[t], rngs[t]) for t in range(start, min(start + 8, trials))]
-        llr[:, start:start + len(block)] = np.transpose(block)
-    return u, llr
+    """Message bits (k, trials) and LLRs (N, trials), frame-interleaved; each
+    stream draws its message bits, then its noise, as for sample_llrs."""
+    trials, info, k = len(rngs), ~code.frozen, code.k
+    msg = np.array([rng.integers(0, 2, k, dtype=np.uint8) for rng in rngs]).T
+    x = np.zeros((code.N, trials), dtype=np.uint8)
+    x[info] = msg
+    _butterflies(x, code.N, trials)  # the codewords, in place
+    llr = np.empty((code.N, trials))
+    d = np.empty((min(trials, _FRAME_BLOCK), code.N))
+    for start in range(0, trials, _FRAME_BLOCK):
+        block = rngs[start:start + _FRAME_BLOCK]
+        for row, rng in zip(d, block):
+            _draw(channel, rng, row)
+        cols = slice(start, start + len(block))
+        llr[:, cols] = _llrs(channel, x[:, cols], d[:len(block)].T)
+    return msg, llr
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
@@ -450,7 +452,7 @@ _BATCH_FRAME_BITS = 1 << 23
 
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                    batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield interleaved (input bits, LLRs) for the seeded trials, `batch` frames at a time.
+    """Yield interleaved (message bits, LLRs) for the seeded trials, `batch` frames at a time.
 
     Batches hold at most _BATCH_FRAME_BITS // N frames.
     """
@@ -460,9 +462,8 @@ def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
         yield _random_frames(code, channel, rngs[start:start + batch])
 
 
-def _frame_errors(code: PolarCode, u: np.ndarray, u_hat: np.ndarray) -> int:
-    info = ~code.frozen
-    return int((u_hat[info] != u[info]).any(axis=0).sum())
+def _frame_errors(code: PolarCode, msg: np.ndarray, u_hat: np.ndarray) -> int:
+    return int((u_hat[~code.frozen] != msg).any(axis=0).sum())
 
 
 def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
@@ -472,8 +473,8 @@ def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int
         raise ValueError(f"trials must be >= 1, got {trials}")
     tree = build_ssc_tree(code)
     errors = 0
-    for u, llr in _frame_batches(code, channel, trials, seed, batch):
-        errors += _frame_errors(code, u, _decode(ssc_schedule(tree), llr))
+    for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+        errors += _frame_errors(code, msg, _decode(ssc_schedule(tree), llr))
     return errors / trials
 
 
@@ -491,7 +492,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         raise ValueError(f"trials must be >= 1, got {trials}")
     tree = build_ssc_tree(code)
     agree = errors = 0
-    for u, llr in _frame_batches(code, channel, trials, seed, batch):
+    for msg, llr in _frame_batches(code, channel, trials, seed, batch):
         diverged = np.zeros(llr.shape[1], dtype=bool)
         u_ssc = _decode(ssc_schedule(tree), llr, diverged)
         redo = np.flatnonzero(diverged)
@@ -499,5 +500,6 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
             u_sc = _decode(sc_schedule(code.frozen), llr[:, redo])
             agree += int((u_sc == u_ssc[:, redo]).all(axis=0).sum())
         agree += llr.shape[1] - redo.size
-        errors += _frame_errors(code, u, u_ssc)
+        errors += _frame_errors(code, msg, u_ssc)
+        del u_ssc  # before the next batch's pass
     return agree, trials, errors / trials

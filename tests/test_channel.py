@@ -208,3 +208,16 @@ class TestSampleLlrs:
         ch = make_channel(ChannelKind.BEC, 0.5)
         with pytest.raises(ValueError):
             sample_llrs(ch, np.zeros((2, 8), dtype=np.uint8), 0)
+
+    @pytest.mark.parametrize("kind, param", [(ChannelKind.BEC, 0.5), (ChannelKind.BSC, 0.1),
+                                             (ChannelKind.BAWGNC, 1.0)])
+    @pytest.mark.parametrize("bad", [[0, 2, 1, 1], [0.5, 1, 0, 1], [-1, 0, 1, 0],
+                                     [np.nan, 0, 0, 0]])
+    def test_rejects_non_bits(self, kind, param, bad):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            sample_llrs(make_channel(kind, param), bad, 0)
+
+    def test_bool_and_float_bits_accepted(self):
+        ch = make_channel(ChannelKind.BEC, 0.0)
+        for x in (np.array([False, True]), [0.0, 1.0]):
+            assert list(sample_llrs(ch, x, 0)) == [LLR_CAP, -LLR_CAP]

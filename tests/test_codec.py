@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sscpolar import (
     ChannelKind,
@@ -514,6 +515,52 @@ class TestMonteCarlo:
         for run in (sc_ssc_agreement, monte_carlo_fer):
             results = [run(code, channel, trials, seed, batch=b) for b in (1, 7, 1024)]
             assert results[0] == results[1] == results[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(ChannelKind)),
+           cap=st.floats(min_value=0.01, max_value=0.99),
+           n=st.integers(min_value=1, max_value=10),
+           batch=st.sampled_from((1, 7, 1024)),
+           trials=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(kind=ChannelKind.BAWGNC, cap=0.5, n=6, batch=1024, trials=1, seed=3)
+    @example(kind=ChannelKind.BSC, cap=0.5, n=5, batch=7, trials=33, seed=4)
+    def test_frames_equal_the_per_frame_path(self, kind, cap, n, batch, trials, seed):
+        # Frame j is what trial j's stream gives through the public calls:
+        # its message bits, then sample_llrs of their codeword.
+        channel = channel_from_capacity(kind, cap)
+        code = build_code(channel, n, 1e-3)
+        frames = [(msg[:, j], llr[:, j])
+                  for msg, llr in _frame_batches(code, channel, trials, seed, batch)
+                  for j in range(llr.shape[1])]
+        assert len(frames) == trials
+        for (msg, llr), stream in zip(frames, np.random.SeedSequence(seed).spawn(trials)):
+            rng = np.random.default_rng(stream)
+            bits = rng.integers(0, 2, code.k, dtype=np.uint8)
+            u = np.zeros(code.N, dtype=np.uint8)
+            u[~code.frozen] = bits
+            expected = sample_llrs(channel, polar_transform(u), rng)
+            assert np.array_equal(msg, bits)
+            assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))  # signed zeros too
+
+    @pytest.mark.parametrize("kind, n, trials, digest", [
+        (ChannelKind.BEC, 10, 2048,
+         "a9cbdd4bd93b09fce224c97e496fd9d048ab83730c02800101b4a075274eed32"),
+        (ChannelKind.BAWGNC, 14, 256,
+         "0bef39688481f5176b421c7e43d09592ed99da99d080bc251759741c5a9f85a3"),
+    ], ids=["bec-n10", "bawgnc-n14"])
+    def test_generated_frames_are_pinned(self, kind, n, trials, digest):
+        # The frames of the benchmark's simulate runs (I = 0.5, pe = 1e-3,
+        # seed 7), which decode with fer=0 and full agreement, so their
+        # output cannot show a change in the frames.  Hashed per batch: the
+        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs.
+        channel = channel_from_capacity(kind, 0.5)
+        code = build_code(channel, n, 1e-3)
+        h = hashlib.sha256()
+        for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
+            h.update(msg.tobytes())
+            h.update(llr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_agreement_sees_disagreement(self, monkeypatch):
         # With no tie frames SSC hard-decides its ties, so it can disagree with
