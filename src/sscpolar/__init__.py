@@ -18,7 +18,6 @@ from .channel import (
 from .codec import (
     encode,
     encode_message,
-    monte_carlo_fer,
     polar_transform,
     sc_decode,
     sc_decode_batch,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 # LLR magnitudes are clamped here so that arithmetic stays total:
 # tanh(LLR_CAP / 2) rounds to 1.0 in float64 without producing NaN downstream.
@@ -101,6 +100,8 @@ def _bawgnc_capacity(sigma: float) -> float:
     if sigma >= _LOW_SNR_SIGMA:
         x = 1.0 / s2  # 0 once s2 overflows
         return (x / 2.0 - x * x / 4.0) / math.log(2.0)
+
+    from scipy.integrate import quad  # only this quadrature needs scipy, which is slow to import
 
     def integrand(y: float) -> float:
         pdf = math.exp(-((y - 1.0) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)

@@ -270,14 +270,14 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  A Rate-1 node above level 1 runs SC's schedule,
-    which for it is the unpruned tree, on the frames that hold a tie there.
+    of the partial sums.  A Rate-1 node above level 1 hard-decides, unless
+    a frame holds a tie there or `diverged` is given: then it runs SC's
+    schedule, which for it is the unpruned tree, in the level buffers below
+    the node, and keeps SC's bits on the tie frames only.
 
     With `diverged`, a (frames,) bool array, this is the shared pass of
-    sc_ssc_agreement over SSC's schedule: a Rate-1 node above level 1 runs
-    SC's schedule on every frame, in the level buffers below the node, keeps
-    SSC's bits, and sets diverged[j] where frame j's SC bits there differ
-    from SSC's.
+    sc_ssc_agreement over SSC's schedule: it sets diverged[j] where frame
+    j's SC bits inside a Rate-1 node differ from SSC's.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -295,8 +295,8 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
          diverged: Optional[np.ndarray], inside: dict[int, list[Op]]) -> None:
     """_execute's loop over its level buffers A, scratch T and partial sums B.
 
-    `inside` holds the shared pass's SC schedule inside a Rate-1 node, by
-    level, so each level compiles once a call.
+    `inside` holds SC's schedule inside a Rate-1 node, by level, so each
+    level compiles once a call.
     """
     for op, s, lo in ops:
         if op == F:
@@ -328,25 +328,22 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
                     _g(a, b[:1], t[1:])
                     np.less(t[1], 0.0, out=b[1])
                     b[0] ^= b[1]
-        elif op == RATE1:  # ties (llr exactly 0) decide bit 0
+        elif op == RATE1:  # above level 1; ties (llr exactly 0) decide bit 0
             a, b = A[s], B[lo:lo + (1 << s)]
-            if s and diverged is not None:
+            ties = _tie_frames(a, T[:1 << (s - 1)])
+            if diverged is None and not ties.size:
+                np.less(a, 0.0, out=b)
+            else:
                 if s not in inside:
                     inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
                 # SC's bits into b; its ops write LLRs only below level s, so a stays
                 _run(inside[s], A, T, b, None, inside)
                 d = np.less(a, 0.0)
                 d ^= b  # where the hard decision differs from SC
-                d[:, _tie_frames(a, T[:1 << (s - 1)])] = False  # ties keep SC's bits
+                d[:, ties] = False  # ties keep SC's bits
                 b ^= d
-                diverged[d.any(axis=0)] = True
-            else:
-                np.less(a, 0.0, out=b)
-                if s:
-                    redo = _tie_frames(a, T[:1 << (s - 1)])
-                    if redo.size:
-                        b[:, redo] = _execute(sc_schedule(np.zeros(1 << s, dtype=bool)),
-                                              a[:, redo])
+                if diverged is not None:
+                    diverged[d.any(axis=0)] = True
         # RATE0: a frozen node's partial sums stay 0
 
 
@@ -409,7 +406,7 @@ def ssc_decode(code: PolarCode, llrs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo drivers
+# Monte Carlo
 # ---------------------------------------------------------------------------
 
 def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
@@ -466,27 +463,18 @@ def _frame_errors(code: PolarCode, msg: np.ndarray, u_hat: np.ndarray) -> int:
     return int((u_hat[~code.frozen] != msg).any(axis=0).sum())
 
 
-def monte_carlo_fer(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
-                    batch: int = 1024) -> float:
-    """Frame error rate of the simplified decoder over seeded random trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = build_ssc_tree(code)
-    errors = 0
-    for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-        errors += _frame_errors(code, msg, _decode(ssc_schedule(tree), llr))
-    return errors / trials
-
-
 def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                      batch: int = 1024) -> tuple[int, int, float]:
     """Run both decoders on the same frames.
 
     Returns (frames on which the decoders agreed bitwise, trials, frame
     error rate of the simplified decoder).  Each batch is one shared pass
-    (see _execute): SC's schedule is SSC's with every Rate-1 node expanded,
-    so a frame whose SC bits match SSC's inside every Rate-1 node gets the
-    same output from both, and only the other frames are decoded by SC alone.
+    (see _execute), and a frame agrees exactly when it did not diverge
+    there.  Outside its Rate-1 nodes SC's schedule is SSC's, so up to the
+    first Rate-1 node X where a frame's SC bits differ from SSC's, both
+    decoders see the same LLRs and decide the same bits.  X's leaf estimates
+    are its partial sums through the local polar transform, an involution,
+    so the two outputs differ on X's leaves; with no such X they are equal.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -495,11 +483,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
         diverged = np.zeros(llr.shape[1], dtype=bool)
         u_ssc = _decode(ssc_schedule(tree), llr, diverged)
-        redo = np.flatnonzero(diverged)
-        if redo.size:
-            u_sc = _decode(sc_schedule(code.frozen), llr[:, redo])
-            agree += int((u_sc == u_ssc[:, redo]).all(axis=0).sum())
-        agree += llr.shape[1] - redo.size
+        agree += llr.shape[1] - int(np.count_nonzero(diverged))
         errors += _frame_errors(code, msg, u_ssc)
-        del u_ssc  # before the next batch's pass
+        del msg, llr, diverged, u_ssc  # before the next batch is generated
     return agree, trials, errors / trials

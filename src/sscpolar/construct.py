@@ -234,7 +234,7 @@ def code_from_text(text: str) -> PolarCode:
     pe = float(fields[3])
     n = int(fields[4])
     channel = make_channel(kind, param)
-    if abs(channel.capacity - stored_capacity) > 1e-6:
+    if not abs(channel.capacity - stored_capacity) <= 1e-6:  # NaN too
         raise ValueError(
             f"stored capacity {stored_capacity} inconsistent with {kind.value}({param})"
         )

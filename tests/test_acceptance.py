@@ -22,7 +22,6 @@ from sscpolar import (
     latency_upper_bound,
     make_channel,
     min_p_within_factor,
-    monte_carlo_fer,
     rate_forcing,
     realize_policy,
     scan_edge_profile,
@@ -173,7 +172,7 @@ def test_criterion_7_error_target(bec_half_channel):
     t0 = time.perf_counter()
     trials = 10000
     code = build_code(bec_half_channel, 8, 0.1)
-    fer = monte_carlo_fer(code, bec_half_channel, trials, seed=20240811)
+    fer = sc_ssc_agreement(code, bec_half_channel, trials, seed=20240811)[2]
     sigma = math.sqrt(0.1 * 0.9 / trials)
     limit = 0.1 + 3 * sigma
     elapsed = time.perf_counter() - t0

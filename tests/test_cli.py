@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sscpolar
 from sscpolar import code_from_frozen, load_code, make_channel, save_code
 from sscpolar.channel import ChannelKind
 from sscpolar.cli import main
@@ -337,3 +342,13 @@ def test_any_argv_exits_cleanly(capsys, tmp_path, command, data):
         rc = exc.code
     capsys.readouterr()
     assert rc in (0, 2, 3), argv
+
+
+def test_cli_starts_without_scipy():
+    # scipy is slow to import, and only the BAWGNC capacity quadrature needs it
+    src = str(pathlib.Path(sscpolar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, sscpolar.cli as c; c.build_parser(); print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -15,7 +15,6 @@ from sscpolar import (
     encode,
     encode_message,
     make_channel,
-    monte_carlo_fer,
     polar_transform,
     sample_llrs,
     sc_decode,
@@ -40,9 +39,11 @@ from sscpolar.codec import (
     _BATCH_FRAME_BITS,
     _clamp,
     _decode,
+    _execute,
     _f,
     _frame_batches,
     _g,
+    _run,
     _sc_tree,
 )
 
@@ -324,7 +325,11 @@ class TestSscEquivalence:
         # the shared pass must give SSC SC's bits there, as SSC alone does
         noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
         code = code_from_frozen(noisy, np.zeros(1024, bool), 1e-2)
-        assert sc_ssc_agreement(code, noisy, 8, 5) == (8, 8, monte_carlo_fer(code, noisy, 8, 5))
+        errors = 0
+        for msg, llr in _frame_batches(code, noisy, 8, 5, 1024):
+            u_ssc = ssc_decode_batch(code, llr.T)  # SSC alone
+            errors += int((u_ssc[:, ~code.frozen] != msg.T).any(axis=1).sum())
+        assert sc_ssc_agreement(code, noisy, 8, 5) == (8, 8, errors / 8)
 
     def test_tie_in_pure_information_node(self):
         # size-2 all-information code with an erased first input: the one-shot
@@ -478,29 +483,29 @@ class TestSchedule:
 class TestMonteCarlo:
     def test_deterministic_per_seed(self, bec_half):
         code = build_code(bec_half, 6, 1e-2)
-        a = monte_carlo_fer(code, bec_half, 500, seed=91)
-        b = monte_carlo_fer(code, bec_half, 500, seed=91)
+        a = sc_ssc_agreement(code, bec_half, 500, seed=91)[2]
+        b = sc_ssc_agreement(code, bec_half, 500, seed=91)[2]
         assert a == b
 
     def test_noiseless_channel_never_errs(self, bec_half):
         code = build_code(bec_half, 6, 1e-2)
         clean = make_channel(ChannelKind.BEC, 0.0)
-        assert monte_carlo_fer(code, clean, 300, seed=1) == 0.0
+        assert sc_ssc_agreement(code, clean, 300, seed=1)[2] == 0.0
 
     def test_all_frozen_never_errs(self):
         channel = make_channel(ChannelKind.BEC, 1.0)
         code = build_code(channel, 5, 0.5)
-        assert monte_carlo_fer(code, channel, 300, seed=2) == 0.0
+        assert sc_ssc_agreement(code, channel, 300, seed=2)[2] == 0.0
 
     def test_trials_validated(self, bec_half):
         code = build_code(bec_half, 4, 1e-2)
         with pytest.raises(ValueError):
-            monte_carlo_fer(code, bec_half, 0, seed=0)
+            sc_ssc_agreement(code, bec_half, 0, seed=0)
 
     def test_batch_boundary_does_not_change_result(self, bec_half):
         code = build_code(bec_half, 5, 1e-2)
-        a = monte_carlo_fer(code, bec_half, 333, seed=7, batch=10)
-        b = monte_carlo_fer(code, bec_half, 333, seed=7, batch=1024)
+        a = sc_ssc_agreement(code, bec_half, 333, seed=7, batch=10)[2]
+        b = sc_ssc_agreement(code, bec_half, 333, seed=7, batch=1024)[2]
         assert a == b
 
     @settings(max_examples=15, deadline=None)
@@ -512,9 +517,8 @@ class TestMonteCarlo:
     def test_results_do_not_depend_on_batch_size(self, kind, cap, n, trials, seed):
         channel = channel_from_capacity(kind, cap)
         code = build_code(channel, n, 1e-3)
-        for run in (sc_ssc_agreement, monte_carlo_fer):
-            results = [run(code, channel, trials, seed, batch=b) for b in (1, 7, 1024)]
-            assert results[0] == results[1] == results[2]
+        results = [sc_ssc_agreement(code, channel, trials, seed, batch=b) for b in (1, 7, 1024)]
+        assert results[0] == results[1] == results[2]
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(list(ChannelKind)),
@@ -565,36 +569,59 @@ class TestMonteCarlo:
     def test_agreement_sees_disagreement(self, monkeypatch):
         # With no tie frames SSC hard-decides its ties, so it can disagree with
         # SC.  The shared pass must count agreement as SC and SSC decoded
-        # alone do.  On the all-information code an F output underflows to 0
-        # inside the Rate-1 root, which SC decides as bit 0.
+        # alone do, in one executor pass a batch.  On the all-information code
+        # an F output underflows to 0 inside the Rate-1 root, which SC decides
+        # as bit 0.  Frames of the frozen / information / frozen / information
+        # code diverge at both of its Rate-1 nodes and must count once.
         monkeypatch.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
         noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
         bec = make_channel(ChannelKind.BEC, 0.5)
         info = code_from_frozen(noisy, np.zeros(1024, bool), 1e-2)
+        blocks = code_from_frozen(noisy, np.arange(2 ** 14) // 2 ** 12 % 2 == 0, 1e-2)
         cases = [(info, noisy, 8, 1024), (info, noisy, 10, 3),
                  (code_from_frozen(noisy, np.arange(1024) < 512, 1e-2), noisy, 6, 4),
-                 (build_code(bec, 8, 1e-1), bec, 40, 16)]
+                 (build_code(bec, 8, 1e-1), bec, 40, 16), (blocks, noisy, 8, 3)]
         agrees = []
         for code, channel, trials, batch in cases:
             tree = build_ssc_tree(code)
-            expected = 0
+            expected, batches = 0, []
             for _u, llr in _frame_batches(code, channel, trials, 5, batch):
+                batches.append(llr.shape[1])
                 u_sc = _decode(sc_schedule(code.frozen), llr)
                 u_ssc = _decode(ssc_schedule(tree), llr)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
-            agree, _, _ = sc_ssc_agreement(code, channel, trials, 5, batch)
+            passes, nodes = [], []
+
+            def count_passes(ops, llr, diverged=None):
+                passes.append(llr.shape[1])
+                return _execute(ops, llr, diverged)
+
+            def node_divergence(ops, A, T, B, diverged, inside):
+                _run(ops, A, T, B, diverged, inside)
+                if diverged is None:  # SC's bits inside a Rate-1 node, into B
+                    nodes.append(((A[B.shape[0].bit_length() - 1] < 0.0) != B).any(axis=0))
+
+            with monkeypatch.context() as m:
+                m.setattr("sscpolar.codec._execute", count_passes)
+                m.setattr("sscpolar.codec._run", node_divergence)
+                agree, _, _ = sc_ssc_agreement(code, channel, trials, 5, batch)
             assert agree == expected
+            assert passes == batches
             agrees.append(agree)
         assert agrees[0] < 8
+        # nodes holds the last code's two Rate-1 nodes per batch, in order
+        first = np.concatenate(nodes[0::2])
+        second = np.concatenate(nodes[1::2])
+        assert (first & second).any()
+        assert agrees[-1] == 8 - np.count_nonzero(first | second)
 
     def test_batches_fit_the_frame_bit_budget(self, bec_half, monkeypatch):
         # the benchmark's simulate runs keep their batches: 1024 frames at
         # n = 10 and 256 at n = 14
         assert _BATCH_FRAME_BITS // 2 ** 10 >= 1024 and _BATCH_FRAME_BITS // 2 ** 14 >= 256
         code = build_code(bec_half, 5, 1e-2)
-        runs = (sc_ssc_agreement, monte_carlo_fer)
-        results = [run(code, bec_half, 50, 3) for run in runs]
+        result = sc_ssc_agreement(code, bec_half, 50, 3)
         monkeypatch.setattr("sscpolar.codec._BATCH_FRAME_BITS", 7 * 32)
         assert [llr.shape[1] for _u, llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
             == [7] * 7 + [1]
-        assert [run(code, bec_half, 50, 3) for run in runs] == results
+        assert sc_ssc_agreement(code, bec_half, 50, 3) == result

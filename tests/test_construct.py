@@ -220,7 +220,8 @@ class TestCodeFile:
         text = code_to_text(build_code(bec(0.5), 3, 1e-2))
         lines = text.splitlines()
         fields = lines[1].split()
-        fields[2] = "0.9"
-        lines[1] = " ".join(fields)
-        with pytest.raises(ValueError):
-            code_from_text("\n".join(lines))
+        for stored in ("0.9", "nan"):
+            fields[2] = stored
+            lines[1] = " ".join(fields)
+            with pytest.raises(ValueError):
+                code_from_text("\n".join(lines))
