@@ -15,8 +15,13 @@ MIXED, and Rate-1 marks only the leaves, since SC decides each information
 bit on its own.  So SC's schedule is SSC's with each Rate-1 node expanded
 into SC's schedule of an all-information code of its size, shifted to its
 leaves, and sc_ssc_agreement decodes both in one pass over SSC's schedule
-that computes each shared LLR once and runs SC's own ops only inside
-Rate-1 nodes.  The executor runs a schedule over frame-interleaved
+that computes each shared LLR once.  In that pass a Rate-1 node above
+level 1 hard-decides, as SSC does, and saves its input LLRs; after the
+pass, SC's schedule for a Rate-1 node of each size decodes all the saved
+inputs of that size at once, one run a level, and a frame diverges where
+SC's bits differ from the hard decision.  A node where some frame holds a
+tie runs SC inside itself in the pass instead, since SSC takes SC's bits
+on its tie frames.  The executor runs a schedule over frame-interleaved
 buffers: level s holds one (2^s, frames) LLR array, so a node's halves are
 contiguous row blocks, and one (N, frames) array holds the partial sums in
 place.
@@ -42,6 +47,7 @@ time, so every frame equals the per-frame path bit for bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -264,20 +270,23 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _execute(ops: Iterable[Op], llr: np.ndarray,
-             diverged: Optional[np.ndarray] = None) -> np.ndarray:
+             check: Optional[_Rate1Check] = None) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
     of the partial sums.  A Rate-1 node above level 1 hard-decides, unless
-    a frame holds a tie there or `diverged` is given: then it runs SC's
-    schedule, which for it is the unpruned tree, in the level buffers below
-    the node, and keeps SC's bits on the tie frames only.
+    a frame holds a tie there: then it runs SC's schedule, which for it is
+    the unpruned tree, in the level buffers below the node, and keeps SC's
+    bits on the tie frames only.
 
-    With `diverged`, a (frames,) bool array, this is the shared pass of
-    sc_ssc_agreement over SSC's schedule: it sets diverged[j] where frame
-    j's SC bits inside a Rate-1 node differ from SSC's.
+    With `check`, this is the shared pass of sc_ssc_agreement over SSC's
+    schedule, and it sets check.diverged[j] where frame j's SC bits inside
+    a Rate-1 node above level 1 differ from SSC's.  A node with a tie frame
+    checks inline, as it runs SC anyway.  Every other such node only saves
+    its input, and once the pass's level buffers are freed,
+    check.finish() runs SC on each level's saved inputs at once.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -287,16 +296,21 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
-        _run(ops, A, T, B, diverged, {})
+        _run(ops, A, T, B, {} if check is None else check.inside, check)
+        if check is not None:
+            del A, T
+            check.finish()
     return B
 
 
 def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
-         diverged: Optional[np.ndarray], inside: dict[int, list[Op]]) -> None:
+         inside: dict[int, list[Op]], check: Optional[_Rate1Check]) -> None:
     """_execute's loop over its level buffers A, scratch T and partial sums B.
 
     `inside` holds SC's schedule inside a Rate-1 node, by level, so each
-    level compiles once a call.
+    level compiles once.  With `check`, a Rate-1 node above level 1 that
+    hard-decides saves its input there, and one that runs SC sets
+    check.diverged on the frames where its hard decision differs from SC's.
     """
     for op, s, lo in ops:
         if op == F:
@@ -331,26 +345,69 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
         elif op == RATE1:  # above level 1; ties (llr exactly 0) decide bit 0
             a, b = A[s], B[lo:lo + (1 << s)]
             ties = _tie_frames(a, T[:1 << (s - 1)])
-            if diverged is None and not ties.size:
+            if not ties.size:
                 np.less(a, 0.0, out=b)
-            else:
-                if s not in inside:
-                    inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
-                # SC's bits into b; its ops write LLRs only below level s, so a stays
-                _run(inside[s], A, T, b, None, inside)
-                d = np.less(a, 0.0)
-                d ^= b  # where the hard decision differs from SC
-                d[:, ties] = False  # ties keep SC's bits
-                b ^= d
-                if diverged is not None:
-                    diverged[d.any(axis=0)] = True
+                if check is not None:
+                    check.save(a)
+                continue
+            if s not in inside:
+                inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
+            # SC's bits into b; its ops write LLRs only below level s, so a stays
+            _run(inside[s], A, T, b, inside, None)
+            d = np.less(a, 0.0)
+            d ^= b  # where the hard decision differs from SC
+            d[:, ties] = False  # ties keep SC's bits
+            b ^= d
+            if check is not None:
+                check.diverged |= d.any(axis=0)
         # RATE0: a frozen node's partial sums stay 0
 
 
+class _Rate1Check:
+    """One batch's check that SC decides as SSC inside every Rate-1 node above level 1.
+
+    `nodes[s]` counts SSC's Rate-1 nodes at level s and `inside[s]` is SC's
+    schedule inside one; sc_ssc_agreement builds both once a call.  save()
+    writes a node's input into its level's preallocated (2^s, nodes[s] *
+    frames) buffer, node after node, and finish() decodes the filled part
+    of each level's buffer with `inside[s]` once and sets `diverged`.
+    """
+
+    def __init__(self, nodes: dict[int, int], inside: dict[int, list[Op]], frames: int):
+        self.inside = inside
+        self.diverged = np.zeros(frames, dtype=bool)
+        self.saved = {s: np.empty((1 << s, m * frames)) for s, m in nodes.items()}
+        self.used = dict.fromkeys(nodes, 0)
+
+    def save(self, a: np.ndarray) -> None:
+        s, frames = a.shape[0].bit_length() - 1, a.shape[1]
+        j = self.used[s] * frames
+        self.saved[s][:, j:j + frames] = a
+        self.used[s] += 1
+
+    def finish(self) -> None:
+        frames = self.diverged.size
+        for s, x in self.saved.items():
+            if self.used[s]:
+                x = x[:, :self.used[s] * frames]
+                self.diverged |= _rate1_divergence(self.inside[s], x, frames).any(axis=0)
+
+
+def _rate1_divergence(ops: list[Op], x: np.ndarray, frames: int) -> np.ndarray:
+    """(nodes, frames) bool: where SC's bits differ from the hard decision.
+
+    x holds the inputs of Rate-1 nodes of one size side by side, `frames`
+    columns each, and ops is SC's schedule inside one.
+    """
+    d = _execute(ops, x)
+    d ^= np.less(x, 0.0)
+    return d.any(axis=0).reshape(-1, frames)
+
+
 def _decode(ops: Iterable[Op], llr: np.ndarray,
-            diverged: Optional[np.ndarray] = None) -> np.ndarray:
+            check: Optional[_Rate1Check] = None) -> np.ndarray:
     """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
-    x = _execute(ops, llr, diverged).view(np.uint8)
+    x = _execute(ops, llr, check).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
@@ -418,16 +475,16 @@ def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
 _FRAME_BLOCK = 16
 
 
-def _random_frames(code: PolarCode, channel: BmsChannel,
-                   rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Message bits (k, trials) and LLRs (N, trials), frame-interleaved; each
-    stream draws its message bits, then its noise, as for sample_llrs."""
+def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Generator],
+                   llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Message bits (k, trials) and the LLRs, written into llr (N, trials),
+    frame-interleaved; each stream draws its message bits, then its noise,
+    as for sample_llrs."""
     trials, info, k = len(rngs), ~code.frozen, code.k
     msg = np.array([rng.integers(0, 2, k, dtype=np.uint8) for rng in rngs]).T
     x = np.zeros((code.N, trials), dtype=np.uint8)
     x[info] = msg
     _butterflies(x, code.N, trials)  # the codewords, in place
-    llr = np.empty((code.N, trials))
     d = np.empty((min(trials, _FRAME_BLOCK), code.N))
     for start in range(0, trials, _FRAME_BLOCK):
         block = rngs[start:start + _FRAME_BLOCK]
@@ -439,24 +496,30 @@ def _random_frames(code: PolarCode, channel: BmsChannel,
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
-# about 22 bytes a frame-bit (tracemalloc at n = 12..16: the LLRs, one LLR
-# buffer per level, scratch, partial sums and input bits), so a batch stays
-# near 180 MB: 1024 frames up to n = 13, 512 at n = 14, 128 at n = 16 and 8 at
-# n = 20.  At n = 16, 128-frame batches ran 256 trials as fast as 256-frame
-# ones, and 64-frame batches took 30 % longer.
-_BATCH_FRAME_BITS = 1 << 23
+# about 23 bytes a frame-bit (tracemalloc at n = 12..16: the LLRs, one LLR
+# buffer per level, scratch, partial sums, input bits and the saved inputs of
+# Rate-1 nodes), so a batch stays near 100 MB: 1024 frames up to n = 12, 256
+# at n = 14, 64 at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 %
+# longer in 64-frame batches than in 128-frame ones, at half the peak.
+_BATCH_FRAME_BITS = 1 << 22
 
 
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
-                   batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   batch: int, reuse: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield interleaved (message bits, LLRs) for the seeded trials, `batch` frames at a time.
 
-    Batches hold at most _BATCH_FRAME_BITS // N frames.
+    Batches hold at most _BATCH_FRAME_BITS // N frames.  With `reuse`,
+    every batch's LLRs are written into one buffer, so each batch's LLRs
+    hold only until the next batch is generated.
     """
-    batch = min(batch, max(1, _BATCH_FRAME_BITS // code.N))
+    N = code.N
+    batch = min(batch, max(1, _BATCH_FRAME_BITS // N), trials)
     rngs = _trial_streams(seed, trials)
+    flat = np.empty(N * batch) if reuse else None
     for start in range(0, trials, batch):
-        yield _random_frames(code, channel, rngs[start:start + batch])
+        block = rngs[start:start + batch]
+        llr = flat[:N * len(block)] if reuse else np.empty(N * len(block))
+        yield _random_frames(code, channel, block, llr.reshape(N, len(block)))
 
 
 def _frame_errors(code: PolarCode, msg: np.ndarray, u_hat: np.ndarray) -> int:
@@ -469,21 +532,28 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
 
     Returns (frames on which the decoders agreed bitwise, trials, frame
     error rate of the simplified decoder).  Each batch is one shared pass
-    (see _execute), and a frame agrees exactly when it did not diverge
-    there.  Outside its Rate-1 nodes SC's schedule is SSC's, so up to the
-    first Rate-1 node X where a frame's SC bits differ from SSC's, both
-    decoders see the same LLRs and decide the same bits.  X's leaf estimates
-    are its partial sums through the local polar transform, an involution,
-    so the two outputs differ on X's leaves; with no such X they are equal.
+    over SSC's schedule (see _execute), and a frame agrees exactly when it
+    did not diverge there.  Outside its Rate-1 nodes SC's schedule is
+    SSC's, so up to the first Rate-1 node X where a frame's SC bits differ
+    from SSC's, both decoders see the same LLRs and decide the same bits.
+    X's leaf estimates are its partial sums through the local polar
+    transform, an involution, so the two outputs differ on X's leaves; with
+    no such X they are equal.  The check of a node with no tie frame can
+    wait until the pass ends: SSC keeps its hard decision there on every
+    frame, so the LLRs every later node sees are the same whether SC runs
+    inside the node then or afterwards, and SC run afterwards on the
+    node's saved input decides X's bits as SC would have at X.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = build_ssc_tree(code)
+    ops = list(ssc_schedule(build_ssc_tree(code)))
+    nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
+    inside = {s: list(sc_schedule(np.zeros(1 << s, dtype=bool))) for s in nodes}
     agree = errors = 0
-    for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-        diverged = np.zeros(llr.shape[1], dtype=bool)
-        u_ssc = _decode(ssc_schedule(tree), llr, diverged)
-        agree += llr.shape[1] - int(np.count_nonzero(diverged))
+    for msg, llr in _frame_batches(code, channel, trials, seed, batch, reuse=True):
+        check = _Rate1Check(nodes, inside, llr.shape[1])
+        u_ssc = _decode(ops, llr, check)
+        agree += llr.shape[1] - int(np.count_nonzero(check.diverged))
         errors += _frame_errors(code, msg, u_ssc)
-        del msg, llr, diverged, u_ssc  # before the next batch is generated
+        del check, u_ssc  # before the next batch's pass
     return agree, trials, errors / trials

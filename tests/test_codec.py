@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from sscpolar.codec import (
     _f,
     _frame_batches,
     _g,
-    _run,
+    _rate1_divergence,
     _sc_tree,
 )
 
@@ -557,22 +558,26 @@ class TestMonteCarlo:
         # The frames of the benchmark's simulate runs (I = 0.5, pe = 1e-3,
         # seed 7), which decode with fer=0 and full agreement, so their
         # output cannot show a change in the frames.  Hashed per batch: the
-        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs.
+        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs;
+        # also when the batches reuse one LLR buffer, as sc_ssc_agreement's do.
         channel = channel_from_capacity(kind, 0.5)
         code = build_code(channel, n, 1e-3)
-        h = hashlib.sha256()
-        for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
-            h.update(msg.tobytes())
-            h.update(llr.tobytes())
-        assert h.hexdigest() == digest
+        for reuse in (False, True):
+            h = hashlib.sha256()
+            for msg, llr in _frame_batches(code, channel, trials, 7, 1024, reuse):
+                h.update(msg.tobytes())
+                h.update(llr.tobytes())
+            assert h.hexdigest() == digest
 
     def test_agreement_sees_disagreement(self, monkeypatch):
         # With no tie frames SSC hard-decides its ties, so it can disagree with
         # SC.  The shared pass must count agreement as SC and SSC decoded
-        # alone do, in one executor pass a batch.  On the all-information code
-        # an F output underflows to 0 inside the Rate-1 root, which SC decides
-        # as bit 0.  Frames of the frozen / information / frozen / information
-        # code diverge at both of its Rate-1 nodes and must count once.
+        # alone do, in one whole-frame executor pass a batch, then one SC run
+        # a level over the saved inputs of that level's Rate-1 nodes.  On the
+        # all-information code an F output underflows to 0 inside the Rate-1
+        # root, which SC decides as bit 0.  Frames of the frozen / information
+        # / frozen / information code diverge at both of its Rate-1 nodes and
+        # must count once.
         monkeypatch.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
         noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
         bec = make_channel(ChannelKind.BEC, 0.5)
@@ -584,36 +589,76 @@ class TestMonteCarlo:
         agrees = []
         for code, channel, trials, batch in cases:
             tree = build_ssc_tree(code)
-            expected, batches = 0, []
+            rate1 = Counter(s for op, s, _lo in ssc_schedule(tree) if op == RATE1 and s > 1)
+            expected, batches, levels = 0, [], []
             for _u, llr in _frame_batches(code, channel, trials, 5, batch):
                 batches.append(llr.shape[1])
+                levels += [(2 ** s, m * llr.shape[1]) for s, m in rate1.items()]
                 u_sc = _decode(sc_schedule(code.frozen), llr)
                 u_ssc = _decode(ssc_schedule(tree), llr)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
-            passes, nodes = [], []
+            passes, checks, nodes = [], [], []
 
-            def count_passes(ops, llr, diverged=None):
-                passes.append(llr.shape[1])
-                return _execute(ops, llr, diverged)
+            def count_passes(ops, llr, check=None):
+                if llr.shape[0] == code.N and check is not None:
+                    passes.append(llr.shape[1])
+                else:  # SC inside one level's Rate-1 nodes, after a pass
+                    checks.append(llr.shape)
+                return _execute(ops, llr, check)
 
-            def node_divergence(ops, A, T, B, diverged, inside):
-                _run(ops, A, T, B, diverged, inside)
-                if diverged is None:  # SC's bits inside a Rate-1 node, into B
-                    nodes.append(((A[B.shape[0].bit_length() - 1] < 0.0) != B).any(axis=0))
+            def node_divergence(ops, x, frames):
+                d = _rate1_divergence(ops, x, frames)
+                nodes.append(d)
+                return d
 
             with monkeypatch.context() as m:
                 m.setattr("sscpolar.codec._execute", count_passes)
-                m.setattr("sscpolar.codec._run", node_divergence)
+                m.setattr("sscpolar.codec._rate1_divergence", node_divergence)
                 agree, _, _ = sc_ssc_agreement(code, channel, trials, 5, batch)
             assert agree == expected
             assert passes == batches
+            assert sorted(checks) == sorted(levels)
             agrees.append(agree)
         assert agrees[0] < 8
-        # nodes holds the last code's two Rate-1 nodes per batch, in order
-        first = np.concatenate(nodes[0::2])
-        second = np.concatenate(nodes[1::2])
+        # nodes holds the last code's two Rate-1 nodes a batch, in order
+        first = np.concatenate([d[0] for d in nodes])
+        second = np.concatenate([d[1] for d in nodes])
         assert (first & second).any()
         assert agrees[-1] == 8 - np.count_nonzero(first | second)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10),
+           log_block=st.integers(min_value=0, max_value=10),
+           pattern=st.integers(min_value=0, max_value=2 ** 1024 - 1),
+           batch=st.sampled_from((1, 7, 1024)),
+           trials=st.integers(min_value=1, max_value=24),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(n=10, log_block=2, pattern=3893328472462677366, batch=7, trials=24,
+             seed=3855495969)
+    @example(n=10, log_block=8, pattern=85395593829887826, batch=1, trials=24,
+             seed=3746051010)
+    @example(n=10, log_block=9, pattern=1498533450780142916, batch=1024, trials=24,
+             seed=872964283)
+    def test_agreement_equals_decoding_alone(self, n, log_block, pattern, batch, trials, seed):
+        # With no tie frames SSC hard-decides its ties, so on a noisy channel
+        # it disagrees with SC on some frames: the examples have 8 to 13 such
+        # frames each.  Bit i of `pattern` freezes block i of 2^log_block
+        # leaves, so the codes have Rate-1 nodes of many sizes.
+        noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
+        size = 2 ** min(log_block, n)
+        frozen = np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
+        code = code_from_frozen(noisy, frozen, 1e-2)
+        tree = build_ssc_tree(code)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
+            expected = errors = 0
+            for msg, llr in _frame_batches(code, noisy, trials, seed, batch):
+                u_sc = _decode(sc_schedule(code.frozen), llr)
+                u_ssc = _decode(ssc_schedule(tree), llr)
+                expected += int((u_sc == u_ssc).all(axis=0).sum())
+                errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
+            result = sc_ssc_agreement(code, noisy, trials, seed, batch)
+        assert result == (expected, trials, errors / trials)
 
     def test_batches_fit_the_frame_bit_budget(self, bec_half, monkeypatch):
         # the benchmark's simulate runs keep their batches: 1024 frames at
