@@ -364,20 +364,27 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
 
 
 class _Rate1Check:
-    """One batch's check that SC decides as SSC inside every Rate-1 node above level 1.
+    """The check that SC decides as SSC inside every Rate-1 node above level 1.
 
     `nodes[s]` counts SSC's Rate-1 nodes at level s and `inside[s]` is SC's
-    schedule inside one; sc_ssc_agreement builds both once a call.  save()
-    writes a node's input into its level's preallocated (2^s, nodes[s] *
-    frames) buffer, node after node, and finish() decodes the filled part
-    of each level's buffer with `inside[s]` once and sets `diverged`.
+    schedule inside one; sc_ssc_agreement builds one check a call, for
+    batches of up to `frames` frames, and start()s it at each batch.
+    save() writes a node's input into its level's (2^s, nodes[s] * frames)
+    buffer, node after node, and finish() decodes the filled part of each
+    level's buffer with `inside[s]` once and sets `diverged`.
     """
 
     def __init__(self, nodes: dict[int, int], inside: dict[int, list[Op]], frames: int):
-        self.inside = inside
+        self.nodes, self.inside = nodes, inside
+        self.flat = {s: np.empty((m << s) * frames) for s, m in nodes.items()}
+
+    def start(self, frames: int) -> None:
+        """Clear the check for a batch of `frames` frames, at most the constructor's."""
         self.diverged = np.zeros(frames, dtype=bool)
-        self.saved = {s: np.empty((1 << s, m * frames)) for s, m in nodes.items()}
-        self.used = dict.fromkeys(nodes, 0)
+        # a contiguous prefix, so a short batch's nodes lie side by side too
+        self.saved = {s: x[:(self.nodes[s] << s) * frames].reshape(1 << s, -1)
+                      for s, x in self.flat.items()}
+        self.used = dict.fromkeys(self.nodes, 0)
 
     def save(self, a: np.ndarray) -> None:
         s, frames = a.shape[0].bit_length() - 1, a.shape[1]
@@ -505,21 +512,20 @@ _BATCH_FRAME_BITS = 1 << 22
 
 
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
-                   batch: int, reuse: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield interleaved (message bits, LLRs) for the seeded trials, `batch` frames at a time.
 
-    Batches hold at most _BATCH_FRAME_BITS // N frames.  With `reuse`,
-    every batch's LLRs are written into one buffer, so each batch's LLRs
-    hold only until the next batch is generated.
+    Batches hold at most _BATCH_FRAME_BITS // N frames.  Every batch's
+    LLRs are written into one buffer, so they hold only until the next
+    batch is generated.
     """
     N = code.N
     batch = min(batch, max(1, _BATCH_FRAME_BITS // N), trials)
     rngs = _trial_streams(seed, trials)
-    flat = np.empty(N * batch) if reuse else None
+    flat = np.empty(N * batch)
     for start in range(0, trials, batch):
         block = rngs[start:start + batch]
-        llr = flat[:N * len(block)] if reuse else np.empty(N * len(block))
-        yield _random_frames(code, channel, block, llr.reshape(N, len(block)))
+        yield _random_frames(code, channel, block, flat[:N * len(block)].reshape(N, len(block)))
 
 
 def _frame_errors(code: PolarCode, msg: np.ndarray, u_hat: np.ndarray) -> int:
@@ -542,18 +548,24 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     wait until the pass ends: SSC keeps its hard decision there on every
     frame, so the LLRs every later node sees are the same whether SC runs
     inside the node then or afterwards, and SC run afterwards on the
-    node's saved input decides X's bits as SC would have at X.
+    node's saved input decides X's bits as SC would have at X.  By
+    _tie_frames' bound, SC's bits equal the hard decision on a node with
+    no tie frame, so the deferred check finds a divergence only if that
+    conservative bound is wrong: what it verifies is the bound.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     ops = list(ssc_schedule(build_ssc_tree(code)))
     nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
     inside = {s: list(sc_schedule(np.zeros(1 << s, dtype=bool))) for s in nodes}
+    check = None
     agree = errors = 0
-    for msg, llr in _frame_batches(code, channel, trials, seed, batch, reuse=True):
-        check = _Rate1Check(nodes, inside, llr.shape[1])
+    for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+        if check is None:  # the first batch is the largest
+            check = _Rate1Check(nodes, inside, llr.shape[1])
+        check.start(llr.shape[1])
         u_ssc = _decode(ops, llr, check)
         agree += llr.shape[1] - int(np.count_nonzero(check.diverged))
         errors += _frame_errors(code, msg, u_ssc)
-        del check, u_ssc  # before the next batch's pass
+        del u_ssc  # before the next batch's pass
     return agree, trials, errors / trials

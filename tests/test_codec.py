@@ -535,7 +535,7 @@ class TestMonteCarlo:
         # its message bits, then sample_llrs of their codeword.
         channel = channel_from_capacity(kind, cap)
         code = build_code(channel, n, 1e-3)
-        frames = [(msg[:, j], llr[:, j])
+        frames = [(msg[:, j].copy(), llr[:, j].copy())  # the batches share one LLR buffer
                   for msg, llr in _frame_batches(code, channel, trials, seed, batch)
                   for j in range(llr.shape[1])]
         assert len(frames) == trials
@@ -558,16 +558,14 @@ class TestMonteCarlo:
         # The frames of the benchmark's simulate runs (I = 0.5, pe = 1e-3,
         # seed 7), which decode with fer=0 and full agreement, so their
         # output cannot show a change in the frames.  Hashed per batch: the
-        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs;
-        # also when the batches reuse one LLR buffer, as sc_ssc_agreement's do.
+        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs.
         channel = channel_from_capacity(kind, 0.5)
         code = build_code(channel, n, 1e-3)
-        for reuse in (False, True):
-            h = hashlib.sha256()
-            for msg, llr in _frame_batches(code, channel, trials, 7, 1024, reuse):
-                h.update(msg.tobytes())
-                h.update(llr.tobytes())
-            assert h.hexdigest() == digest
+        h = hashlib.sha256()
+        for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
+            h.update(msg.tobytes())
+            h.update(llr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_agreement_sees_disagreement(self, monkeypatch):
         # With no tie frames SSC hard-decides its ties, so it can disagree with
