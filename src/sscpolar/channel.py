@@ -94,6 +94,13 @@ def h2(x: float) -> float:
 _LOW_SNR_SIGMA = 400.0
 
 
+def _softplus(v: float) -> float:
+    """log(1 + e^v), bit for bit as np.logaddexp(0.0, v) computes it, without a numpy call."""
+    if v == 0.0:
+        return math.log(2.0)
+    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+
+
 def _bawgnc_capacity(sigma: float) -> float:
     # C = 1 - E_{y ~ N(1, sigma^2)} log2(1 + exp(-2y/sigma^2)), unit signal energy.
     s2 = sigma * sigma
@@ -105,7 +112,7 @@ def _bawgnc_capacity(sigma: float) -> float:
 
     def integrand(y: float) -> float:
         pdf = math.exp(-((y - 1.0) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
-        return pdf * np.logaddexp(0.0, -2.0 * y / s2) / math.log(2.0)
+        return pdf * _softplus(-2.0 * y / s2) / math.log(2.0)
 
     loss, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
     return min(1.0, max(0.0, 1.0 - loss))
@@ -153,18 +160,15 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
             if hi > 1e6:
                 raise ArithmeticError("BAWGNC capacity bisection failed to bracket target")
 
-    mid = 0.5 * (lo + hi)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         c = capacity(kind, mid)
         if abs(c - target_capacity) <= _CAPACITY_TOL:
-            return make_channel(kind, mid)
+            return BmsChannel(kind, mid, c, bhattacharyya(kind, mid))
         if c > target_capacity:
             lo = mid
         else:
             hi = mid
-    if abs(capacity(kind, mid) - target_capacity) <= _CAPACITY_TOL:
-        return make_channel(kind, mid)
     raise ArithmeticError(
         f"capacity bisection did not converge for {kind.value} target {target_capacity}"
     )

@@ -54,7 +54,7 @@ import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, _check_bits, _draw, _llrs
 from .construct import PolarCode
-from .latency import NodeKind, SscTree, _mask_classifier, _walk, build_ssc_tree
+from .latency import NodeKind, SscTree, _mask_classifier, _tree, _walk, build_ssc_tree
 
 
 def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def _sc_tree(frozen: np.ndarray) -> SscTree:
         rate0, rate1 = by_mask(z, index, s)
         return rate0, rate1 & (s == 0)
 
-    return _walk(1.0, frozen.size.bit_length() - 1, classify, indexed=True)
+    return _tree(_walk(1.0, frozen.size.bit_length() - 1, classify, indexed=True))
 
 
 def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:

@@ -5,6 +5,13 @@ a tree node at level s costs ceil(2^s / P) time steps, and a decoder's
 latency is the sum of edge costs over its (possibly pruned) decoding tree.
 Everything in this module is exact integer arithmetic; no floating point
 touches the latency path.
+
+The pruned tree is walked top-down a level at a time (_walk).  The channel
+scan classifies a node by its all-plus and all-minus reliability paths
+(Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In IEEE doubles the
+all-minus path only climbs and the all-plus path only falls, so below the
+root a left child is tested for Rate-0 only and a right child for Rate-1
+only.  scan_edge_profile counts each level's frontier and drops it.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,38 +76,44 @@ def decoding_weight(s: int, P: int) -> int:
 # Classifies one level's frontier: (z, node index within the full level or
 # None, s) -> (rate0, rate1) boolean masks.
 Classifier = Callable[[np.ndarray, Optional[np.ndarray], int], tuple[np.ndarray, np.ndarray]]
+# One level of the pruned tree: (z, rate0, rate1), the masks as a Classifier returns them.
+Level = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> SscTree:
-    """Build the pruned tree top-down, classifying one whole level at a time.
+def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> Iterator[Level]:
+    """Yield each level of the pruned tree top-down as (z, rate0, rate1).
 
     Each node's index within its full level is tracked only when `indexed`;
     the channel scan does not read it and would pay 8 bytes a node for it.
     """
-    kinds, zs = [], []
     z = np.array([z0], dtype=np.float64)
     index = np.zeros(1, dtype=np.int64) if indexed else None
     for s in range(n, -1, -1):
         rate0, rate1 = classify(z, index, s)
-        kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
-        kind[rate0] = NodeKind.RATE0
-        kind[rate1] = NodeKind.RATE1
-        kinds.append(kind)
-        zs.append(z)
-        mixed = kind == NodeKind.MIXED
+        yield z, rate0, rate1
+        mixed = ~(rate0 | rate1)
         z = polarize(z[mixed])
         if indexed:
             im = index[mixed] << 1
             index = np.empty(2 * im.size, dtype=np.int64)
             index[0::2] = im
             index[1::2] = im + 1
-    kinds.reverse()
-    zs.reverse()
-    return SscTree(tuple(kinds), tuple(zs))
+
+
+def _tree(levels: Iterator[Level]) -> SscTree:
+    """The SscTree of the levels _walk yields."""
+    kinds, zs = [], []
+    for z, rate0, rate1 in levels:
+        kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
+        kind[rate0] = NodeKind.RATE0
+        kind[rate1] = NodeKind.RATE1
+        kinds.append(kind)
+        zs.append(z)
+    return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
 
 
 def _stays(z: np.ndarray, steps: int, inside, step) -> np.ndarray:
-    """Mask of the z whose orbit z, step(z), .., step^steps(z) stays `inside`."""
+    """Indices of the z whose orbit z, step(z), .., step^steps(z) stays `inside`."""
     keep = np.flatnonzero(inside(z))
     y = z[keep]
     for _ in range(steps):
@@ -108,9 +122,7 @@ def _stays(z: np.ndarray, steps: int, inside, step) -> np.ndarray:
         y = step(y)
         ok = inside(y)
         keep, y = keep[ok], y[ok]
-    out = np.zeros(z.size, dtype=bool)
-    out[keep] = True
-    return out
+    return keep
 
 
 def _channel_classifier(threshold: float) -> Classifier:
@@ -118,9 +130,19 @@ def _channel_classifier(threshold: float) -> Classifier:
     # under the freezing threshold, and Rate-0 iff its best leaf, on the
     # all-plus path, is at or above it.  Every step of the path is tested, as
     # in a per-node loop that stops at the first step out of range.
+    # For an IEEE double z in [0, 1], z <= z_minus(z) <= 1 and z_plus(z) <= z
+    # (2z is exact and rounding is monotone, so fl(z*z) <= z): the all-minus
+    # path only climbs and the all-plus path only falls.  A MIXED node's
+    # all-minus path has left [0, threshold), so its left child, on that
+    # path, is not Rate-1; likewise its right child is not Rate-0.  Below
+    # the root, left children sit at even positions, right ones at odd.
     def classify(z, _index, s):
-        rate1 = _stays(z, s, lambda y: y < threshold, z_minus)
-        rate0 = _stays(z, s, lambda y: y >= threshold, z_plus)
+        step = 2 if z.size > 1 else 1  # the root is the only level of odd size
+        left, right = slice(0, None, step), slice(step - 1, None, step)
+        rate0 = np.zeros(z.size, dtype=bool)
+        rate1 = np.zeros(z.size, dtype=bool)
+        rate0[left][_stays(z[left], s, lambda y: y >= threshold, z_plus)] = True
+        rate1[right][_stays(z[right], s, lambda y: y < threshold, z_minus)] = True
         return rate0, rate1
 
     return classify
@@ -143,17 +165,11 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
     Each node's frozen-leaf count comes from a prefix sum over the mask, so
     the work after that sum is proportional to the pruned tree, not to N.
     """
-    return _walk(code.channel.z0, code.n, _mask_classifier(code.frozen), indexed=True)
+    return _tree(_walk(code.channel.z0, code.n, _mask_classifier(code.frozen), indexed=True))
 
 
-def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
-    """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
-
-    Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
-    never materializes the 2^n leaves, so it reaches n = 27.  Time and
-    memory are O(pruned nodes).  Rejects n < 1 and pe outside (0, 1), as
-    build_code does.
-    """
+def _scan(channel: BmsChannel, n: int, pe: float) -> Iterator[Level]:
+    """_walk over the pruned tree for (channel, 2^n, pe); rejects what build_code rejects."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < pe < 1.0:
@@ -161,13 +177,27 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     return _walk(channel.z0, n, _channel_classifier(pe / 2 ** n), indexed=False)
 
 
+def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
+    """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
+
+    Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
+    never materializes the 2^n leaves, so it reaches n = 27.  Time and
+    memory are O(pruned nodes); scan_edge_profile needs only the frontier.
+    Rejects n < 1 and pe outside (0, 1), as build_code does.
+    """
+    return _tree(_scan(channel, n, pe))
+
+
 def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
     """Edge profile of the pruned tree for (channel, 2^n, pe), scanned from the channel.
 
-    Equal to build_ssc_tree(build_code(...)).edge_profile(); time and memory
-    are O(pruned nodes), not O(2^n).
+    Equal to scan_ssc_tree(...).edge_profile(), but keeps only the frontier:
+    each level is counted and dropped, so memory is O(largest level) and
+    time O(pruned nodes), not O(2^n).  The leaves are never classified.
     """
-    return scan_ssc_tree(channel, n, pe).edge_profile()
+    mixed = [z.size - np.count_nonzero(rate0) - np.count_nonzero(rate1)
+             for z, rate0, rate1 in islice(_scan(channel, n, pe), n)]
+    return [2 * int(m) for m in reversed(mixed)]
 
 
 def _coerce_profile(obj: ProfileLike) -> list[int]:

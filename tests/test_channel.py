@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sscpolar import (
     ChannelKind,
@@ -15,7 +15,41 @@ from sscpolar import (
     z_minus,
     z_plus,
 )
-from sscpolar.channel import _LOW_SNR_SIGMA, LLR_CAP, bsc_llr_magnitude
+from sscpolar import channel as channel_module
+from sscpolar.channel import _LOW_SNR_SIGMA, LLR_CAP, _bawgnc_capacity, _softplus, bsc_llr_magnitude
+
+# float.hex of (sigma, _bawgnc_capacity(sigma)) on np.geomspace(1e-3, 400, 20,
+# endpoint=False), recorded with np.logaddexp(0.0, v) as the integrand's
+# softplus; _softplus must reproduce every bit.
+PINNED_BAWGNC_CAPACITIES = [
+    ("0x1.0624dd2f1a9fcp-10", "0x1.0000000000000p+0"),
+    ("0x1.f39fa2879efa8p-10", "0x1.0000000000000p+0"),
+    ("0x1.dc1e946e88b24p-9", "0x1.0000000000000p+0"),
+    ("0x1.c5b896cad1ba2p-8", "0x1.0000000000000p+0"),
+    ("0x1.b060589e2fa24p-7", "0x1.0000000000000p+0"),
+    ("0x1.9c0929497405dp-6", "0x1.0000000000000p+0"),
+    ("0x1.88a6f1012a9a7p-5", "0x1.0000000000000p+0"),
+    ("0x1.762e299d13398p-4", "0x1.0000000000000p+0"),
+    ("0x1.6493d7be31a7fp-3", "0x1.ffffff515b4c5p-1"),
+    ("0x1.53cd8447605ccp-2", "0x1.fd4750acaaa9ep-1"),
+    ("0x1.43d1362484910p-1", "0x1.95f87d6ba9f00p-1"),
+    ("0x1.34956c5cb0a28p+0", "0x1.7d989dedaf5bap-2"),
+    ("0x1.2611186bae671p+1", "0x1.0025efaaad3dcp-3"),
+    ("0x1.183b98df9574dp+2", "0x1.2c712211ca3f0p-5"),
+    ("0x1.0b0cb43739e33p+3", "0x1.50fc35d4717c0p-7"),
+    ("0x1.fcf927fccd2a2p+3", "0x1.74ffb73767200p-9"),
+    ("0x1.e5078049f59f2p+4", "0x1.9b52840f19400p-11"),
+    ("0x1.ce36351c4be59p+5", "0x1.c51d2b3c54000p-13"),
+    ("0x1.b877b5aa3af06p+6", "0x1.f3025adfb0000p-15"),
+    ("0x1.a3bf148992618p+7", "0x1.12c1446b50000p-16"),
+]
+
+# target capacity -> float.hex of the BAWGNC channel_from_capacity returns: (param, capacity)
+PINNED_BAWGNC_INVERSIONS = {
+    0.1: ("0x1.4bdfdf338054fp+1", "0x1.999999ae4b930p-4"),
+    0.5: ("0x1.f51765727a3f6p-1", "0x1.0000000109866p-1"),
+    0.9: ("0x1.08162ec69e4e5p-1", "0x1.ccccccd0e4a3fp-1"),
+}
 
 
 class TestBhattacharyya:
@@ -89,6 +123,19 @@ class TestCapacity:
         assert caps[-1] == 0.0
         assert make_channel(ChannelKind.BAWGNC, 1e300).capacity == 0.0
 
+    def test_bawgnc_capacity_is_pinned(self):
+        got = [(s, _bawgnc_capacity(float.fromhex(s)).hex()) for s, _ in PINNED_BAWGNC_CAPACITIES]
+        assert got == PINNED_BAWGNC_CAPACITIES
+
+    def test_softplus_is_logaddexp_bitwise(self):
+        tiny = 5e-324
+        edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 710.0, -710.0, 1e308, -1e308]
+        rng = np.random.default_rng(12)
+        values = edges + (rng.standard_normal(2000) * 40.0).tolist()
+        for v in values:
+            assert _softplus(v).hex() == float(np.logaddexp(0.0, v)).hex(), v
+
     @pytest.mark.parametrize("kind,grid", [
         (ChannelKind.BEC, np.linspace(0.01, 0.99, 25)),
         (ChannelKind.BSC, np.linspace(0.005, 0.495, 25)),
@@ -115,6 +162,33 @@ class TestChannelFromCapacity:
         assert abs(capacity(kind, ch.param) - target) <= 1e-9
         assert abs(ch.capacity - target) <= 1e-9
 
+    @pytest.mark.parametrize("target", sorted(PINNED_BAWGNC_INVERSIONS))
+    def test_bawgnc_inversion_is_pinned(self, target):
+        ch = channel_from_capacity(ChannelKind.BAWGNC, target)
+        assert (ch.param.hex(), ch.capacity.hex()) == PINNED_BAWGNC_INVERSIONS[target]
+        assert ch == make_channel(ChannelKind.BAWGNC, ch.param)
+
+    @pytest.mark.parametrize("target", [0.02, 0.5, 0.9])
+    def test_bawgnc_inversion_evaluates_each_capacity_once(self, monkeypatch, target):
+        # one quadrature per bracket step and per bisection step; the
+        # returned channel reuses the capacity of the step that converged
+        calls = []
+
+        def spy(sigma):
+            calls.append(sigma)
+            return _bawgnc_capacity(sigma)
+
+        monkeypatch.setattr(channel_module, "_bawgnc_capacity", spy)
+        ch = channel_from_capacity(ChannelKind.BAWGNC, target)
+        bracket = [2.0]
+        while _bawgnc_capacity(bracket[-1]) > target:
+            bracket.append(2.0 * bracket[-1])
+        assert calls[:len(bracket)] == bracket
+        assert all(1e-6 < sigma < bracket[-1] for sigma in calls[len(bracket):])
+        assert len(set(calls)) == len(calls)
+        assert calls[-1] == ch.param
+        assert ch.capacity == _bawgnc_capacity(ch.param)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_target_out_of_range(self, bad):
         with pytest.raises(ValueError):
@@ -131,8 +205,15 @@ class TestZTransforms:
         assert z_plus(0.1) == pytest.approx(0.01, abs=1e-17)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
+    @example(0.0)
+    @example(1.0)
+    @example(math.nextafter(1.0, 0.0))
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
     def test_polarization_ordering(self, z):
-        assert z_plus(z) <= z <= z_minus(z)
+        # the monotone-path lemma the pruned-tree scan relies on: the
+        # all-minus path only climbs and the all-plus path only falls
+        assert 0.0 <= z_plus(z) <= z <= z_minus(z) <= 1.0
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_stays_in_unit_interval(self, z):

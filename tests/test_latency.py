@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sscpolar import (
     ChannelKind,
@@ -137,6 +137,10 @@ class TestStreamingScan:
         for n in range(16, 23):
             code = build_code(bec_half, n, 1e-3)
             assert scan_edge_profile(bec_half, n, 1e-3) == build_ssc_tree(code).edge_profile()
+        # past what build_code reaches quickly, against the stored scanned tree
+        for n in range(23, 26):
+            assert scan_edge_profile(bec_half, n, 1e-3) == \
+                scan_ssc_tree(bec_half, n, 1e-3).edge_profile()
 
     def test_streamed_kinds_match_tree(self):
         # node for node, z and kind, against the one-node-at-a-time reference
@@ -168,6 +172,25 @@ class TestStreamingScan:
         scanned = tree_levels(scan_ssc_tree(channel, n, pe))
         assert tree_levels(build_ssc_tree(build_code(channel, n, pe))) == scanned
         assert reference_pruned_levels(channel, n, pe) == scanned
+
+    @settings(max_examples=60, deadline=None)
+    @given(z0=st.floats(min_value=0.0, max_value=1.0),
+           pe=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           n=st.integers(min_value=1, max_value=16))
+    @example(z0=0.0, pe=0.5, n=16)
+    @example(z0=1.0, pe=0.5, n=16)
+    @example(z0=math.nextafter(1.0, 0.0), pe=1e-3, n=16)
+    @example(z0=5e-324, pe=1e-3, n=16)
+    @example(z0=2.2250738585072014e-308, pe=5e-324, n=3)
+    @example(z0=0.5, pe=1e-3, n=16)
+    @example(z0=0.5, pe=math.nextafter(1.0, 0.0), n=12)
+    def test_scan_equals_reference_for_any_z0(self, z0, pe, n):
+        # the scan tests each child for one kind only; the reference tests
+        # both kinds at every node
+        channel = bec(z0)
+        tree = scan_ssc_tree(channel, n, pe)
+        assert tree_levels(tree) == reference_pruned_levels(channel, n, pe)
+        assert scan_edge_profile(channel, n, pe) == tree.edge_profile()
 
 
 class TestSscLatency:
