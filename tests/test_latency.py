@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -150,6 +151,26 @@ class TestStreamingScan:
                 scanned = tree_levels(scan_ssc_tree(channel, n, 1e-3))
                 assert scanned == reference_pruned_levels(channel, n, 1e-3), (kind, n)
                 assert tree_levels(build_ssc_tree(build_code(channel, n, 1e-3))) == scanned
+
+    def test_scan_is_pinned(self, bec_half):
+        # sha256 of every scanned tree's kinds and z bytes on the family grid,
+        # and of the larger profiles, recorded from the scan that tested every
+        # step of every path
+        trees = hashlib.sha256()
+        for kind, cap in FAMILY_CAPACITIES:
+            channel = cached_channel(kind, cap)
+            for pe in (1e-3, 1e-10):
+                for n in range(1, 21):
+                    tree = scan_ssc_tree(channel, n, pe)
+                    for kinds, z in zip(tree.kinds, tree.z):
+                        trees.update(kinds.tobytes())
+                        trees.update(z.tobytes())
+        profiles = hashlib.sha256(repr([scan_edge_profile(bec_half, n, 1e-3)
+                                        for n in range(21, 28)]).encode())
+        assert trees.hexdigest() == \
+            "d4f0022f689bfb48cdf80cb43c28ea46015c82b2a1fd9495b4344534b4af350b"
+        assert profiles.hexdigest() == \
+            "2e315b2a03afd763fe264e1b9773e01a9394eb68305ee6a2de745fc9c335dd60"
 
     @pytest.mark.parametrize("n,pe", [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, 1.0),
                                       (4, 5.0), (4, -1e-3)])
