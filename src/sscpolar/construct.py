@@ -16,7 +16,8 @@ import numpy as np
 from .channel import BmsChannel, ChannelKind, h2, make_channel, polarize
 
 # Materializing 2^n leaves holds the last two levels, 8 bytes a leaf: 192 MB
-# at this cap.  The latency-module scans are O(pruned nodes) and go further.
+# at this cap.  The latency-module scans go further: their memory is
+# O(pruned nodes) and their time O(n * pruned nodes).
 MAX_MATERIALIZED_N = 24
 
 CODE_FILE_MAGIC = "polarcode v1"

@@ -9,9 +9,11 @@ touches the latency path.
 The pruned tree is walked top-down a level at a time (_walk).  The channel
 scan classifies a node by its all-plus and all-minus reliability paths
 (Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In IEEE doubles the
-all-minus path only climbs and the all-plus path only falls, so below the
-root a left child is tested for Rate-0 only and a right child for Rate-1
-only.  scan_edge_profile counts each level's frontier and drops it.
+all-minus path only climbs and the all-plus path only falls, so each path
+stays on one side of the threshold iff its end does: a node is decided by
+the ends of its paths alone, and below the root a left child is tested for
+Rate-0 only and a right child for Rate-1 only.  scan_edge_profile counts
+each level's frontier and drops it.
 """
 
 from __future__ import annotations
@@ -112,37 +114,31 @@ def _tree(levels: Iterator[Level]) -> SscTree:
     return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
 
 
-def _stays(z: np.ndarray, steps: int, inside, step) -> np.ndarray:
-    """Indices of the z whose orbit z, step(z), .., step^steps(z) stays `inside`."""
-    keep = np.flatnonzero(inside(z))
-    y = z[keep]
+def _path_end(z: np.ndarray, steps: int, step) -> np.ndarray:
+    """step^steps(z): the end of each z's all-plus or all-minus path."""
     for _ in range(steps):
-        if not keep.size:
-            break
-        y = step(y)
-        ok = inside(y)
-        keep, y = keep[ok], y[ok]
-    return keep
+        z = step(z)
+    return z
 
 
 def _channel_classifier(threshold: float) -> Classifier:
     # A node is Rate-1 iff its worst leaf, reached on the all-minus path, is
     # under the freezing threshold, and Rate-0 iff its best leaf, on the
-    # all-plus path, is at or above it.  Every step of the path is tested, as
-    # in a per-node loop that stops at the first step out of range.
+    # all-plus path, is at or above it, with every step of the path in range.
     # For an IEEE double z in [0, 1], z <= z_minus(z) <= 1 and z_plus(z) <= z
     # (2z is exact and rounding is monotone, so fl(z*z) <= z): the all-minus
-    # path only climbs and the all-plus path only falls.  A MIXED node's
-    # all-minus path has left [0, threshold), so its left child, on that
-    # path, is not Rate-1; likewise its right child is not Rate-0.  Below
-    # the root, left children sit at even positions, right ones at odd.
+    # path only climbs and the all-plus path only falls, so a path stays in
+    # range iff its end does, and one comparison at the end decides each
+    # node.  A MIXED node's left child's all-minus path ends at the node's
+    # worst leaf, so that child is not Rate-1; likewise its right child's
+    # all-plus path ends at its best leaf, so that child is not Rate-0.
+    # Below the root, left children sit at even positions, right ones at odd.
     def classify(z, _index, s):
         step = 2 if z.size > 1 else 1  # the root is the only level of odd size
-        left, right = slice(0, None, step), slice(step - 1, None, step)
         rate0 = np.zeros(z.size, dtype=bool)
         rate1 = np.zeros(z.size, dtype=bool)
-        rate0[left][_stays(z[left], s, lambda y: y >= threshold, z_plus)] = True
-        rate1[right][_stays(z[right], s, lambda y: y < threshold, z_minus)] = True
+        rate0[0::step] = _path_end(z[0::step], s, z_plus) >= threshold
+        rate1[step - 1::step] = _path_end(z[step - 1::step], s, z_minus) < threshold
         return rate0, rate1
 
     return classify
@@ -181,8 +177,9 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
 
     Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
-    never materializes the 2^n leaves, so it reaches n = 27.  Time and
-    memory are O(pruned nodes); scan_edge_profile needs only the frontier.
+    never materializes the 2^n leaves, so it reaches n = 27.  Memory is
+    O(pruned nodes) and time O(n * pruned nodes), an orbit of up to n steps
+    a node; scan_edge_profile needs only the frontier.
     Rejects n < 1 and pe outside (0, 1), as build_code does.
     """
     return _tree(_scan(channel, n, pe))
@@ -193,7 +190,7 @@ def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
 
     Equal to scan_ssc_tree(...).edge_profile(), but keeps only the frontier:
     each level is counted and dropped, so memory is O(largest level) and
-    time O(pruned nodes), not O(2^n).  The leaves are never classified.
+    time O(n * pruned nodes), not O(2^n).  The leaves are never classified.
     """
     mixed = [z.size - np.count_nonzero(rate0) - np.count_nonzero(rate1)
              for z, rate0, rate1 in islice(_scan(channel, n, pe), n)]

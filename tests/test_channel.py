@@ -212,7 +212,9 @@ class TestZTransforms:
     @example(2.2250738585072014e-308)
     def test_polarization_ordering(self, z):
         # the monotone-path lemma the pruned-tree scan relies on: the
-        # all-minus path only climbs and the all-plus path only falls
+        # all-minus path only climbs and the all-plus path only falls, so a
+        # path stays on one side of the freezing threshold iff its end does,
+        # and the scan decides each node by the ends of its paths
         assert 0.0 <= z_plus(z) <= z <= z_minus(z) <= 1.0
 
     @given(st.floats(min_value=0.0, max_value=1.0))

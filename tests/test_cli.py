@@ -329,13 +329,19 @@ def _subcommands(tmp_path):
     }
 
 
+@pytest.fixture
+def subcommands(tmp_path):
+    # the code files are written once a test, not once an example
+    return _subcommands(tmp_path)
+
+
 @pytest.mark.parametrize("command", ["construct", "latency", "simulate", "sweep", "bound"])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_argv_exits_cleanly(capsys, tmp_path, command, data):
+def test_any_argv_exits_cleanly(capsys, subcommands, command, data):
     # every outcome is an exit code: 0, 2 for usage or validation, 3 for I/O
-    argv = [command] + data.draw(_subcommands(tmp_path)[command])
+    argv = [command] + data.draw(subcommands[command])
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the command line

@@ -206,8 +206,10 @@ class TestStreamingScan:
     @example(z0=0.5, pe=1e-3, n=16)
     @example(z0=0.5, pe=math.nextafter(1.0, 0.0), n=12)
     def test_scan_equals_reference_for_any_z0(self, z0, pe, n):
-        # the scan tests each child for one kind only; the reference tests
-        # both kinds at every node
+        # the scan decides a node by the ends of its paths and tests each
+        # child for one kind only; the reference tests both kinds at every
+        # step of every path.  They agree by the monotone-path lemma
+        # (test_channel.py::TestZTransforms::test_polarization_ordering).
         channel = bec(z0)
         tree = scan_ssc_tree(channel, n, pe)
         assert tree_levels(tree) == reference_pruned_levels(channel, n, pe)
