@@ -302,7 +302,9 @@ _POLICY = _group(
     [("--p", _P), ("--policy", _POLICIES), ("--mu", _FLOATS)])
 
 
-def _subcommands(tmp_path):
+@pytest.fixture
+def subcommands(tmp_path):
+    # a fixture, so the code files are written once a test, not once an example
     out = str(tmp_path / "out")
     outs = st.sampled_from([out, out, out, str(tmp_path / "missing" / "out")])
     code = tmp_path / "good.code"
@@ -327,12 +329,6 @@ def _subcommands(tmp_path):
         "bound": _concat(_maybe("--n", _SMALL_N), _maybe("--nmax", _SMALL_N), _POLICY,
                          _maybe("--c", _leaning("1")), _maybe("--eps", _leaning("0.5"))),
     }
-
-
-@pytest.fixture
-def subcommands(tmp_path):
-    # the code files are written once a test, not once an example
-    return _subcommands(tmp_path)
 
 
 @pytest.mark.parametrize("command", ["construct", "latency", "simulate", "sweep", "bound"])
