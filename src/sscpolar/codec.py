@@ -39,6 +39,15 @@ so the left bit is tanh(a0/2)*tanh(a1/2) < 0, and the right bit is
 a1 + (1-2c)*a0 < 0 without G's clamp.  A frozen left leaf has c = 0, so G
 is a1 + a0, and a frozen right leaf needs no G.
 
+On the BEC every LLR is -LLR_CAP, +-0 or +LLR_CAP, and that set is closed
+under both ops: the channel gives only these values; F's tanh(+-LLR_CAP/2)
+rounds to +-1.0, so F's product is +-1 or +-0, and arctanh(+-1) = +-inf
+clamps to +-LLR_CAP; G's sum lies in {0, +-LLR_CAP, +-2*LLR_CAP}, which its
+clamp maps back into the set.  On the set F equals a0*a1/LLR_CAP bit for
+bit, the sign of zero included, since LLR_CAP^2 and LLR_CAP^2/LLR_CAP are
+exact; sc_ssc_agreement decodes BEC frames with that kernel, _f_erasure,
+in all of its F ops.
+
 Monte Carlo frames come from one seeded stream per trial, message bits
 first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
 time, so every frame equals the per-frame path bit for bit.
@@ -48,11 +57,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import LLR_CAP, BmsChannel, _check_bits, _draw, _llrs
+from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
 from .construct import PolarCode
 from .latency import NodeKind, SscTree, _mask_classifier, _tree, _walk, build_ssc_tree
 
@@ -233,6 +242,21 @@ def _f(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
     _clamp(o)
 
 
+def _f_erasure(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
+    """F into o for a's halves a0, a1 whose entries are all -LLR_CAP, +-0 or +LLR_CAP.
+
+    There _f's result is a0*a1/LLR_CAP bit for bit (see the module docstring),
+    which costs two ufunc passes and no scratch: t is unused.
+    """
+    h = o.shape[0]
+    np.multiply(a[:h], a[h:], out=o)
+    o /= LLR_CAP
+
+
+# An F kernel: _f, or _f_erasure on erasure-channel LLRs
+FKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
 def _g(a: np.ndarray, c: np.ndarray, o: np.ndarray) -> None:
     """G into o, unclamped: a1 + (1-2c)*a0 for a's halves a0, a1 and the left child's bits c."""
     h = o.shape[0]
@@ -269,9 +293,9 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(total <= _LOG_TIE_FREE)
 
 
-def _execute(ops: Iterable[Op], llr: np.ndarray,
+def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
              check: Optional[_Rate1Check] = None) -> np.ndarray:
-    """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
+    """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j, with F kernel f.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
@@ -286,7 +310,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
     a Rate-1 node above level 1 differ from SSC's.  A node with a tie frame
     checks inline, as it runs SC anyway.  Every other such node only saves
     its input, and once the pass's level buffers are freed,
-    check.finish() runs SC on each level's saved inputs at once.
+    check.finish(f) runs SC on each level's saved inputs at once.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -296,16 +320,16 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
-        _run(ops, A, T, B, {} if check is None else check.inside, check)
+        _run(ops, A, T, B, {} if check is None else check.inside, check, f)
         if check is not None:
             del A, T
-            check.finish()
+            check.finish(f)
     return B
 
 
 def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
-         inside: dict[int, list[Op]], check: Optional[_Rate1Check]) -> None:
-    """_execute's loop over its level buffers A, scratch T and partial sums B.
+         inside: dict[int, list[Op]], check: Optional[_Rate1Check], f: FKernel) -> None:
+    """_execute's loop over its level buffers A, scratch T and partial sums B, with F kernel f.
 
     `inside` holds SC's schedule inside a Rate-1 node, by level, so each
     level compiles once.  With `check`, a Rate-1 node above level 1 that
@@ -315,7 +339,7 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
     for op, s, lo in ops:
         if op == F:
             h = 1 << (s - 1)
-            _f(A[s], A[s - 1], T[:h])
+            f(A[s], A[s - 1], T[:h])
         elif op == G:
             h = 1 << (s - 1)
             o = A[s - 1]
@@ -353,7 +377,7 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
             if s not in inside:
                 inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
             # SC's bits into b; its ops write LLRs only below level s, so a stays
-            _run(inside[s], A, T, b, inside, None)
+            _run(inside[s], A, T, b, inside, None, f)
             d = np.less(a, 0.0)
             d ^= b  # where the hard decision differs from SC
             d[:, ties] = False  # ties keep SC's bits
@@ -370,8 +394,8 @@ class _Rate1Check:
     schedule inside one; sc_ssc_agreement builds one check a call, for
     batches of up to `frames` frames, and start()s it at each batch.
     save() writes a node's input into its level's (2^s, nodes[s] * frames)
-    buffer, node after node, and finish() decodes the filled part of each
-    level's buffer with `inside[s]` once and sets `diverged`.
+    buffer, node after node, and finish(f) decodes the filled part of each
+    level's buffer with `inside[s]` and F kernel f once and sets `diverged`.
     """
 
     def __init__(self, nodes: dict[int, int], inside: dict[int, list[Op]], frames: int):
@@ -392,29 +416,29 @@ class _Rate1Check:
         self.saved[s][:, j:j + frames] = a
         self.used[s] += 1
 
-    def finish(self) -> None:
+    def finish(self, f: FKernel) -> None:
         frames = self.diverged.size
         for s, x in self.saved.items():
             if self.used[s]:
                 x = x[:, :self.used[s] * frames]
-                self.diverged |= _rate1_divergence(self.inside[s], x, frames).any(axis=0)
+                self.diverged |= _rate1_divergence(self.inside[s], x, frames, f).any(axis=0)
 
 
-def _rate1_divergence(ops: list[Op], x: np.ndarray, frames: int) -> np.ndarray:
-    """(nodes, frames) bool: where SC's bits differ from the hard decision.
+def _rate1_divergence(ops: list[Op], x: np.ndarray, frames: int, f: FKernel) -> np.ndarray:
+    """(nodes, frames) bool: where SC's bits, with F kernel f, differ from the hard decision.
 
     x holds the inputs of Rate-1 nodes of one size side by side, `frames`
     columns each, and ops is SC's schedule inside one.
     """
-    d = _execute(ops, x)
+    d = _execute(ops, x, f)
     d ^= np.less(x, 0.0)
     return d.any(axis=0).reshape(-1, frames)
 
 
-def _decode(ops: Iterable[Op], llr: np.ndarray,
+def _decode(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
             check: Optional[_Rate1Check] = None) -> np.ndarray:
-    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
-    x = _execute(ops, llr, check).view(np.uint8)
+    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs, with F kernel f."""
+    x = _execute(ops, llr, f, check).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
@@ -433,7 +457,7 @@ def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
     llrs = _check_llrs(code, llrs)
-    u = _decode(sc_schedule(code.frozen), llrs)
+    u = _decode(sc_schedule(code.frozen), llrs, _f)
     return np.ascontiguousarray(u.T)
 
 
@@ -459,7 +483,7 @@ def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
     to sc_decode_batch on every frame.
     """
     llrs = _check_llrs(code, llrs)
-    u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs)
+    u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs, _f)
     return np.ascontiguousarray(u.T)
 
 
@@ -552,9 +576,14 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     _tie_frames' bound, SC's bits equal the hard decision on a node with
     no tie frame, so the deferred check finds a divergence only if that
     conservative bound is wrong: what it verifies is the bound.
+
+    On the BEC every F runs as _f_erasure, which equals _f on its LLRs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    f = _f_erasure if channel.kind is ChannelKind.BEC else _f
     ops = list(ssc_schedule(build_ssc_tree(code)))
     nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
     inside = {s: list(sc_schedule(np.zeros(1 << s, dtype=bool))) for s in nodes}
@@ -564,7 +593,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         if check is None:  # the first batch is the largest
             check = _Rate1Check(nodes, inside, llr.shape[1])
         check.start(llr.shape[1])
-        u_ssc = _decode(ops, llr, check)
+        u_ssc = _decode(ops, llr, f, check)
         agree += llr.shape[1] - int(np.count_nonzero(check.diverged))
         errors += _frame_errors(code, msg, u_ssc)
         del u_ssc  # before the next batch's pass

@@ -42,10 +42,12 @@ from sscpolar.codec import (
     _decode,
     _execute,
     _f,
+    _f_erasure,
     _frame_batches,
     _g,
     _rate1_divergence,
     _sc_tree,
+    _tie_frames,
 )
 
 from conftest import EXAMPLE8_FROZEN, reference_sc
@@ -117,6 +119,48 @@ class TestFKernel:
     @given(moderate_llr, moderate_llr)
     def test_magnitude_contraction(self, a, b):
         assert abs(f_arm(a, b)) <= min(abs(a), abs(b)) + 1e-6
+
+
+# the BEC's LLRs: every value that F and G give from the channel's
+ERASURE_LLRS = np.array([-LLR_CAP, -0.0, 0.0, LLR_CAP])
+
+
+def f_block(kernel, a):
+    """A kernel's F of the (2h, frames) block a, as an (h, frames) array."""
+    o, t = np.empty((a.shape[0] // 2, a.shape[1])), np.empty((a.shape[0] // 2, a.shape[1]))
+    with np.errstate(divide="ignore"):
+        kernel(a, o, t)
+    return o
+
+
+class TestFErasureKernel:
+    """_f_erasure is _f bit for bit on the BEC's LLRs."""
+
+    def test_premises(self):
+        # _f's tanh of a saturated LLR is exactly +-1, and its arctanh of 1 is
+        # inf, which the clamp takes to LLR_CAP: a numpy that changes either
+        # breaks _f_erasure's equality with _f
+        assert np.tanh(LLR_CAP / 2) == 1.0
+        assert np.tanh(-LLR_CAP / 2) == -1.0
+        with np.errstate(divide="ignore"):
+            assert np.arctanh(1.0) == np.inf
+
+    def test_all_sixteen_pairs_bitwise(self):
+        a = np.array(list(itertools.product(ERASURE_LLRS, repeat=2))).T  # (2, 16)
+        expected = f_block(_f, a)
+        assert np.array_equal(f_block(_f_erasure, a).view(np.uint64), expected.view(np.uint64))
+        # both signs of zero come out, so the comparison sees the sign bit
+        assert {str(x) for x in expected[0]} == {"-300.0", "-0.0", "0.0", "300.0"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(log_h=st.integers(min_value=0, max_value=7),
+           frames=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_random_blocks_bitwise(self, log_h, frames, seed):
+        rng = np.random.default_rng(seed)
+        a = ERASURE_LLRS[rng.integers(0, 4, (2 << log_h, frames))]
+        assert np.array_equal(f_block(_f_erasure, a).view(np.uint64),
+                              f_block(_f, a).view(np.uint64))
 
 
 class TestGKernel:
@@ -500,8 +544,11 @@ class TestMonteCarlo:
 
     def test_trials_validated(self, bec_half):
         code = build_code(bec_half, 4, 1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials"):
             sc_ssc_agreement(code, bec_half, 0, seed=0)
+        for batch in (0, -3):
+            with pytest.raises(ValueError, match="batch"):
+                sc_ssc_agreement(code, bec_half, 10, seed=0, batch=batch)
 
     def test_batch_boundary_does_not_change_result(self, bec_half):
         code = build_code(bec_half, 5, 1e-2)
@@ -548,6 +595,48 @@ class TestMonteCarlo:
             assert np.array_equal(msg, bits)
             assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))  # signed zeros too
 
+    @settings(max_examples=40, deadline=None)
+    @given(cap=st.floats(min_value=0.0, max_value=1.0),
+           n=st.integers(min_value=1, max_value=10),
+           batch=st.sampled_from((1, 7, 1024)),
+           trials=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_bec_frames_hold_only_erasure_llrs(self, cap, n, batch, trials, seed):
+        # _f_erasure's premise: BEC frames hold -LLR_CAP, +0.0 and +LLR_CAP only
+        channel = make_channel(ChannelKind.BEC, 1.0 - cap)
+        code = build_code(channel, n, 1e-3)
+        allowed = np.array([-LLR_CAP, 0.0, LLR_CAP]).view(np.uint64)
+        for _msg, llr in _frame_batches(code, channel, trials, seed, batch):
+            assert np.isin(llr.view(np.uint64), allowed).all()
+
+    @pytest.mark.parametrize("kind, used, unused", [
+        (ChannelKind.BEC, "_f_erasure", "_f"),
+        (ChannelKind.BAWGNC, "_f", "_f_erasure"),
+    ])
+    def test_channel_picks_the_f_kernel(self, monkeypatch, kind, used, unused):
+        # The code's frozen and information blocks of 4 make Rate-1 nodes with
+        # and without tie frames on the BEC, so its F ops run in the shared
+        # pass, inline in tie nodes and after the pass.
+        calls, ties = Counter(), Counter()
+        for name, kernel in (("_f", _f), ("_f_erasure", _f_erasure)):
+            def spy(a, o, t, name=name, kernel=kernel):
+                calls[name] += 1
+                kernel(a, o, t)
+            monkeypatch.setattr(f"sscpolar.codec.{name}", spy)
+
+        def tie_spy(a, t):
+            frames = _tie_frames(a, t)
+            ties[bool(frames.size)] += 1
+            return frames
+
+        monkeypatch.setattr("sscpolar.codec._tie_frames", tie_spy)
+        channel = channel_from_capacity(kind, 0.5)
+        code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
+        sc_ssc_agreement(code, channel, 24, 5, 7)
+        assert calls[used] > 0 and calls[unused] == 0
+        if kind is ChannelKind.BEC:
+            assert ties[True] > 0 and ties[False] > 0
+
     @pytest.mark.parametrize("kind, n, trials, digest", [
         (ChannelKind.BEC, 10, 2048,
          "a9cbdd4bd93b09fce224c97e496fd9d048ab83730c02800101b4a075274eed32"),
@@ -592,20 +681,20 @@ class TestMonteCarlo:
             for _u, llr in _frame_batches(code, channel, trials, 5, batch):
                 batches.append(llr.shape[1])
                 levels += [(2 ** s, m * llr.shape[1]) for s, m in rate1.items()]
-                u_sc = _decode(sc_schedule(code.frozen), llr)
-                u_ssc = _decode(ssc_schedule(tree), llr)
+                u_sc = _decode(sc_schedule(code.frozen), llr, _f)
+                u_ssc = _decode(ssc_schedule(tree), llr, _f)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
             passes, checks, nodes = [], [], []
 
-            def count_passes(ops, llr, check=None):
+            def count_passes(ops, llr, f, check=None):
                 if llr.shape[0] == code.N and check is not None:
                     passes.append(llr.shape[1])
                 else:  # SC inside one level's Rate-1 nodes, after a pass
                     checks.append(llr.shape)
-                return _execute(ops, llr, check)
+                return _execute(ops, llr, f, check)
 
-            def node_divergence(ops, x, frames):
-                d = _rate1_divergence(ops, x, frames)
+            def node_divergence(ops, x, frames, f):
+                d = _rate1_divergence(ops, x, frames, f)
                 nodes.append(d)
                 return d
 
@@ -651,12 +740,31 @@ class TestMonteCarlo:
             m.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
             expected = errors = 0
             for msg, llr in _frame_batches(code, noisy, trials, seed, batch):
-                u_sc = _decode(sc_schedule(code.frozen), llr)
-                u_ssc = _decode(ssc_schedule(tree), llr)
+                u_sc = _decode(sc_schedule(code.frozen), llr, _f)
+                u_ssc = _decode(ssc_schedule(tree), llr, _f)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
                 errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
             result = sc_ssc_agreement(code, noisy, trials, seed, batch)
         assert result == (expected, trials, errors / trials)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10),
+           log_block=st.integers(min_value=0, max_value=10),
+           pattern=st.integers(min_value=0, max_value=2 ** 1024 - 1),
+           batch=st.sampled_from((1, 7, 1024)),
+           trials=st.integers(min_value=1, max_value=24),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(n=10, log_block=2, pattern=3893328472462677366, batch=7, trials=24,
+             seed=3855495969)
+    def test_bec_agreement_equals_decoding_alone(self, n, log_block, pattern, batch,
+                                                 trials, seed):
+        bec_agreement_equals_decoding_alone(n, log_block, pattern, batch, trials, seed)
+
+    def test_bec_agreement_runs_sc_in_tie_nodes(self):
+        # No frame of a code that build_code makes at BEC I = 0.5 holds a tie
+        # in a Rate-1 node, so a block-structured code pins the inline path.
+        assert bec_agreement_equals_decoding_alone(10, 2, 3893328472462677366, 7, 24,
+                                                   3855495969) > 0
 
     def test_batches_fit_the_frame_bit_budget(self, bec_half, monkeypatch):
         # the benchmark's simulate runs keep their batches: 1024 frames at
@@ -668,3 +776,35 @@ class TestMonteCarlo:
         assert [llr.shape[1] for _u, llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
             == [7] * 7 + [1]
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
+
+
+def bec_agreement_equals_decoding_alone(n, log_block, pattern, batch, trials, seed):
+    """sc_ssc_agreement on a block-structured code at BEC I = 0.5 equals SC and
+    SSC decoded alone with _f; returns how many Rate-1 nodes ran SC inline.
+
+    Bit i of `pattern` freezes block i of 2^log_block leaves.  _tie_frames is
+    live, so Rate-1 nodes with an erased input run SC inline in the pass.
+    """
+    bec = make_channel(ChannelKind.BEC, 0.5)
+    size = 2 ** min(log_block, n)
+    frozen = np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
+    code = code_from_frozen(bec, frozen, 1e-2)
+    tree = build_ssc_tree(code)
+    expected = errors = 0
+    for msg, llr in _frame_batches(code, bec, trials, seed, batch):
+        u_sc = _decode(sc_schedule(code.frozen), llr, _f)
+        u_ssc = _decode(ssc_schedule(tree), llr, _f)
+        expected += int((u_sc == u_ssc).all(axis=0).sum())
+        errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
+    inline = []
+
+    def tie_spy(a, t):
+        frames = _tie_frames(a, t)
+        inline.append(bool(frames.size))
+        return frames
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("sscpolar.codec._tie_frames", tie_spy)
+        result = sc_ssc_agreement(code, bec, trials, seed, batch)
+    assert result == (expected, trials, errors / trials)
+    return sum(inline)
