@@ -729,23 +729,10 @@ class TestMonteCarlo:
     def test_agreement_equals_decoding_alone(self, n, log_block, pattern, batch, trials, seed):
         # With no tie frames SSC hard-decides its ties, so on a noisy channel
         # it disagrees with SC on some frames: the examples have 8 to 13 such
-        # frames each.  Bit i of `pattern` freezes block i of 2^log_block
-        # leaves, so the codes have Rate-1 nodes of many sizes.
-        noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
-        size = 2 ** min(log_block, n)
-        frozen = np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
-        code = code_from_frozen(noisy, frozen, 1e-2)
-        tree = build_ssc_tree(code)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
-            expected = errors = 0
-            for msg, llr in _frame_batches(code, noisy, trials, seed, batch):
-                u_sc = _decode(sc_schedule(code.frozen), llr, _f)
-                u_ssc = _decode(ssc_schedule(tree), llr, _f)
-                expected += int((u_sc == u_ssc).all(axis=0).sum())
-                errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
-            result = sc_ssc_agreement(code, noisy, trials, seed, batch)
-        assert result == (expected, trials, errors / trials)
+        # frames each.
+        agreement_equals_decoding_alone(channel_from_capacity(ChannelKind.BAWGNC, 0.2),
+                                        lambda a, t: np.empty(0, np.intp),
+                                        n, log_block, pattern, batch, trials, seed)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=1, max_value=10),
@@ -758,13 +745,17 @@ class TestMonteCarlo:
              seed=3855495969)
     def test_bec_agreement_equals_decoding_alone(self, n, log_block, pattern, batch,
                                                  trials, seed):
-        bec_agreement_equals_decoding_alone(n, log_block, pattern, batch, trials, seed)
+        # _tie_frames is live: a Rate-1 node with an erased input runs SC inline
+        agreement_equals_decoding_alone(make_channel(ChannelKind.BEC, 0.5), _tie_frames,
+                                        n, log_block, pattern, batch, trials, seed)
 
     def test_bec_agreement_runs_sc_in_tie_nodes(self):
         # No frame of a code that build_code makes at BEC I = 0.5 holds a tie
-        # in a Rate-1 node, so a block-structured code pins the inline path.
-        assert bec_agreement_equals_decoding_alone(10, 2, 3893328472462677366, 7, 24,
-                                                   3855495969) > 0
+        # in a Rate-1 node, so the property's block-structured example pins
+        # the inline path.
+        assert agreement_equals_decoding_alone(make_channel(ChannelKind.BEC, 0.5), _tie_frames,
+                                               10, 2, 3893328472462677366, 7, 24,
+                                               3855495969) > 0
 
     def test_batches_fit_the_frame_bit_budget(self, bec_half, monkeypatch):
         # the benchmark's simulate runs keep their batches: 1024 frames at
@@ -778,33 +769,35 @@ class TestMonteCarlo:
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
 
 
-def bec_agreement_equals_decoding_alone(n, log_block, pattern, batch, trials, seed):
-    """sc_ssc_agreement on a block-structured code at BEC I = 0.5 equals SC and
-    SSC decoded alone with _f; returns how many Rate-1 nodes ran SC inline.
+def agreement_equals_decoding_alone(channel, tie_frames, n, log_block, pattern, batch, trials,
+                                    seed):
+    """Check that sc_ssc_agreement equals SC and SSC decoded alone with _f, with
+    codec._tie_frames replaced by tie_frames; return how many Rate-1 nodes of
+    sc_ssc_agreement's passes ran SC inline for a tie frame.
 
-    Bit i of `pattern` freezes block i of 2^log_block leaves.  _tie_frames is
-    live, so Rate-1 nodes with an erased input run SC inline in the pass.
+    Bit i of `pattern` freezes block i of 2^log_block leaves, so the codes
+    have Rate-1 nodes of many sizes.
     """
-    bec = make_channel(ChannelKind.BEC, 0.5)
     size = 2 ** min(log_block, n)
     frozen = np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
-    code = code_from_frozen(bec, frozen, 1e-2)
+    code = code_from_frozen(channel, frozen, 1e-2)
     tree = build_ssc_tree(code)
-    expected = errors = 0
-    for msg, llr in _frame_batches(code, bec, trials, seed, batch):
-        u_sc = _decode(sc_schedule(code.frozen), llr, _f)
-        u_ssc = _decode(ssc_schedule(tree), llr, _f)
-        expected += int((u_sc == u_ssc).all(axis=0).sum())
-        errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
     inline = []
 
     def tie_spy(a, t):
-        frames = _tie_frames(a, t)
-        inline.append(bool(frames.size))
+        frames = tie_frames(a, t)
+        inline.append(frames.size > 0)
         return frames
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr("sscpolar.codec._tie_frames", tie_frames)
+        expected = errors = 0
+        for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+            u_sc = _decode(sc_schedule(code.frozen), llr, _f)
+            u_ssc = _decode(ssc_schedule(tree), llr, _f)
+            expected += int((u_sc == u_ssc).all(axis=0).sum())
+            errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
         m.setattr("sscpolar.codec._tie_frames", tie_spy)
-        result = sc_ssc_agreement(code, bec, trials, seed, batch)
+        result = sc_ssc_agreement(code, channel, trials, seed, batch)
     assert result == (expected, trials, errors / trials)
     return sum(inline)
