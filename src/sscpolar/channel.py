@@ -212,8 +212,10 @@ def bsc_llr_magnitude(p: float) -> float:
 
 
 def _check_bits(u) -> np.ndarray:
-    """u as an array, after checking that every entry is 0 or 1."""
+    """u as an array of at least one axis, after checking that every entry is 0 or 1."""
     u = np.asarray(u)
+    if u.ndim == 0:
+        raise ValueError("bit vectors must have at least one axis, got a 0-d array")
     if u.dtype != bool and not ((u == 0) | (u == 1)).all():
         raise ValueError("bit vectors must hold only 0 and 1")
     return u

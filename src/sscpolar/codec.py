@@ -8,23 +8,20 @@ to plain successive cancellation on every input.
 Both decoders are one schedule compiler and one executor.  A level-wise
 tree compiles into a stream of ops, one for each tree edge or pair of
 edges, so they count the per-level edges the latency model charges
-(schedule_profile).  SSC is the schedule of the pruned SscTree.  SC is the
-schedule of the Rate-0-pruned tree, built by the same level-wise walk:
-every all-frozen subtree is one Rate-0 node, every other internal node is
-MIXED, and Rate-1 marks only the leaves, since SC decides each information
-bit on its own.  So SC's schedule is SSC's with each Rate-1 node expanded
-into SC's schedule of an all-information code of its size, shifted to its
-leaves, and sc_ssc_agreement decodes both in one pass over SSC's schedule
-that computes each shared LLR once.  In that pass a Rate-1 node above
-level 1 hard-decides, as SSC does, and saves its input LLRs; after the
-pass, SC's schedule for a Rate-1 node of each size decodes all the saved
-inputs of that size at once, one run a level, and a frame diverges where
-SC's bits differ from the hard decision.  A node where some frame holds a
-tie runs SC inside itself in the pass instead, since SSC takes SC's bits
-on its tie frames.  The executor runs a schedule over frame-interleaved
-buffers: level s holds one (2^s, frames) LLR array, so a node's halves are
-contiguous row blocks, and one (N, frames) array holds the partial sums in
-place.
+(schedule_profile).  SSC is the schedule of the pruned SscTree.  SC decides
+each information bit on its own, so inside a Rate-1 node it runs _inside,
+the schedule of the complete tree whose leaves are all information, and
+SC's schedule is SSC's with each Rate-1 node replaced by _inside, shifted
+to its leaves.  A Rate-1 node above level 1 hard-decides, unless a frame
+holds a tie there: SSC then takes SC's bits on the tie frames, from
+_inside run on those frames' inputs.  sc_ssc_agreement decodes both in one
+pass over SSC's schedule that computes each shared LLR once; each Rate-1
+node above level 1 saves its input and its bits, and after the pass
+_inside decodes all the saved inputs of each level at once, and a frame
+diverges where SC's bits differ from the saved ones.  The executor runs a
+schedule over frame-interleaved buffers: level s holds one (2^s, frames)
+LLR array, so a node's halves are contiguous row blocks, and one
+(N, frames) array holds the partial sums in place.
 
 Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
 node above level 1 runs F, G and COMBINE, except that the F or G into a
@@ -63,7 +60,7 @@ import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
 from .construct import PolarCode
-from .latency import NodeKind, SscTree, _mask_classifier, _tree, _walk, build_ssc_tree
+from .latency import NodeKind, SscTree, _mask_tree, build_ssc_tree
 
 
 def _butterflies(x: np.ndarray, m: int, unit: int) -> np.ndarray:
@@ -170,29 +167,33 @@ def _compile(levels: Sequence[Iterable[int]]) -> Iterator[Op]:
                 yield (F, s, lo)
 
 
-def _sc_tree(frozen: np.ndarray) -> SscTree:
-    """SC's decoding tree: each all-frozen subtree is one Rate-0 node.
-
-    SC decides every information bit at its own leaf, so Rate-1 marks only
-    leaves.  Built by the walk that builds the pruned tree, from z0 = 1:
-    the compiler reads only the kinds, so the z are not a channel's.
-    """
-    by_mask = _mask_classifier(frozen)
-
-    def classify(z, index, s):
-        rate0, rate1 = by_mask(z, index, s)
-        return rate0, rate1 & (s == 0)
-
-    return _tree(_walk(1.0, frozen.size.bit_length() - 1, classify, indexed=True))
+def _inside(s: int) -> Iterator[Op]:
+    """SC's ops inside a Rate-1 node at level s: the complete tree, every leaf information."""
+    return _compile([bytes([NodeKind.MIXED if t else NodeKind.RATE1]) * (1 << (s - t))
+                     for t in range(s + 1)])
 
 
 def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
-    """SC's ops: the Rate-0-pruned tree, every other internal node MIXED, leaves from the mask."""
+    """SC's ops: SSC's schedule of the mask's pruned tree, each Rate-1 node expanded.
+
+    SC decides every information bit at its own leaf, so inside a Rate-1
+    node it runs _inside, shifted to the node's leaves; at level 1 that is
+    the one INFO_INFO op.
+    """
     frozen = np.asarray(frozen, dtype=bool)
     N = frozen.size
     if frozen.ndim != 1 or N == 0 or N & (N - 1):
         raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
-    return ssc_schedule(_sc_tree(frozen))
+
+    def expand(ops: Iterable[Op]) -> Iterator[Op]:
+        for op, s, lo in ops:
+            if op == RATE1:
+                yield from ((o, t, lo + x) for o, t, x in _inside(s))
+            else:
+                yield op, s, lo
+
+    # the compiler reads only the kinds, so the z need not be a channel's
+    return expand(ssc_schedule(_mask_tree(frozen, 1.0)))
 
 
 def ssc_schedule(tree: SscTree) -> Iterator[Op]:
@@ -300,17 +301,8 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  A Rate-1 node above level 1 hard-decides, unless
-    a frame holds a tie there: then it runs SC's schedule, which for it is
-    the unpruned tree, in the level buffers below the node, and keeps SC's
-    bits on the tie frames only.
-
-    With `check`, this is the shared pass of sc_ssc_agreement over SSC's
-    schedule, and it sets check.diverged[j] where frame j's SC bits inside
-    a Rate-1 node above level 1 differ from SSC's.  A node with a tie frame
-    checks inline, as it runs SC anyway.  Every other such node only saves
-    its input, and once the pass's level buffers are freed,
-    check.finish(f) runs SC on each level's saved inputs at once.
+    of the partial sums.  With `check`, every Rate-1 node above level 1
+    saves its input and its bits into it.
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -320,22 +312,13 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
-        _run(ops, A, T, B, {} if check is None else check.inside, check, f)
-        if check is not None:
-            del A, T
-            check.finish(f)
+        _run(ops, A, T, B, check, f)
     return B
 
 
 def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
-         inside: dict[int, list[Op]], check: Optional[_Rate1Check], f: FKernel) -> None:
-    """_execute's loop over its level buffers A, scratch T and partial sums B, with F kernel f.
-
-    `inside` holds SC's schedule inside a Rate-1 node, by level, so each
-    level compiles once.  With `check`, a Rate-1 node above level 1 that
-    hard-decides saves its input there, and one that runs SC sets
-    check.diverged on the frames where its hard decision differs from SC's.
-    """
+         check: Optional[_Rate1Check], f: FKernel) -> None:
+    """_execute's loop over its level buffers A, scratch T and partial sums B, with F kernel f."""
     for op, s, lo in ops:
         if op == F:
             h = 1 << (s - 1)
@@ -366,72 +349,64 @@ def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
                     _g(a, b[:1], t[1:])
                     np.less(t[1], 0.0, out=b[1])
                     b[0] ^= b[1]
-        elif op == RATE1:  # above level 1; ties (llr exactly 0) decide bit 0
+        elif op == RATE1:  # above level 1: the hard decision, or SC's bits on tie frames
             a, b = A[s], B[lo:lo + (1 << s)]
+            np.less(a, 0.0, out=b)
             ties = _tie_frames(a, T[:1 << (s - 1)])
-            if not ties.size:
-                np.less(a, 0.0, out=b)
-                if check is not None:
-                    check.save(a)
-                continue
-            if s not in inside:
-                inside[s] = list(sc_schedule(np.zeros(1 << s, dtype=bool)))
-            # SC's bits into b; its ops write LLRs only below level s, so a stays
-            _run(inside[s], A, T, b, inside, None, f)
-            d = np.less(a, 0.0)
-            d ^= b  # where the hard decision differs from SC
-            d[:, ties] = False  # ties keep SC's bits
-            b ^= d
+            if ties.size:
+                b[:, ties] = _execute(_inside(s), a[:, ties], f)
             if check is not None:
-                check.diverged |= d.any(axis=0)
+                check.save(a, b)
         # RATE0: a frozen node's partial sums stay 0
 
 
 class _Rate1Check:
     """The check that SC decides as SSC inside every Rate-1 node above level 1.
 
-    `nodes[s]` counts SSC's Rate-1 nodes at level s and `inside[s]` is SC's
-    schedule inside one; sc_ssc_agreement builds one check a call, for
-    batches of up to `frames` frames, and start()s it at each batch.
-    save() writes a node's input into its level's (2^s, nodes[s] * frames)
-    buffer, node after node, and finish(f) decodes the filled part of each
-    level's buffer with `inside[s]` and F kernel f once and sets `diverged`.
+    sc_ssc_agreement builds one check a call from SSC's schedule `ops`, for
+    batches of up to `frames` frames, and start()s it at each batch.  Level
+    s holds the Rate-1 nodes there side by side: save() writes a node's
+    input LLRs and SSC's bits into the level's (2^s, nodes * frames) float
+    and bool buffers, and finish(f) runs SC with F kernel f once a level
+    over the inputs and sets `diverged` where its bits differ from SSC's.
     """
 
-    def __init__(self, nodes: dict[int, int], inside: dict[int, list[Op]], frames: int):
-        self.nodes, self.inside = nodes, inside
-        self.flat = {s: np.empty((m << s) * frames) for s, m in nodes.items()}
+    def __init__(self, ops: Iterable[Op], frames: int):
+        self.nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
+        self.flat = {s: (np.empty((m << s) * frames), np.empty((m << s) * frames, dtype=bool))
+                     for s, m in self.nodes.items()}
 
     def start(self, frames: int) -> None:
         """Clear the check for a batch of `frames` frames, at most the constructor's."""
         self.diverged = np.zeros(frames, dtype=bool)
-        # a contiguous prefix, so a short batch's nodes lie side by side too
-        self.saved = {s: x[:(self.nodes[s] << s) * frames].reshape(1 << s, -1)
-                      for s, x in self.flat.items()}
+        # contiguous prefixes, so a short batch's nodes lie side by side too
+        self.saved = {s: [x[:(self.nodes[s] << s) * frames].reshape(1 << s, -1) for x in pair]
+                      for s, pair in self.flat.items()}
         self.used = dict.fromkeys(self.nodes, 0)
 
-    def save(self, a: np.ndarray) -> None:
+    def save(self, a: np.ndarray, b: np.ndarray) -> None:
         s, frames = a.shape[0].bit_length() - 1, a.shape[1]
         j = self.used[s] * frames
-        self.saved[s][:, j:j + frames] = a
+        x, bits = self.saved[s]
+        x[:, j:j + frames] = a
+        bits[:, j:j + frames] = b
         self.used[s] += 1
 
     def finish(self, f: FKernel) -> None:
         frames = self.diverged.size
-        for s, x in self.saved.items():
-            if self.used[s]:
-                x = x[:, :self.used[s] * frames]
-                self.diverged |= _rate1_divergence(self.inside[s], x, frames, f).any(axis=0)
+        for s, (x, bits) in self.saved.items():
+            self.diverged |= _rate1_divergence(s, x, bits, frames, f).any(axis=0)
 
 
-def _rate1_divergence(ops: list[Op], x: np.ndarray, frames: int, f: FKernel) -> np.ndarray:
-    """(nodes, frames) bool: where SC's bits, with F kernel f, differ from the hard decision.
+def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int,
+                      f: FKernel) -> np.ndarray:
+    """(nodes, frames) bool: where SC's bits, with F kernel f, differ from `bits`.
 
-    x holds the inputs of Rate-1 nodes of one size side by side, `frames`
-    columns each, and ops is SC's schedule inside one.
+    x and bits hold the inputs and SSC's bits of Rate-1 nodes at level s
+    side by side, `frames` columns each.
     """
-    d = _execute(ops, x, f)
-    d ^= np.less(x, 0.0)
+    d = _execute(_inside(s), x, f)
+    d ^= bits
     return d.any(axis=0).reshape(-1, frames)
 
 
@@ -467,11 +442,14 @@ def sc_decode(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 
 
 def _ssc_tree(code: PolarCode, tree: Optional[SscTree]) -> SscTree:
-    if tree is None:
-        return build_ssc_tree(code)
-    if tree.n != code.n:
-        raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
-    return tree
+    """The code's pruned tree; a given tree must have its node kinds, level by level."""
+    built = build_ssc_tree(code)
+    if tree is not None:
+        if tree.n != code.n:
+            raise ValueError(f"tree has n={tree.n}, code has n={code.n}")
+        if not all(map(np.array_equal, tree.kinds, built.kinds)):
+            raise ValueError("tree's node kinds differ from the code's frozen mask")
+    return built
 
 
 def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
@@ -480,7 +458,8 @@ def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
 
     Runs the pruned tree's schedule: all-frozen nodes emit zero vectors,
     all-info nodes hard-decide at their own level.  Output is bit-identical
-    to sc_decode_batch on every frame.
+    to sc_decode_batch on every frame.  A given `tree` must have the node
+    kinds of build_ssc_tree(code); another tree raises ValueError.
     """
     llrs = _check_llrs(code, llrs)
     u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs, _f)
@@ -568,14 +547,13 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     from SSC's, both decoders see the same LLRs and decide the same bits.
     X's leaf estimates are its partial sums through the local polar
     transform, an involution, so the two outputs differ on X's leaves; with
-    no such X they are equal.  The check of a node with no tie frame can
-    wait until the pass ends: SSC keeps its hard decision there on every
-    frame, so the LLRs every later node sees are the same whether SC runs
-    inside the node then or afterwards, and SC run afterwards on the
-    node's saved input decides X's bits as SC would have at X.  By
-    _tie_frames' bound, SC's bits equal the hard decision on a node with
-    no tie frame, so the deferred check finds a divergence only if that
-    conservative bound is wrong: what it verifies is the bound.
+    no such X they are equal.  The check can wait until the pass ends: it
+    compares SC's bits, from the node's saved input, with SSC's saved bits,
+    and no LLR of the pass depends on when it runs.  On a tie frame SSC's
+    bits are SC's own, so the frame cannot diverge there.  By _tie_frames'
+    bound, SC's bits equal the hard decision on every other frame, so the
+    check finds a divergence only if that conservative bound is wrong:
+    what it verifies is the bound.
 
     On the BEC every F runs as _f_erasure, which equals _f on its LLRs.
     """
@@ -585,15 +563,14 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         raise ValueError(f"batch must be >= 1, got {batch}")
     f = _f_erasure if channel.kind is ChannelKind.BEC else _f
     ops = list(ssc_schedule(build_ssc_tree(code)))
-    nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
-    inside = {s: list(sc_schedule(np.zeros(1 << s, dtype=bool))) for s in nodes}
     check = None
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
         if check is None:  # the first batch is the largest
-            check = _Rate1Check(nodes, inside, llr.shape[1])
+            check = _Rate1Check(ops, llr.shape[1])
         check.start(llr.shape[1])
         u_ssc = _decode(ops, llr, f, check)
+        check.finish(f)  # after the pass's level buffers are freed
         agree += llr.shape[1] - int(np.count_nonzero(check.diverged))
         errors += _frame_errors(code, msg, u_ssc)
         del u_ssc  # before the next batch's pass

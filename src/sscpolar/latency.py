@@ -19,6 +19,7 @@ each level's frontier and drops it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
@@ -155,13 +156,18 @@ def _mask_classifier(frozen: np.ndarray) -> Classifier:
     return classify
 
 
-def build_ssc_tree(code: PolarCode) -> SscTree:
-    """Classify the code's decoding tree from its frozen mask and prune pure subtrees.
+def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
+    """The pruned tree of a power-of-two frozen mask, its z from z0 at the root.
 
     Each node's frozen-leaf count comes from a prefix sum over the mask, so
     the work after that sum is proportional to the pruned tree, not to N.
     """
-    return _tree(_walk(code.channel.z0, code.n, _mask_classifier(code.frozen), indexed=True))
+    return _tree(_walk(z0, frozen.size.bit_length() - 1, _mask_classifier(frozen), indexed=True))
+
+
+def build_ssc_tree(code: PolarCode) -> SscTree:
+    """Classify the code's decoding tree from its frozen mask and prune pure subtrees."""
+    return _mask_tree(code.frozen, code.channel.z0)
 
 
 def _scan(channel: BmsChannel, n: int, pe: float) -> Iterator[Level]:
@@ -203,6 +209,10 @@ def _coerce_profile(obj: ProfileLike) -> list[int]:
     if isinstance(obj, SscTree):
         return obj.edge_profile()
     prof = list(obj)
+    try:  # numpy's integers pass, as Python ints
+        prof = [operator.index(count) for count in prof]
+    except TypeError:
+        raise ValueError(f"edge counts must be integers, got {prof}") from None
     if any(count < 0 for count in prof):
         raise ValueError(f"edge counts must be >= 0, got {prof}")
     return prof

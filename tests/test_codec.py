@@ -23,6 +23,7 @@ from sscpolar import (
     sc_latency_tree,
     sc_schedule,
     sc_ssc_agreement,
+    scan_ssc_tree,
     schedule_profile,
     ssc_decode,
     ssc_decode_batch,
@@ -46,7 +47,6 @@ from sscpolar.codec import (
     _frame_batches,
     _g,
     _rate1_divergence,
-    _sc_tree,
     _tie_frames,
 )
 
@@ -202,9 +202,14 @@ class TestTransformAndEncode:
         u = rng.integers(0, 2, 64, dtype=np.uint8)
         assert np.array_equal(polar_transform(polar_transform(u)), u)
 
-    def test_rejects_non_power_of_two(self):
+    def test_rejects_non_power_of_two(self, example8_code):
         with pytest.raises(ValueError):
             polar_transform(np.zeros(6, dtype=np.uint8))
+        # a 0-d array has no length at all
+        for call in (polar_transform, lambda u: encode(example8_code, u),
+                     lambda u: encode_message(example8_code, u)):
+            with pytest.raises(ValueError, match="axis"):
+                call(np.uint8(0))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
     def test_matches_matrix_product(self, n):
@@ -324,6 +329,17 @@ class TestSscEquivalence:
         tree = build_ssc_tree(build_code(make_channel(ChannelKind.BSC, 0.0), 4, 0.5))
         with pytest.raises(ValueError):
             ssc_decode_batch(example8_code, np.ones((1, 8)), tree)
+
+    def test_tree_of_other_code_rejected(self):
+        # a scanned tree of the same length but another code would set some
+        # of this code's frozen bits: 1 of these 50 frames then differs from SC
+        channel = make_channel(ChannelKind.BAWGNC, 0.8)
+        code = build_code(channel, 6, 1e-2)
+        llrs = np.random.default_rng(0).normal(1.0, 1.0, size=(50, 64))
+        with pytest.raises(ValueError, match="tree"):
+            ssc_decode_batch(code, llrs, scan_ssc_tree(channel, 6, 0.4))
+        same = scan_ssc_tree(channel, 6, 1e-2)
+        assert np.array_equal(ssc_decode_batch(code, llrs, same), sc_decode_batch(code, llrs))
 
     @pytest.mark.parametrize("kind,param", [
         (ChannelKind.BEC, 0.5),
@@ -449,7 +465,9 @@ class TestSchedule:
         mask = np.random.default_rng(n).random(2 ** n) < 0.5
         ops = list(sc_schedule(mask))
         executed = schedule_profile(ops, n)
-        assert executed == _sc_tree(mask).edge_profile()
+        # level s holds both children of each level-(s+1) node with an information leaf
+        assert executed == [2 * int((~mask).reshape(-1, 2 ** (s + 1)).any(axis=1).sum())
+                            for s in range(n)]
         profile = list(executed)
         for op, s, _lo in ops:
             if op == RATE0:
@@ -693,8 +711,8 @@ class TestMonteCarlo:
                     checks.append(llr.shape)
                 return _execute(ops, llr, f, check)
 
-            def node_divergence(ops, x, frames, f):
-                d = _rate1_divergence(ops, x, frames, f)
+            def node_divergence(s, x, bits, frames, f):
+                d = _rate1_divergence(s, x, bits, frames, f)
                 nodes.append(d)
                 return d
 

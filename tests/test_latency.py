@@ -241,6 +241,11 @@ class TestSscLatency:
             ssc_latency([-5, 3], 1)
         with pytest.raises(ValueError):
             min_p_within_factor([2, -2, 2], 1.01)
+        # counts are integers, numpy's too: the latency is exact integer arithmetic
+        for bad in ([1, 2.5], [1, 2.0], [np.float64(2)]):
+            with pytest.raises(ValueError, match="integers"):
+                ssc_latency(bad, 1)
+        assert ssc_latency([np.int64(1), np.int32(2)], 1) == 5
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
