@@ -29,9 +29,7 @@ from .codec import (
     ssc_schedule,
 )
 from .construct import (
-    NodeForcing,
     PolarCode,
-    PolarizationStats,
     build_code,
     code_from_frozen,
     code_from_text,
@@ -41,9 +39,7 @@ from .construct import (
     leaf_reliabilities,
     load_code,
     midzone_interval,
-    rate_forcing,
     save_code,
-    unpolarized_fraction,
 )
 from .experiments import (
     SweepRecord,
@@ -66,7 +62,6 @@ from .latency import (
     scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
-    serial_latency_estimate,
     ssc_latency,
 )
 

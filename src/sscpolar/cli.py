@@ -41,10 +41,7 @@ def _channel_from_args(args) -> BmsChannel:
         if not 0.0 < args.capacity < 1.0:
             raise CliError(f"--capacity must be in (0, 1), got {args.capacity}")
         return channel_from_capacity(kind, args.capacity)
-    try:
-        return make_channel(kind, args.param)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return make_channel(kind, args.param)
 
 
 def _check_pe(pe: Optional[float]) -> float:
@@ -207,10 +204,7 @@ def cmd_bound(args) -> int:
         _check_n(n)
         N = 2 ** n
         P = _resolve_p(args, n, ChannelKind.BEC)
-        try:
-            value = latency_upper_bound(N, P, mu, args.c, args.eps)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        value = latency_upper_bound(N, P, mu, args.c, args.eps)
         print(f"n={n} N={N} P={P} bound={value:.6g} log2_bound={math.log2(value):.6g}")
     return 0
 

@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
-from .construct import PolarCode
+from .construct import PolarCode, _as_int
 from .latency import NodeKind, SscTree, _mask_tree, build_ssc_tree
 
 
@@ -312,52 +312,47 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
-        _run(ops, A, T, B, check, f)
+        for op, s, lo in ops:
+            if op == F:
+                h = 1 << (s - 1)
+                f(A[s], A[s - 1], T[:h])
+            elif op == G:
+                h = 1 << (s - 1)
+                o = A[s - 1]
+                _g(A[s], B[lo:lo + h], o)
+                _clamp(o)
+            elif op == COMBINE:
+                h = 1 << (s - 1)
+                B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
+            elif op > RATE0 or op == RATE1 and s == 1:
+                # A level-1 node with an information leaf.  A leaf's bit is
+                # the sign of its LLR, which F keeps without its arctanh, x2
+                # and clamp and G without its clamp; a frozen left leaf's bit
+                # is 0.  This is SC's own computation, so a Rate-1 node here
+                # needs no tie check.
+                a, b, t = A[1], B[lo:lo + 2], T[:2]
+                if op == FROZEN_INFO:
+                    np.add(a[1], a[0], out=t[0])
+                    np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
+                else:
+                    np.multiply(a, 0.5, out=t)
+                    np.tanh(t, out=t)
+                    np.multiply(t[0], t[1], out=t[0])
+                    np.less(t[0], 0.0, out=b[0])
+                    if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
+                        _g(a, b[:1], t[1:])
+                        np.less(t[1], 0.0, out=b[1])
+                        b[0] ^= b[1]
+            elif op == RATE1:  # above level 1: the hard decision, or SC's bits on tie frames
+                a, b = A[s], B[lo:lo + (1 << s)]
+                np.less(a, 0.0, out=b)
+                ties = _tie_frames(a, T[:1 << (s - 1)])
+                if ties.size:
+                    b[:, ties] = _execute(_inside(s), a[:, ties], f)
+                if check is not None:
+                    check.save(a, b)
+            # RATE0: a frozen node's partial sums stay 0
     return B
-
-
-def _run(ops: Iterable[Op], A: list, T: np.ndarray, B: np.ndarray,
-         check: Optional[_Rate1Check], f: FKernel) -> None:
-    """_execute's loop over its level buffers A, scratch T and partial sums B, with F kernel f."""
-    for op, s, lo in ops:
-        if op == F:
-            h = 1 << (s - 1)
-            f(A[s], A[s - 1], T[:h])
-        elif op == G:
-            h = 1 << (s - 1)
-            o = A[s - 1]
-            _g(A[s], B[lo:lo + h], o)
-            _clamp(o)
-        elif op == COMBINE:
-            h = 1 << (s - 1)
-            B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
-        elif op > RATE0 or op == RATE1 and s == 1:
-            # A level-1 node with an information leaf.  A leaf's bit is the
-            # sign of its LLR, which F keeps without its arctanh, x2 and clamp
-            # and G without its clamp; a frozen left leaf's bit is 0.  This is
-            # SC's own computation, so a Rate-1 node here needs no tie check.
-            a, b, t = A[1], B[lo:lo + 2], T[:2]
-            if op == FROZEN_INFO:
-                np.add(a[1], a[0], out=t[0])
-                np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
-            else:
-                np.multiply(a, 0.5, out=t)
-                np.tanh(t, out=t)
-                np.multiply(t[0], t[1], out=t[0])
-                np.less(t[0], 0.0, out=b[0])
-                if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
-                    _g(a, b[:1], t[1:])
-                    np.less(t[1], 0.0, out=b[1])
-                    b[0] ^= b[1]
-        elif op == RATE1:  # above level 1: the hard decision, or SC's bits on tie frames
-            a, b = A[s], B[lo:lo + (1 << s)]
-            np.less(a, 0.0, out=b)
-            ties = _tie_frames(a, T[:1 << (s - 1)])
-            if ties.size:
-                b[:, ties] = _execute(_inside(s), a[:, ties], f)
-            if check is not None:
-                check.save(a, b)
-        # RATE0: a frozen node's partial sums stay 0
 
 
 class _Rate1Check:
@@ -506,11 +501,12 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
-# about 23 bytes a frame-bit (tracemalloc at n = 12..16: the LLRs, one LLR
-# buffer per level, scratch, partial sums, input bits and the saved inputs of
-# Rate-1 nodes), so a batch stays near 100 MB: 1024 frames up to n = 12, 256
-# at n = 14, 64 at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 %
-# longer in 64-frame batches than in 128-frame ones, at half the peak.
+# 24-32 bytes a frame-bit (tracemalloc at n = 16..20: the LLRs, one LLR buffer
+# per level, scratch, partial sums, input bits, and the saved inputs and bits
+# of Rate-1 nodes, which grow with the share of leaves under Rate-1 nodes), so
+# a batch stays near 100-130 MB: 1024 frames up to n = 12, 256 at n = 14, 64
+# at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 % longer in
+# 64-frame batches than in 128-frame ones, at half the peak.
 _BATCH_FRAME_BITS = 1 << 22
 
 
@@ -557,6 +553,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
 
     On the BEC every F runs as _f_erasure, which equals _f on its LLRs.
     """
+    trials, batch = _as_int(trials, "trials"), _as_int(batch, "batch")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if batch < 1:

@@ -2,14 +2,14 @@
 
 Evolves the channel reliability through n polarization levels, freezes
 every position whose synthetic channel fails the error-probability
-threshold, and provides the polarization diagnostics used to reason
-about pruned decoding trees.
+threshold, and provides the 1/N^3 and mid-zone reliability bands that the
+paper's proof charges against pruned decoding trees.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -61,11 +61,23 @@ class PolarCode:
         return self.k / self.N
 
 
+def _as_int(value, name: str) -> int:
+    """value as a Python int; rejects, naming the argument, a value that is not an integer.
+
+    numpy's integers pass; floats, even integral ones, do not.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def leaf_reliabilities(channel: BmsChannel, n: int) -> np.ndarray:
     """The 2^n leaf Bhattacharyya parameters in leaf order: n polarization levels.
 
     Capped at n = 24 because it holds full levels in memory.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_MATERIALIZED_N:
@@ -98,7 +110,7 @@ def code_from_frozen(channel: BmsChannel, frozen, pe: float) -> PolarCode:
 
 
 # ---------------------------------------------------------------------------
-# binary entropy inverse and polarization diagnostics
+# binary entropy inverse and the proof's reliability bands
 # ---------------------------------------------------------------------------
 
 def h2_inv(y: float) -> float:
@@ -123,16 +135,6 @@ def h2_inv(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class PolarizationStats:
-    """Fraction of synthetic channels still un-polarized at level n."""
-
-    n: int
-    interval_lo: float
-    interval_hi: float
-    fraction_inside: float
-
-
 def midzone_interval(n: int, gamma: float, mu: float) -> tuple[float, float]:
     """The [2^(-2^(n*g*h)), 1 - 2^(-2^(n*g*h))] un-polarized band.
 
@@ -147,43 +149,15 @@ def midzone_interval(n: int, gamma: float, mu: float) -> tuple[float, float]:
 
 
 def cube_interval(N: int) -> tuple[float, float]:
-    """The [1/N^3, 1 - 1/N^3] thresholds used to force Rate-0/Rate-1 nodes."""
+    """The [1/N^3, 1 - 1/N^3] thresholds used to force Rate-0/Rate-1 nodes.
+
+    For pe >= 1/N^2, a node of the block-length-N code with Z <= 1/N^3 is
+    Rate-1 (all information) and one with Z >= 1 - 1/N^3 is Rate-0 (all
+    frozen).
+    """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     return 1.0 / N ** 3, 1.0 - 1.0 / N ** 3
-
-
-def unpolarized_fraction(channel: BmsChannel, n: int, lo: float,
-                         hi: float) -> PolarizationStats:
-    """Fraction of level-n leaves whose reliability lies in [lo, hi]."""
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    z = leaf_reliabilities(channel, n)
-    inside = int(np.count_nonzero((lo <= z) & (z <= hi)))
-    return PolarizationStats(n, lo, hi, inside / 2 ** n)
-
-
-class NodeForcing(Enum):
-    """Outcome of the sufficient Rate-0/Rate-1 condition at a tree node."""
-
-    FORCED_RATE1 = "rate1"
-    FORCED_RATE0 = "rate0"
-    UNCONSTRAINED = "unconstrained"
-
-
-def rate_forcing(z_node: float, N: int) -> NodeForcing:
-    """Classify a node's reliability against the 1/N^3 forcing thresholds.
-
-    A constituent code rooted at a node with Z <= 1/N^3 must be all
-    information (Rate-1); with Z >= 1 - 1/N^3 it must be all frozen
-    (Rate-0).  N is the full block length the thresholds are based on.
-    """
-    lo, hi = cube_interval(N)
-    if z_node <= lo:
-        return NodeForcing.FORCED_RATE1
-    if z_node >= hi:
-        return NodeForcing.FORCED_RATE0
-    return NodeForcing.UNCONSTRAINED
 
 
 # ---------------------------------------------------------------------------

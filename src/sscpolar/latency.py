@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .channel import BmsChannel, polarize, z_minus, z_plus
-from .construct import PolarCode
+from .construct import PolarCode, _as_int
 
 
 class NodeKind(IntEnum):
@@ -67,12 +67,19 @@ class SscTree:
 ProfileLike = Union[Sequence[int], SscTree, PolarCode]
 
 
+def _check_p(P: int) -> int:
+    """P as a Python int; rejects a P that is not a positive integer (numpy's pass)."""
+    P = _as_int(P, "P")
+    if P < 1:
+        raise ValueError(f"P must be a positive integer, got {P}")
+    return P
+
+
 def decoding_weight(s: int, P: int) -> int:
     """Time steps charged to an edge entering a node at level s: ceil(2^s / P)."""
     if s < 0:
         raise ValueError(f"level must be >= 0, got {s}")
-    if P < 1:
-        raise ValueError(f"P must be a positive integer, got {P}")
+    P = _check_p(P)
     return (2 ** s + P - 1) // P
 
 
@@ -172,6 +179,7 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
 
 def _scan(channel: BmsChannel, n: int, pe: float) -> Iterator[Level]:
     """_walk over the pruned tree for (channel, 2^n, pe); rejects what build_code rejects."""
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < pe < 1.0:
@@ -228,18 +236,15 @@ def ssc_latency(tree: ProfileLike, P: int) -> int:
     A root that is itself Rate-0 or Rate-1 has no edges and costs 0.
     """
     prof = _coerce_profile(tree)
-    if P < 1:
-        raise ValueError(f"P must be a positive integer, got {P}")
+    P = _check_p(P)
     return sum(count * decoding_weight(s, P) for s, count in enumerate(prof))
 
 
 def sc_latency_tree(n: int, P: int) -> int:
-    """Latency of the unpruned decoder: sum over the full tree's edges."""
+    """Latency of the unpruned decoder: ssc_latency over the full tree's edges."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if P < 1:
-        raise ValueError(f"P must be a positive integer, got {P}")
-    return sum(2 ** (n - s) * decoding_weight(s, P) for s in range(n))
+    return ssc_latency([2 ** (n - s) for s in range(n)], P)
 
 
 def sc_latency_closed_form(N: int, P: int) -> int:
@@ -279,13 +284,6 @@ def latency_upper_bound(N: int, P: int, mu: float, c: float, eps: float) -> floa
         raise ValueError(f"log2(log2(N/P)) undefined for N/P = {ratio}")
     second = 0.0 if inner == 1.0 else (2.0 + eps) * ratio * math.log2(inner)
     return c * N ** (1.0 - 1.0 / mu) + second
-
-
-def serial_latency_estimate(N: int, eps: float = 0.0) -> float:
-    """The fully-serial asymptote (2+eps) * N * log2 log2 N."""
-    if N < 4:
-        raise ValueError(f"N must be >= 4, got {N}")
-    return (2.0 + eps) * N * math.log2(math.log2(N))
 
 
 def check_factor(factor: float) -> None:
@@ -330,8 +328,7 @@ class LatencyReport:
 
 def latency_report(code: ProfileLike, P: int, n: Optional[int] = None) -> LatencyReport:
     """Assemble the standard latency numbers for a code (or edge profile)."""
-    if P < 1:
-        raise ValueError(f"P must be a positive integer, got {P}")
+    P = _check_p(P)
     prof = _coerce_profile(code)
     if n is None:
         n = len(prof)

@@ -19,10 +19,10 @@ from sscpolar import (
     ChannelKind,
     build_code,
     channel_from_capacity,
+    cube_interval,
     latency_upper_bound,
     make_channel,
     min_p_within_factor,
-    rate_forcing,
     realize_policy,
     scan_edge_profile,
     scan_ssc_tree,
@@ -32,7 +32,6 @@ from sscpolar import (
     ssc_latency,
 )
 from sscpolar.channel import SCALING_EXPONENT
-from sscpolar.construct import NodeForcing
 from sscpolar.experiments import POLICIES
 from sscpolar.latency import NodeKind
 
@@ -192,17 +191,17 @@ def test_criterion_8_forced_node_kinds():
         channel = make_channel(ChannelKind.BEC, eps)
         for n in range(4, 15):
             N = 2 ** n
+            lo, hi = cube_interval(N)
             for pe in (0.1, 1e-2, 1e-3):
                 if pe < 1.0 / N ** 2:
                     continue
                 tree = scan_ssc_tree(channel, n, pe)
                 for zs, kinds in zip(tree.z, tree.kinds):
                     for z, kind in zip(zs.tolist(), kinds.tolist()):
-                        forcing = rate_forcing(z, N)
                         scanned += 1
-                        if forcing is NodeForcing.FORCED_RATE1:
+                        if z <= lo:
                             assert kind == NodeKind.RATE1, (eps, n, pe, z)
-                        elif forcing is NodeForcing.FORCED_RATE0:
+                        elif z >= hi:
                             assert kind == NodeKind.RATE0, (eps, n, pe, z)
     elapsed = time.perf_counter() - t0
     line = report("8", True, f"{scanned} nodes scanned, no violations, {elapsed:.1f} s")

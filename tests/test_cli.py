@@ -230,6 +230,12 @@ class TestBound:
         rc, _, _ = run(capsys, "bound", "--n", "1", "--p", "2")
         assert rc == 2
 
+    def test_library_error_reaches_stderr_unwrapped(self, capsys):
+        rc, stdout, err = run(capsys, "bound", "--n", "6", "--p", "64")
+        assert rc == 2
+        assert stdout == ""
+        assert err == "error: log2(log2(N/P)) undefined for N/P = 1.0\n"
+
 
 class TestNonFiniteParameters:
     def test_sweep_factor_nan(self, capsys, tmp_path):

@@ -562,9 +562,10 @@ class TestMonteCarlo:
 
     def test_trials_validated(self, bec_half):
         code = build_code(bec_half, 4, 1e-2)
-        with pytest.raises(ValueError, match="trials"):
-            sc_ssc_agreement(code, bec_half, 0, seed=0)
-        for batch in (0, -3):
+        for trials in (0, 2.5):
+            with pytest.raises(ValueError, match="trials"):
+                sc_ssc_agreement(code, bec_half, trials, seed=0)
+        for batch in (0, -3, 2.5):
             with pytest.raises(ValueError, match="batch"):
                 sc_ssc_agreement(code, bec_half, 10, seed=0, batch=batch)
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from sscpolar import (
     ChannelKind,
-    NodeForcing,
     build_code,
     code_from_frozen,
     code_from_text,
@@ -14,8 +13,6 @@ from sscpolar import (
     leaf_reliabilities,
     make_channel,
     midzone_interval,
-    rate_forcing,
-    unpolarized_fraction,
 )
 from sscpolar.channel import h2, z_minus, z_plus
 from sscpolar.construct import MAX_MATERIALIZED_N
@@ -128,25 +125,14 @@ class TestEntropyInverse:
 
 
 class TestPolarizationDiagnostics:
-    def test_small_code_fully_unpolarized(self):
-        stats = unpolarized_fraction(bec(0.5), 2, 1 / 64, 63 / 64)
-        assert stats.fraction_inside == 1.0
-
-    def test_perfect_channel_fully_polarized(self):
-        stats = unpolarized_fraction(make_channel(ChannelKind.BSC, 0.0), 4, 1e-12, 1.0)
-        assert stats.fraction_inside == 0.0
-
     def test_midzone_fraction_decays(self):
         ch = bec(0.5)
         fr = {}
         for n in (10, 20):
             lo, hi = cube_interval(2 ** n)
-            fr[n] = unpolarized_fraction(ch, n, lo, hi).fraction_inside
+            z = leaf_reliabilities(ch, n)
+            fr[n] = np.count_nonzero((lo <= z) & (z <= hi)) / 2 ** n
         assert fr[20] < fr[10]
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            unpolarized_fraction(bec(0.5), 3, 0.7, 0.3)
 
     def test_midzone_interval_shape(self):
         lo, hi = midzone_interval(10, 0.9, 3.63)
@@ -159,11 +145,6 @@ class TestPolarizationDiagnostics:
             midzone_interval(10, 1.0 / (1.0 + mu), mu)
         with pytest.raises(ValueError):
             midzone_interval(10, 1.0, mu)
-
-    def test_rate_forcing_extremes(self):
-        assert rate_forcing(0.0, 8) is NodeForcing.FORCED_RATE1
-        assert rate_forcing(1.0, 8) is NodeForcing.FORCED_RATE0
-        assert rate_forcing(0.5, 8) is NodeForcing.UNCONSTRAINED
 
     def test_cube_interval_value(self):
         lo, hi = cube_interval(8)

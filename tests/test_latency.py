@@ -22,7 +22,6 @@ from sscpolar import (
     scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
-    serial_latency_estimate,
     ssc_latency,
 )
 
@@ -50,6 +49,17 @@ class TestDecodingWeight:
             decoding_weight(-1, 2)
         with pytest.raises(ValueError):
             decoding_weight(2, 0)
+
+    def test_p_must_be_an_integer(self):
+        # exact integer latencies: a fractional or float P is rejected, numpy ints pass
+        for call in (lambda: ssc_latency([2, 2], 1.5), lambda: decoding_weight(3, 2.5),
+                     lambda: latency_report([2, 2], 2.0), lambda: sc_latency_tree(3, 2.0),
+                     lambda: ssc_latency([2, 2], "2")):
+            with pytest.raises(ValueError, match="P must be"):
+                call()
+        assert ssc_latency([2, 2], np.int64(2)) == 4
+        assert decoding_weight(3, np.int32(3)) == 3
+        assert latency_report([2, 2], np.int64(2)).ssc == 4
 
 
 M, R0, R1 = NodeKind.MIXED, NodeKind.RATE0, NodeKind.RATE1
@@ -173,7 +183,7 @@ class TestStreamingScan:
             "2e315b2a03afd763fe264e1b9773e01a9394eb68305ee6a2de745fc9c335dd60"
 
     @pytest.mark.parametrize("n,pe", [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, 1.0),
-                                      (4, 5.0), (4, -1e-3)])
+                                      (4, 5.0), (4, -1e-3), (1.5, 1e-3)])
     def test_scan_rejects_what_build_code_rejects(self, bec_half, n, pe):
         with pytest.raises(ValueError):
             build_code(bec_half, n, pe)
@@ -333,7 +343,8 @@ class TestLatencyBound:
             latency_upper_bound(16, 32, 3.63, 1.0, 0.5)
 
     def test_serial_estimate(self):
-        assert serial_latency_estimate(16) == pytest.approx(64.0)
+        # the fully-serial asymptote (2+eps) N log2 log2 N is the P=1, c=0 case
+        assert latency_upper_bound(16, 1, 3.63, 0.0, 0.0) == 64.0
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.0, -3.63])
     def test_bad_mu_rejected(self, mu):
