@@ -59,6 +59,7 @@ from .latency import (
     latency_upper_bound,
     min_p_within_factor,
     scan_edge_profile,
+    scan_edge_profiles,
     scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,

@@ -96,11 +96,30 @@ def h2(x: float) -> float:
 _LOW_SNR_SIGMA = 400.0
 
 
-def _softplus(v: float) -> float:
-    """log(1 + e^v), bit for bit as np.logaddexp(0.0, v) computes it, without a numpy call."""
-    if v == 0.0:
-        return math.log(2.0)
-    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+def _loss_integrand(s2: float):
+    """y -> pdf(y) * log2(1 + exp(-2y/s2)), the integrand of the BAWGNC's capacity loss.
+
+    pdf is the N(1, s2) density.  The softplus log(1 + e^v) is computed
+    inline, bit for bit as np.logaddexp(0.0, v) computes it, and the
+    constants are computed once, by the same operations as in the integrand.
+    """
+    two_s2 = 2.0 * s2
+    norm = math.sqrt(2.0 * math.pi * s2)
+    log2 = math.log(2.0)
+    exp, log1p = math.exp, math.log1p
+
+    def integrand(y: float) -> float:
+        pdf = exp(-((y - 1.0) ** 2) / two_s2) / norm
+        v = -2.0 * y / s2
+        if v > 0.0:
+            softplus = v + log1p(exp(-v))
+        elif v < 0.0:
+            softplus = log1p(exp(v))
+        else:
+            softplus = log2
+        return pdf * softplus / log2
+
+    return integrand
 
 
 def _bawgnc_capacity(sigma: float) -> float:
@@ -112,11 +131,7 @@ def _bawgnc_capacity(sigma: float) -> float:
 
     from scipy.integrate import quad  # only this quadrature needs scipy, which is slow to import
 
-    def integrand(y: float) -> float:
-        pdf = math.exp(-((y - 1.0) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
-        return pdf * _softplus(-2.0 * y / s2) / math.log(2.0)
-
-    loss, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
+    loss, _ = quad(_loss_integrand(s2), -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
     return min(1.0, max(0.0, 1.0 - loss))
 
 

@@ -39,13 +39,15 @@ class PolarCode:
     frozen: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        n = _as_int(self.n, "n")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         if not 0.0 < self.pe < 1.0:
             raise ValueError(f"pe must be in (0, 1), got {self.pe}")
         fr = np.asarray(self.frozen, dtype=bool)
-        if fr.shape != (2 ** self.n,):
-            raise ValueError(f"frozen mask must have length 2^{self.n}")
+        if fr.shape != (2 ** n,):
+            raise ValueError(f"frozen mask must have length 2^{n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "frozen", fr)
 
     @property

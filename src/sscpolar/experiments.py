@@ -10,7 +10,10 @@ Three presets mirror the package's standard latency-scaling plots:
   fully-parallel implementation, same channel.
 
 All sweeps are deterministic; rerunning a grid reproduces the CSV byte
-for byte.
+for byte.  Preset 6 scans all its channels at each (n, pe) in one walk
+(latency.scan_edge_profiles), since at a fixed (n, pe) the scans differ only
+in each channel's z0.  Records are sorted before they are written, so the
+CSV's row order does not depend on the order of the scans.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .latency import (
     check_mu,
     min_p_within_factor,
     scan_edge_profile,
+    scan_edge_profiles,
     ssc_latency,
 )
 
@@ -122,14 +126,15 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
     """
     ns = _check_n_range(n_min, n_max)
     kinds = tuple(kinds)
+    grid = [(kind, cap) for kind in kinds for cap in capacities]
+    channels = [channel_from_capacity(kind, cap) for kind, cap in grid]
     records = []
-    for kind in kinds:
-        for cap in capacities:
-            channel = channel_from_capacity(kind, cap)
-            for pe in error_targets:
-                for n in ns:
-                    latency = ssc_latency(scan_edge_profile(channel, n, pe), 1)
-                    records.append(SweepRecord(kind.value, cap, pe, n, "one", 1, latency))
+    for pe in error_targets:
+        for n in ns:
+            profiles = scan_edge_profiles(channels, n, pe)
+            for (kind, cap), profile in zip(grid, profiles):
+                records.append(SweepRecord(kind.value, cap, pe, n, "one", 1,
+                                           ssc_latency(profile, 1)))
     for kind in kinds:
         for n in ns:
             records.append(SweepRecord(kind.value, 0.0, 0.0, n, SC_REFERENCE, 1, n * 2 ** n))

@@ -6,14 +6,19 @@ latency is the sum of edge costs over its (possibly pruned) decoding tree.
 Everything in this module is exact integer arithmetic; no floating point
 touches the latency path.
 
-The pruned tree is walked top-down a level at a time (_walk).  The channel
-scan classifies a node by its all-plus and all-minus reliability paths
-(Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In IEEE doubles the
-all-minus path only climbs and the all-plus path only falls, so each path
-stays on one side of the threshold iff its end does: a node is decided by
-the ends of its paths alone, and below the root a left child is tested for
-Rate-0 only and a right child for Rate-1 only.  scan_edge_profile counts
-each level's frontier and drops it.
+The pruned tree is walked top-down a level at a time by one walker
+(_walk), which serves the mask-based build, the channel scan and the edge
+profiles.  The channel scan classifies a node by its all-plus and all-minus
+reliability paths (Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In
+IEEE doubles the all-minus path only climbs and the all-plus path only
+falls, so each path stays on one side of the threshold iff its end does: a
+node is decided by the ends of its paths alone, and below the root level a
+left child is tested for Rate-0 only and a right child for Rate-1 only.
+scan_edge_profile counts each level's frontier and drops it.  At one
+(n, pe) the scan depends on a channel only through its z0, so
+scan_edge_profiles walks the roots of several channels together, one
+segment of each level a root, and goes on one root at a time once a level
+outgrows a fixed bound; preset 6's sweep scans its channels this way.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -83,37 +87,82 @@ def decoding_weight(s: int, P: int) -> int:
     return (2 ** s + P - 1) // P
 
 
-# Classifies one level's frontier: (z, node index within the full level or
-# None, s) -> (rate0, rate1) boolean masks.
+# Classifies one level's frontier: (z, node index within its root's full
+# level or None, s) -> (rate0, rate1) boolean masks.
 Classifier = Callable[[np.ndarray, Optional[np.ndarray], int], tuple[np.ndarray, np.ndarray]]
 # One level of the pruned tree: (z, rate0, rate1), the masks as a Classifier returns them.
 Level = tuple[np.ndarray, np.ndarray, np.ndarray]
+# One step of a walk: (first, s, level, mixed), see _walk.
+Step = tuple[int, int, Level, np.ndarray]
+
+# Largest level a walk of several roots classifies in one array.  Past it the
+# walk goes on one root at a time, so a deep sweep holds one root's frontier
+# at a time, as a walk of that root alone does.  Shallow levels, where
+# per-call overhead dominates, stay batched.  Preset 6 at n = 27 alone, in a
+# fresh process on a 2-vCPU Xeon, peaked at 329 MB RSS and took 2.1 s with
+# no bound, and 122 MB and 1.1-1.5 s with this one.
+_FRONTIER_BOUND = 1 << 16
 
 
-def _walk(z0: float, n: int, classify: Classifier, indexed: bool) -> Iterator[Level]:
-    """Yield each level of the pruned tree top-down as (z, rate0, rate1).
+def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Count of True in each of the consecutive segments of mask of the given sizes."""
+    if sizes.size == 1:  # one root: no O(level) integer temporaries
+        return np.array([np.count_nonzero(mask)])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return np.bincount(owner[mask], minlength=sizes.size)
 
-    Each node's index within its full level is tracked only when `indexed`;
-    the channel scan does not read it and would pay 8 bytes a node for it.
+
+def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier,
+          indexed: bool = False) -> Iterator[Step]:
+    """Walk the pruned trees of the roots z0 top-down, from level n to level bottom.
+
+    Each step (first, s, (z, rate0, rate1), mixed) is level s of roots
+    first, first + 1, ...: z holds each root's nodes as one contiguous
+    segment, in root order, and mixed[r] counts root first + r's MIXED
+    nodes.  The segments stay contiguous because filtering by a mask and
+    polarize keep order.  A level of more than _FRONTIER_BOUND nodes is not
+    classified whole: the walk goes on depth-first one root at a time,
+    yielding each root's remaining levels in turn and skipping roots with no
+    nodes left.  A single root never splits, so its levels come whole and
+    top-down, the root level included.
+
+    Each node's index within its root's full level is tracked only when
+    `indexed`; the channel scan does not read it and would pay 8 bytes a
+    node for it.
     """
-    z = np.array([z0], dtype=np.float64)
-    index = np.zeros(1, dtype=np.int64) if indexed else None
-    for s in range(n, -1, -1):
-        rate0, rate1 = classify(z, index, s)
-        yield z, rate0, rate1
-        mixed = ~(rate0 | rate1)
-        z = polarize(z[mixed])
-        if indexed:
-            im = index[mixed] << 1
-            index = np.empty(2 * im.size, dtype=np.int64)
-            index[0::2] = im
-            index[1::2] = im + 1
+    def walk(z, index, sizes, s, first):
+        while True:
+            if sizes.size > 1 and z.size > _FRONTIER_BOUND:
+                ends = np.cumsum(sizes)
+                for r, (lo, hi) in enumerate(zip(ends - sizes, ends)):
+                    if hi > lo:
+                        yield from walk(z[lo:hi], None if index is None else index[lo:hi],
+                                        sizes[r:r + 1], s, first + r)
+                return
+            rate0, rate1 = classify(z, index, s)
+            mixed = ~(rate0 | rate1)
+            counts = _segment_counts(mixed, sizes)
+            yield first, s, (z, rate0, rate1), counts
+            if s == bottom:
+                return
+            z = polarize(z[mixed])
+            if index is not None:
+                im = index[mixed] << 1
+                index = np.empty(2 * im.size, dtype=np.int64)
+                index[0::2] = im
+                index[1::2] = im + 1
+            sizes = 2 * counts
+            s -= 1
+
+    z0 = np.asarray(z0, dtype=np.float64)
+    index = np.zeros(z0.size, dtype=np.int64) if indexed else None
+    return walk(z0, index, np.ones(z0.size, dtype=np.int64), n, 0)
 
 
-def _tree(levels: Iterator[Level]) -> SscTree:
-    """The SscTree of the levels _walk yields."""
+def _tree(steps: Iterator[Step]) -> SscTree:
+    """The SscTree of a one-root walk down to the leaves."""
     kinds, zs = [], []
-    for z, rate0, rate1 in levels:
+    for _first, _s, (z, rate0, rate1), _mixed in steps:
         kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
         kind[rate0] = NodeKind.RATE0
         kind[rate1] = NodeKind.RATE1
@@ -129,7 +178,7 @@ def _path_end(z: np.ndarray, steps: int, step) -> np.ndarray:
     return z
 
 
-def _channel_classifier(threshold: float) -> Classifier:
+def _channel_classifier(threshold: float, n: int) -> Classifier:
     # A node is Rate-1 iff its worst leaf, reached on the all-minus path, is
     # under the freezing threshold, and Rate-0 iff its best leaf, on the
     # all-plus path, is at or above it, with every step of the path in range.
@@ -140,9 +189,12 @@ def _channel_classifier(threshold: float) -> Classifier:
     # node.  A MIXED node's left child's all-minus path ends at the node's
     # worst leaf, so that child is not Rate-1; likewise its right child's
     # all-plus path ends at its best leaf, so that child is not Rate-0.
-    # Below the root, left children sit at even positions, right ones at odd.
+    # Below the root level, left children sit at even positions, right ones
+    # at odd, in every root's segment.  The root level, s == n, holds one
+    # node a root, each tested for both kinds; with several roots its size
+    # says nothing about which level it is.
     def classify(z, _index, s):
-        step = 2 if z.size > 1 else 1  # the root is the only level of odd size
+        step = 1 if s == n else 2
         rate0 = np.zeros(z.size, dtype=bool)
         rate1 = np.zeros(z.size, dtype=bool)
         rate0[0::step] = _path_end(z[0::step], s, z_plus) >= threshold
@@ -169,7 +221,8 @@ def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
     Each node's frozen-leaf count comes from a prefix sum over the mask, so
     the work after that sum is proportional to the pruned tree, not to N.
     """
-    return _tree(_walk(z0, frozen.size.bit_length() - 1, _mask_classifier(frozen), indexed=True))
+    n = frozen.size.bit_length() - 1
+    return _tree(_walk([z0], n, 0, _mask_classifier(frozen), indexed=True))
 
 
 def build_ssc_tree(code: PolarCode) -> SscTree:
@@ -177,14 +230,14 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
     return _mask_tree(code.frozen, code.channel.z0)
 
 
-def _scan(channel: BmsChannel, n: int, pe: float) -> Iterator[Level]:
-    """_walk over the pruned tree for (channel, 2^n, pe); rejects what build_code rejects."""
+def _scan(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]:
+    """_walk over the pruned trees for (each z0, 2^n, pe); rejects what build_code rejects."""
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < pe < 1.0:
         raise ValueError(f"pe must be in (0, 1), got {pe}")
-    return _walk(channel.z0, n, _channel_classifier(pe / 2 ** n), indexed=False)
+    return _walk(z0, n, bottom, _channel_classifier(pe / 2 ** n, n))
 
 
 def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
@@ -196,7 +249,24 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     a node; scan_edge_profile needs only the frontier.
     Rejects n < 1 and pe outside (0, 1), as build_code does.
     """
-    return _tree(_scan(channel, n, pe))
+    return _tree(_scan([channel.z0], n, pe, 0))
+
+
+def scan_edge_profiles(channels: Sequence[BmsChannel], n: int, pe: float) -> list[list[int]]:
+    """[scan_edge_profile(ch, n, pe) for ch in channels], in one walk.
+
+    At a fixed (n, pe) the scan depends on a channel only through its z0,
+    so the roots of all the channels are classified together, a level at a
+    time, until a level outgrows _FRONTIER_BOUND nodes; from there each root
+    goes on alone.  This saves per-call overhead on shallow trees and keeps
+    the memory of deep ones at that of one root's frontier.
+    """
+    steps = _scan([ch.z0 for ch in channels], n, pe, 1)
+    profiles = [[0] * n for _ in channels]
+    for first, s, _level, mixed in steps:
+        for profile, m in zip(profiles[first:], mixed.tolist()):
+            profile[s - 1] = 2 * m
+    return profiles
 
 
 def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
@@ -206,9 +276,7 @@ def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
     each level is counted and dropped, so memory is O(largest level) and
     time O(n * pruned nodes), not O(2^n).  The leaves are never classified.
     """
-    mixed = [z.size - np.count_nonzero(rate0) - np.count_nonzero(rate1)
-             for z, rate0, rate1 in islice(_scan(channel, n, pe), n)]
-    return [2 * int(m) for m in reversed(mixed)]
+    return scan_edge_profiles([channel], n, pe)[0]
 
 
 def _coerce_profile(obj: ProfileLike) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,11 +17,17 @@ from sscpolar import (
     z_plus,
 )
 from sscpolar import channel as channel_module
-from sscpolar.channel import _LOW_SNR_SIGMA, LLR_CAP, _bawgnc_capacity, _softplus, bsc_llr_magnitude
+from sscpolar.channel import (
+    _LOW_SNR_SIGMA,
+    LLR_CAP,
+    _bawgnc_capacity,
+    _loss_integrand,
+    bsc_llr_magnitude,
+)
 
 # float.hex of (sigma, _bawgnc_capacity(sigma)) on np.geomspace(1e-3, 400, 20,
 # endpoint=False), recorded with np.logaddexp(0.0, v) as the integrand's
-# softplus; _softplus must reproduce every bit.
+# softplus; _loss_integrand's inline softplus must reproduce every bit.
 PINNED_BAWGNC_CAPACITIES = [
     ("0x1.0624dd2f1a9fcp-10", "0x1.0000000000000p+0"),
     ("0x1.f39fa2879efa8p-10", "0x1.0000000000000p+0"),
@@ -127,14 +134,34 @@ class TestCapacity:
         got = [(s, _bawgnc_capacity(float.fromhex(s)).hex()) for s, _ in PINNED_BAWGNC_CAPACITIES]
         assert got == PINNED_BAWGNC_CAPACITIES
 
+    def test_bawgnc_capacity_dense_digest(self):
+        # sha256 of _bawgnc_capacity(sigma).hex() over a dense grid, recorded
+        # with the softplus as a function of its own and the integrand's
+        # constants computed at every call
+        digest = hashlib.sha256()
+        for sigma in np.geomspace(1e-3, 399, 2000):
+            digest.update(_bawgnc_capacity(float(sigma)).hex().encode())
+        assert digest.hexdigest() == \
+            "71352634a1aaa07277308976f57a1c2574f087c0b0a1e34cecfb53505520f553"
+
     def test_softplus_is_logaddexp_bitwise(self):
+        # the integrand equals, bit for bit, the one that takes its softplus
+        # from np.logaddexp(0.0, v); y = -v*s2/2 gives back v = -2y/s2, and
+        # s2 = 2^-10 keeps pdf > 0 out to |v| ~ 2400
         tiny = 5e-324
         edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
                  710.0, -710.0, 1e308, -1e308]
         rng = np.random.default_rng(12)
         values = edges + (rng.standard_normal(2000) * 40.0).tolist()
-        for v in values:
-            assert _softplus(v).hex() == float(np.logaddexp(0.0, v)).hex(), v
+        for s2 in (2.0 ** -10, 1.0, 2.0 ** 10):
+            integrand = _loss_integrand(s2)
+            for v in values:
+                y = -v * s2 / 2.0
+                if abs(y) > 1e150:  # (y - 1.0) ** 2 overflows, here as in the integrand
+                    continue
+                pdf = math.exp(-((y - 1.0) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+                softplus = float(np.logaddexp(0.0, -2.0 * y / s2))
+                assert integrand(y).hex() == (pdf * softplus / math.log(2.0)).hex(), (s2, v)
 
     @pytest.mark.parametrize("kind,grid", [
         (ChannelKind.BEC, np.linspace(0.01, 0.99, 25)),

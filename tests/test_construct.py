@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from sscpolar import (
     ChannelKind,
+    PolarCode,
     build_code,
     code_from_frozen,
     code_from_text,
@@ -170,6 +171,16 @@ class TestCodeFile:
             code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
             back = code_from_text(code_to_text(code))
             assert np.array_equal(back.frozen, mask)
+
+    def test_n_must_be_an_integer(self):
+        # an integral float n gave N == 4.0 and a header code_from_text
+        # rejected; numpy's integers pass, stored as int
+        mask = np.array([True, True, False, False])
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PolarCode(bec(0.5), 2.0, 1e-3, mask)
+        code = PolarCode(bec(0.5), np.int64(2), 1e-3, mask)
+        assert type(code.n) is int
+        assert code_from_text(code_to_text(code)).n == 2
 
     def test_header_layout(self):
         text = code_to_text(build_code(bec(0.5), 2, 0.5))

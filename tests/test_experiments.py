@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from sscpolar import ChannelKind, realize_policy
+from sscpolar import ChannelKind, latency, realize_policy
 from sscpolar.experiments import (
     CSV_HEADER,
     SC_REFERENCE,
@@ -92,6 +93,33 @@ class TestSerialSweep:
             run_serial_sweep(n_max=28)
         with pytest.raises(ValueError):
             run_serial_sweep(n_max=3, n_min=4)
+
+    def test_csv_is_pinned(self):
+        # sha256 of preset 6's CSV to n = 20, recorded when each channel was
+        # scanned on its own
+        csv = records_to_csv(run_serial_sweep(n_max=20))
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "a0ccc7fb31986d4dae609c57d6d33cdd128f5c2dbc76e8d1a523e0150f3c1dd6"
+
+    def test_channels_scanned_together(self, monkeypatch):
+        # preset 6 to n = 18 walks its nine channels together at each
+        # (n, pe): one classifier call a level, sum(range(4, 19)) = 165 a pe,
+        # plus the few of the roots that outgrow the bound near the leaves
+        calls = []
+        make = latency._channel_classifier
+
+        def counting(threshold, n):
+            classify = make(threshold, n)
+
+            def spy(*args):
+                calls.append(args[2])
+                return classify(*args)
+
+            return spy
+
+        monkeypatch.setattr(latency, "_channel_classifier", counting)
+        run_serial_sweep(n_max=18)
+        assert 330 <= len(calls) <= 340
 
     def test_norm_monotone_once_nonzero(self):
         # once the code has positive rate, normalized serial latency only grows

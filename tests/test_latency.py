@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from sscpolar import (
     make_channel,
     min_p_within_factor,
     scan_edge_profile,
+    scan_edge_profiles,
     scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
     ssc_latency,
 )
+from sscpolar import latency
 
 from conftest import reference_pruned_levels, tree_levels
 
@@ -191,6 +194,8 @@ class TestStreamingScan:
             scan_ssc_tree(bec_half, n, pe)
         with pytest.raises(ValueError):
             scan_edge_profile(bec_half, n, pe)
+        with pytest.raises(ValueError):
+            scan_edge_profiles([bec_half, bec_half], n, pe)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(ChannelKind)),
@@ -224,6 +229,48 @@ class TestStreamingScan:
         tree = scan_ssc_tree(channel, n, pe)
         assert tree_levels(tree) == reference_pruned_levels(channel, n, pe)
         assert scan_edge_profile(channel, n, pe) == tree.edge_profile()
+
+
+class TestMultiRootScan:
+    EDGE_Z0 = (0.0, 1.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1.0, 0.0), 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(z0s=st.lists(st.one_of(st.sampled_from(EDGE_Z0),
+                                  st.floats(min_value=0.0, max_value=1.0)), max_size=12),
+           log_pe=st.floats(min_value=-15.0, max_value=-1e-3),
+           n=st.integers(min_value=1, max_value=16),
+           bound=st.sampled_from((1, 7, 64, latency._FRONTIER_BOUND)))
+    @example(z0s=[0.5] * 12, log_pe=-3.0, n=16, bound=latency._FRONTIER_BOUND)
+    @example(z0s=[0.0, 0.5, 1.0, 0.5, 5e-324, 0.5], log_pe=-3.0, n=12, bound=64)
+    @example(z0s=[], log_pe=-3.0, n=5, bound=1)
+    def test_equals_one_root_at_a_time(self, z0s, log_pe, n, bound):
+        # the split bound only regroups the work: bound 1 splits several
+        # roots at once, and roots with no nodes left are skipped after a split
+        channels = [bec(z0) for z0 in z0s]
+        pe = 10.0 ** log_pe
+        expected = [scan_edge_profile(ch, n, pe) for ch in channels]
+        with mock.patch.object(latency, "_FRONTIER_BOUND", bound):
+            assert scan_edge_profiles(channels, n, pe) == expected
+
+    def test_split_past_the_bound(self, monkeypatch):
+        # preset 6's nine roots outgrow the bound at level 1 for n = 18 and
+        # pe = 1e-10: no level of several roots is classified past the bound,
+        # and after the split each root goes on alone
+        channels = [cached_channel(kind, cap) for kind, cap in FAMILY_CAPACITIES]
+        seen = []
+        count = latency._segment_counts
+
+        def spy(mask, sizes):
+            seen.append((sizes.size, mask.size))
+            return count(mask, sizes)
+
+        monkeypatch.setattr(latency, "_segment_counts", spy)
+        profiles = scan_edge_profiles(channels, 18, 1e-10)
+        assert all(size <= latency._FRONTIER_BOUND for roots, size in seen if roots > 1)
+        split = [i for i, (roots, _size) in enumerate(seen) if roots == 1]
+        assert split and seen[split[0] - 1][0] == len(channels)
+        monkeypatch.undo()
+        assert profiles == [scan_edge_profile(ch, 18, 1e-10) for ch in channels]
 
 
 class TestSscLatency:
