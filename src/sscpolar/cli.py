@@ -21,7 +21,7 @@ from .channel import (
     make_channel,
 )
 from .codec import sc_ssc_agreement
-from .construct import MAX_MATERIALIZED_N, build_code, load_code, save_code
+from .construct import PolarCode, _check_n, build_code, load_code, save_code
 from .experiments import MAX_SWEEP_N, SweepRecord, realize_policy
 from .latency import latency_report, latency_upper_bound, scan_edge_profile
 from .svgplot import Series, render_gnuplot, render_line_plot
@@ -31,42 +31,48 @@ class CliError(ValueError):
     """Validation failure that maps to exit code 2."""
 
 
+def _required(value, flag: str):
+    if value is None:
+        raise CliError(f"{flag} is required")
+    return value
+
+
 def _channel_from_args(args) -> BmsChannel:
-    if args.channel is None:
-        raise CliError("--channel is required (or use --code)")
-    kind = ChannelKind(args.channel)
+    kind = ChannelKind(_required(args.channel, "--channel"))
     if (args.capacity is None) == (getattr(args, "param", None) is None):
         raise CliError("exactly one of --capacity or --param is required")
     if args.capacity is not None:
-        if not 0.0 < args.capacity < 1.0:
-            raise CliError(f"--capacity must be in (0, 1), got {args.capacity}")
         return channel_from_capacity(kind, args.capacity)
     return make_channel(kind, args.param)
 
 
-def _check_pe(pe: Optional[float]) -> float:
-    if pe is None:
-        raise CliError("--pe is required")
-    if not 0.0 < pe < 1.0:
-        raise CliError(f"--pe must be in (0, 1), got {pe}")
-    return pe
+def _code_from_args(args) -> Optional[PolarCode]:
+    """The code file's code, or None without --code; no channel flag may come with it."""
+    if args.code is None:
+        return None
+    given = [f"--{name}" for name in ("channel", "capacity", "param", "pe", "n")
+             if getattr(args, name) is not None]
+    if given:
+        raise CliError(f"--code conflicts with {', '.join(given)}")
+    return load_code(args.code)
 
 
-def _check_n(n: Optional[int], cap: int = MAX_SWEEP_N) -> int:
-    if n is None:
-        raise CliError("--n is required")
-    if not 1 <= n <= cap:
-        raise CliError(f"--n must be in [1, {cap}], got {n}")
+def _cap_n(n: int, flag: str) -> int:
+    """n, at most MAX_SWEEP_N: latency and bound go no deeper than the sweeps."""
+    if n > MAX_SWEEP_N:
+        raise CliError(f"{flag} must be <= {MAX_SWEEP_N}, got {n}")
     return n
 
 
-def cmd_construct(args) -> int:
+def _build_from_args(args) -> PolarCode:
     channel = _channel_from_args(args)
-    pe = _check_pe(args.pe)
-    n = _check_n(args.n, cap=MAX_MATERIALIZED_N)
-    if args.out is None:
-        raise CliError("--out is required")
-    code = build_code(channel, n, pe)
+    pe = _required(args.pe, "--pe")
+    return build_code(channel, _required(args.n, "--n"), pe)
+
+
+def cmd_construct(args) -> int:
+    _required(args.out, "--out")
+    code = _build_from_args(args)
     save_code(code, args.out)
     print(f"N={code.N}")
     print(f"k={code.k}")
@@ -82,22 +88,20 @@ def _resolve_p(args, n: int, kind: ChannelKind) -> int:
     if has_p == has_policy:
         raise CliError("exactly one of --p or --policy is required")
     if has_p:
-        if args.p < 1:
-            raise CliError(f"--p must be >= 1, got {args.p}")
         return args.p
     mu = args.mu if args.mu is not None else SCALING_EXPONENT[kind]
     return realize_policy(args.policy, n, mu)
 
 
 def cmd_latency(args) -> int:
-    if args.code is not None:
-        code = load_code(args.code)
+    code = _code_from_args(args)
+    if code is not None:
         profile = code  # latency helpers accept a PolarCode directly
         n, kind = code.n, code.channel.kind
     else:
         channel = _channel_from_args(args)
-        pe = _check_pe(args.pe)
-        n = _check_n(args.n)
+        pe = _required(args.pe, "--pe")
+        n = _cap_n(_required(args.n, "--n"), "--n")
         kind = channel.kind
         profile = scan_edge_profile(channel, n, pe)
     P = _resolve_p(args, n, kind)
@@ -115,15 +119,8 @@ def cmd_latency(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
-    if args.code is not None:
-        code = load_code(args.code)
-        channel = code.channel
-    else:
-        channel = _channel_from_args(args)
-        pe = _check_pe(args.pe)
-        n = _check_n(args.n, cap=MAX_MATERIALIZED_N)
-        code = build_code(channel, n, pe)
-    agree, trials, fer = sc_ssc_agreement(code, channel, args.trials, args.seed)
+    code = _code_from_args(args) or _build_from_args(args)
+    agree, trials, fer = sc_ssc_agreement(code, code.channel, args.trials, args.seed)
     print(f"trials={trials}")
     print(f"agree={agree}/{trials}")
     print(f"fer={fer:.6g}")
@@ -157,19 +154,18 @@ def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], s
 
 
 def cmd_sweep(args) -> int:
-    if args.out is None:
-        raise CliError("--out is required")
+    _required(args.out, "--out")
     fig = args.figure
+    if args.channel is not None and fig != 6:
+        raise CliError("--channel applies to --figure 6 only")
+    n_max = {} if args.nmax is None else {"n_max": args.nmax}
     if fig == 6:
         kinds = [ChannelKind(args.channel)] if args.channel else tuple(ChannelKind)
-        n_max = args.nmax if args.nmax is not None else 22
-        records = experiments.run_serial_sweep(kinds=kinds, n_max=n_max)
+        records = experiments.run_serial_sweep(kinds=kinds, **n_max)
     elif fig == 7:
-        n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
-        records = experiments.run_policy_sweep(n_max=n_max)
+        records = experiments.run_policy_sweep(**n_max)
     else:
-        n_max = args.nmax if args.nmax is not None else MAX_SWEEP_N
-        records = experiments.run_parallelism_sweep(n_max=n_max, factor=args.factor)
+        records = experiments.run_parallelism_sweep(factor=args.factor, **n_max)
     experiments.write_csv(records, args.out)
     print(f"rows={len(records)}")
     print(f"out={args.out}")
@@ -200,9 +196,9 @@ def cmd_bound(args) -> int:
     n_hi = args.nmax if args.nmax is not None else n_lo
     if n_hi < n_lo:
         raise CliError(f"--nmax must be >= --n, got {n_hi} < {n_lo}")
+    _cap_n(n_hi, "--nmax" if args.nmax is not None else "--n")
     for n in range(n_lo, n_hi + 1):
-        _check_n(n)
-        N = 2 ** n
+        N = 2 ** _check_n(n)
         P = _resolve_p(args, n, ChannelKind.BEC)
         value = latency_upper_bound(N, P, mu, args.c, args.eps)
         print(f"n={n} N={N} P={P} bound={value:.6g} log2_bound={math.log2(value):.6g}")

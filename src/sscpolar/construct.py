@@ -9,6 +9,7 @@ paper's proof charges against pruned decoding trees.
 from __future__ import annotations
 
 import operator
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,8 @@ class PolarCode:
     frozen: np.ndarray
 
     def __post_init__(self):
-        n = _as_int(self.n, "n")
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not 0.0 < self.pe < 1.0:
-            raise ValueError(f"pe must be in (0, 1), got {self.pe}")
+        n = _check_n(self.n)
+        _check_pe(self.pe)
         fr = np.asarray(self.frozen, dtype=bool)
         if fr.shape != (2 ** n,):
             raise ValueError(f"frozen mask must have length 2^{n}")
@@ -74,14 +72,26 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_n(n) -> int:
+    """n as a Python int; rejects an n that is not an integer >= 1 (numpy's integers pass)."""
+    n = _as_int(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return n
+
+
+def _check_pe(pe) -> None:
+    """Reject an error target pe outside the open interval (0, 1), and NaN."""
+    if not 0.0 < pe < 1.0:
+        raise ValueError(f"pe must be in (0, 1), got {pe}")
+
+
 def leaf_reliabilities(channel: BmsChannel, n: int) -> np.ndarray:
     """The 2^n leaf Bhattacharyya parameters in leaf order: n polarization levels.
 
     Capped at n = 24 because it holds full levels in memory.
     """
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_n(n)
     if n > MAX_MATERIALIZED_N:
         raise ValueError(f"n={n} too large to materialize; use the latency scans")
     z = np.array([channel.z0], dtype=np.float64)
@@ -96,8 +106,7 @@ def build_code(channel: BmsChannel, n: int, pe: float) -> PolarCode:
     Position i is frozen exactly when its leaf reliability Z_i >= pe/N;
     ties freeze (information positions require strictly better channels).
     """
-    if not 0.0 < pe < 1.0:
-        raise ValueError(f"pe must be in (0, 1), got {pe}")
+    _check_pe(pe)
     frozen = leaf_reliabilities(channel, n) >= pe / (2 ** n)
     return PolarCode(channel, n, pe, frozen)
 
@@ -183,6 +192,9 @@ def _hex_to_frozen(text: str, N: int) -> np.ndarray:
     expected = (N + 3) // 4
     if len(text) != expected:
         raise ValueError(f"frozen string has {len(text)} nibbles, expected {expected}")
+    bad = set(text).difference(string.hexdigits)
+    if bad:  # int(c, 16) alone would also take non-ASCII digits
+        raise ValueError(f"frozen string has non-hex characters {''.join(sorted(bad))!r}")
     vals = np.array([int(c, 16) for c in text], dtype=np.uint8)
     bits = ((vals[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
     if bits[N:].any():
@@ -209,7 +221,7 @@ def code_from_text(text: str) -> PolarCode:
     param = float(fields[1])
     stored_capacity = float(fields[2])
     pe = float(fields[3])
-    n = int(fields[4])
+    n = _check_n(int(fields[4]))
     channel = make_channel(kind, param)
     if not abs(channel.capacity - stored_capacity) <= 1e-6:  # NaN too
         raise ValueError(

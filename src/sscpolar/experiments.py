@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .channel import ChannelKind, SCALING_EXPONENT, channel_from_capacity
+from .construct import _as_int, _check_n
 from .latency import (
     check_factor,
     check_mu,
     min_p_within_factor,
+    sc_latency_tree,
     scan_edge_profile,
     scan_edge_profiles,
     ssc_latency,
@@ -82,11 +84,11 @@ def realize_policy(policy: str, n: int, mu: float = SCALING_EXPONENT[ChannelKind
 
     Fractional targets are truncated toward zero (with a floor of 1 and a
     ceiling of N/2); truncation is what reproduces the reference latency
-    tables point for point, where round-half-up does not.  mu must be
-    positive and finite, whatever the policy.
+    tables point for point, where round-half-up does not.  n must be an
+    integer >= 1 and mu positive and finite, whatever the policy.
     """
     check_mu(mu)
-    N = 2 ** n
+    N = 2 ** _check_n(n)
     if policy == "half":
         return max(1, N // 2)
     if policy == "one":
@@ -103,8 +105,9 @@ def realize_policy(policy: str, n: int, mu: float = SCALING_EXPONENT[ChannelKind
 
 
 def _check_n_range(n_min: int, n_max: int) -> range:
-    if not 1 <= n_min <= n_max <= MAX_SWEEP_N:
-        raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_SWEEP_N}, got [{n_min}, {n_max}]")
+    n_min, n_max = _check_n(n_min), _as_int(n_max, "n_max")
+    if not n_min <= n_max <= MAX_SWEEP_N:
+        raise ValueError(f"need n_min <= n_max <= {MAX_SWEEP_N}, got [{n_min}, {n_max}]")
     return range(n_min, n_max + 1)
 
 
@@ -125,7 +128,7 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
     normalized latency is exactly n.
     """
     ns = _check_n_range(n_min, n_max)
-    kinds = tuple(kinds)
+    kinds, capacities, error_targets = tuple(kinds), tuple(capacities), tuple(error_targets)
     grid = [(kind, cap) for kind in kinds for cap in capacities]
     channels = [channel_from_capacity(kind, cap) for kind, cap in grid]
     records = []
@@ -137,11 +140,12 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
                                            ssc_latency(profile, 1)))
     for kind in kinds:
         for n in ns:
-            records.append(SweepRecord(kind.value, 0.0, 0.0, n, SC_REFERENCE, 1, n * 2 ** n))
+            records.append(SweepRecord(kind.value, 0.0, 0.0, n, SC_REFERENCE, 1,
+                                       sc_latency_tree(n, 1)))
     return _sort_records(records)
 
 
-def run_policy_sweep(n_max: int = 27, n_min: int = 4,
+def run_policy_sweep(n_max: int = MAX_SWEEP_N, n_min: int = 4,
                      capacity: float = 0.5, pe: float = 1e-3,
                      policies: Sequence[str] = POLICIES) -> list[SweepRecord]:
     """Preset 7: latency ladder over PE policies, BEC at the given capacity."""
@@ -158,7 +162,7 @@ def run_policy_sweep(n_max: int = 27, n_min: int = 4,
     return _sort_records(records)
 
 
-def run_parallelism_sweep(n_max: int = 27, n_min: int = 4, factor: float = 1.01,
+def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, n_min: int = 4, factor: float = 1.01,
                           capacity: float = 0.5, pe: float = 1e-3) -> list[SweepRecord]:
     """Preset 8: smallest P within `factor` of the fully-parallel latency."""
     check_factor(factor)

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .channel import BmsChannel, polarize, z_minus, z_plus
-from .construct import PolarCode, _as_int
+from .construct import PolarCode, _as_int, _check_n, _check_pe
 
 
 class NodeKind(IntEnum):
@@ -81,6 +81,7 @@ def _check_p(P: int) -> int:
 
 def decoding_weight(s: int, P: int) -> int:
     """Time steps charged to an edge entering a node at level s: ceil(2^s / P)."""
+    s = _as_int(s, "level")
     if s < 0:
         raise ValueError(f"level must be >= 0, got {s}")
     P = _check_p(P)
@@ -232,11 +233,8 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
 
 def _scan(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]:
     """_walk over the pruned trees for (each z0, 2^n, pe); rejects what build_code rejects."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < pe < 1.0:
-        raise ValueError(f"pe must be in (0, 1), got {pe}")
+    n = _check_n(n)
+    _check_pe(pe)
     return _walk(z0, n, bottom, _channel_classifier(pe / 2 ** n, n))
 
 
@@ -310,16 +308,16 @@ def ssc_latency(tree: ProfileLike, P: int) -> int:
 
 def sc_latency_tree(n: int, P: int) -> int:
     """Latency of the unpruned decoder: ssc_latency over the full tree's edges."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_n(n)
     return ssc_latency([2 ** (n - s) for s in range(n)], P)
 
 
 def sc_latency_closed_form(N: int, P: int) -> int:
     """Closed form 2N + (N/P) log2(N/(4P)) for power-of-two N and P <= N/2."""
+    N, P = _as_int(N, "N"), _check_p(P)
     if N < 2 or N & (N - 1):
         raise ValueError(f"N must be a power of two >= 2, got {N}")
-    if P < 1 or P & (P - 1):
+    if P & (P - 1):
         raise ValueError(f"P must be a power of two >= 1, got {P}")
     if P > N // 2:
         raise ValueError(f"P must be <= N/2, got P={P}, N={N}")
@@ -398,9 +396,8 @@ def latency_report(code: ProfileLike, P: int, n: Optional[int] = None) -> Latenc
     """Assemble the standard latency numbers for a code (or edge profile)."""
     P = _check_p(P)
     prof = _coerce_profile(code)
-    if n is None:
-        n = len(prof)
-    elif n != len(prof):
+    n = len(prof) if n is None else _check_n(n)
+    if n != len(prof):
         raise ValueError(f"profile has {len(prof)} levels, expected n={n}")
     N = 2 ** n
     closed = None

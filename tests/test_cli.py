@@ -131,6 +131,13 @@ class TestLatency:
                        "--p", "2", "--policy", "half")
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [("--channel", "bsc"), ("--capacity", "0.5"),
+                                      ("--param", "0.1"), ("--pe", "0.3"), ("--n", "9")])
+    def test_code_conflicts_with_channel_flags(self, capsys, example8_file, flag):
+        rc, stdout, err = run(capsys, "latency", "--code", example8_file, *flag, "--p", "1")
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: --code conflicts with {flag[0]}\n"
+
 
 class TestSimulate:
     def test_agreement_and_determinism(self, capsys):
@@ -152,6 +159,13 @@ class TestSimulate:
                             "--trials", "100", "--seed", "1")
         assert rc == 0
         assert kv(stdout)["fer"] == "0"
+
+    def test_code_conflicts_with_channel_flags(self, capsys, example8_file):
+        # the file's code used to run, and these flags were ignored
+        rc, stdout, err = run(capsys, "simulate", "--code", example8_file, "--pe", "0.3",
+                              "--n", "9", "--channel", "bsc", "--trials", "4")
+        assert (rc, stdout) == (2, "")
+        assert err == "error: --code conflicts with --channel, --pe, --n\n"
 
     def test_bad_trials(self, capsys):
         rc, _, _ = run(capsys, "simulate", "--channel", "bec", "--capacity",
@@ -190,6 +204,15 @@ class TestSweep:
         ET.fromstring(svg.read_text())
         assert svg.stat().st_size < 1 << 20
         assert "plot $data0" in gp.read_text()
+
+    @pytest.mark.parametrize("figure", ["7", "8"])
+    def test_channel_only_for_figure_6(self, capsys, tmp_path, figure):
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run(capsys, "sweep", "--figure", figure, "--channel", "bec",
+                              "--nmax", "6", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == "error: --channel applies to --figure 6 only\n"
+        assert not out.exists()
 
     def test_figure_9_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -318,7 +341,7 @@ def subcommands(tmp_path):
               code)
     (tmp_path / "bad.code").write_text("polarcode v1\nbec 0.5\n0\n")
     codes = st.sampled_from([str(code), str(tmp_path / "bad.code"), str(tmp_path / "none")])
-    # a code file replaces the channel flags
+    # a code file conflicts with the channel flags: with them it exits 2
     source = st.one_of(_CHANNEL, _given("--code", codes),
                        _concat(_CHANNEL, _given("--code", codes)))
     return {

@@ -194,6 +194,7 @@ class TestCodeFile:
         lambda t: t.replace("polarcode v1", "polarcode v9"),
         lambda t: "\n".join(t.splitlines()[:2]) + "\n",
         lambda t: t.replace("bec", "bad"),
+        lambda t: t.rstrip()[:-1] + "\u0667",  # int(c, 16) alone reads an Arabic-Indic 7 as 7
     ])
     def test_rejects_malformed(self, mangle):
         text = code_to_text(build_code(bec(0.5), 3, 1e-2))
@@ -206,6 +207,14 @@ class TestCodeFile:
         lines = code_to_text(build_code(bec(0.5), 1, 0.5)).splitlines()
         lines[2] = nibble
         with pytest.raises(ValueError):
+            code_from_text("\n".join(lines))
+
+    def test_header_n_is_checked_first(self):
+        lines = code_to_text(build_code(bec(0.5), 1, 0.5)).splitlines()
+        fields = lines[1].split()
+        fields[4] = "-1"
+        lines[1] = " ".join(fields)
+        with pytest.raises(ValueError, match="n must be >= 1, got -1"):
             code_from_text("\n".join(lines))
 
     def test_rejects_inconsistent_capacity(self):

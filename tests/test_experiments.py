@@ -88,6 +88,14 @@ class TestSerialSweep:
                                  error_targets=(1e-3,), n_max=10)
         assert records_to_csv(records) == records_to_csv(again)
 
+    def test_one_shot_iterables(self):
+        # capacities were read once per kind, so the second kind got no rows
+        records = run_serial_sweep(kinds=[ChannelKind.BEC, ChannelKind.BSC],
+                                   capacities=(c for c in (0.5,)),
+                                   error_targets=(pe for pe in (1e-3,)), n_max=5)
+        rows = {(r.channel, r.capacity, r.pe) for r in records if r.p_policy == "one"}
+        assert rows == {("bec", 0.5, 1e-3), ("bsc", 0.5, 1e-3)}
+
     def test_n_range_validated(self):
         with pytest.raises(ValueError):
             run_serial_sweep(n_max=28)

@@ -27,6 +27,7 @@ from sscpolar import (
     ssc_latency,
 )
 from sscpolar import latency
+from sscpolar.experiments import realize_policy, run_policy_sweep
 
 from conftest import reference_pruned_levels, tree_levels
 
@@ -63,6 +64,23 @@ class TestDecodingWeight:
         assert ssc_latency([2, 2], np.int64(2)) == 4
         assert decoding_weight(3, np.int32(3)) == 3
         assert latency_report([2, 2], np.int64(2)).ssc == 4
+
+
+# Each call gave a float or a bare TypeError on a float n, N or level; each
+# value is the call with numpy's integer in its place.
+@pytest.mark.parametrize("call,name,value", [
+    (lambda i: decoding_weight(i(2.5), 1), "level", 4),
+    (lambda i: realize_policy("sqrt", i(2.5)), "n", 2),
+    (lambda i: sc_latency_tree(i(2.0), 1), "n", 8),
+    (lambda i: sc_latency_closed_form(i(16.0), 1), "N", 64),
+    (lambda i: latency_report([2, 2], 1, n=i(2.0)).ssc, "n", 6),
+    (lambda i: len(run_policy_sweep(n_max=i(5.0))), "n_max", 10),
+], ids=["decoding_weight", "realize_policy", "sc_latency_tree", "sc_latency_closed_form",
+        "latency_report", "run_policy_sweep"])
+def test_integer_arguments_are_typed(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(lambda x: x)
+    assert call(lambda x: np.int64(x)) == value
 
 
 M, R0, R1 = NodeKind.MIXED, NodeKind.RATE0, NodeKind.RATE1
