@@ -227,7 +227,10 @@ def code_from_text(text: str) -> PolarCode:
         raise ValueError(
             f"stored capacity {stored_capacity} inconsistent with {kind.value}({param})"
         )
-    frozen = _hex_to_frozen(lines[2].strip(), 2 ** n)
+    hex_line = lines[2].strip()
+    if n > len(hex_line).bit_length() + 1:  # then N = 2^n needs 2^(n-2) > len nibbles
+        raise ValueError(f"frozen string has {len(hex_line)} nibbles, too few for n={n}")
+    frozen = _hex_to_frozen(hex_line, 2 ** n)
     return PolarCode(channel, n, pe, frozen)
 
 

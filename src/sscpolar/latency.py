@@ -10,10 +10,10 @@ The pruned tree is walked top-down a level at a time by one walker
 (_walk), which serves the mask-based build, the channel scan and the edge
 profiles.  The channel scan classifies a node by its all-plus and all-minus
 reliability paths (Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In
-IEEE doubles the all-minus path only climbs and the all-plus path only
-falls, so each path stays on one side of the threshold iff its end does: a
-node is decided by the ends of its paths alone, and below the root level a
-left child is tested for Rate-0 only and a right child for Rate-1 only.
+IEEE doubles both polarization maps are non-decreasing, so whether a path
+of s steps ends on one side of the threshold is a threshold on its start:
+the scan builds one table of these per-level thresholds and decides every
+node with one comparison for each kind.
 scan_edge_profile counts each level's frontier and drops it.  At one
 (n, pe) the scan depends on a channel only through its z0, so
 scan_edge_profiles walks the roots of several channels together, one
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -79,13 +80,16 @@ def _check_p(P: int) -> int:
     return P
 
 
+def _weight(s: int, P: int) -> int:
+    return (2 ** s + P - 1) // P
+
+
 def decoding_weight(s: int, P: int) -> int:
     """Time steps charged to an edge entering a node at level s: ceil(2^s / P)."""
     s = _as_int(s, "level")
     if s < 0:
         raise ValueError(f"level must be >= 0, got {s}")
-    P = _check_p(P)
-    return (2 ** s + P - 1) // P
+    return _weight(s, _check_p(P))
 
 
 # Classifies one level's frontier: (z, node index within its root's full
@@ -172,35 +176,84 @@ def _tree(steps: Iterator[Step]) -> SscTree:
     return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
 
 
-def _path_end(z: np.ndarray, steps: int, step) -> np.ndarray:
-    """step^steps(z): the end of each z's all-plus or all-minus path."""
-    for _ in range(steps):
-        z = step(z)
-    return z
+# Bit patterns of the doubles in [0, 1] are ordered as their values.
+_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# Steps of math.nextafter from a closed-form guess before bisecting instead.
+_NUDGES = 4
+
+
+def _least_reaching(step: Callable[[float], float], guess: Callable[[float], float],
+                    target: float) -> float:
+    """The least double z in [0, 1] with step(z) >= target, or inf if there is none.
+
+    step must be non-decreasing on [0, 1].  guess(target) is a start a few
+    ulps from the answer; when _NUDGES steps of nextafter do not settle it,
+    a bisection over the bit patterns of [0, 1] does.
+    """
+    if not step(1.0) >= target:
+        return math.inf
+    z = guess(target)
+    for _ in range(_NUDGES):
+        if step(z) < target:
+            z = math.nextafter(z, 1.0)
+        elif z > 0.0 and step(below := math.nextafter(z, 0.0)) >= target:
+            z = below
+        else:
+            return z
+    lo, hi = -1, _ONE_BITS  # step fails at lo (or below 0.0) and holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if step(_double(mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
+
+
+def _minus_guess(t: float) -> float:
+    return t / (1.0 + math.sqrt(1.0 - t))  # 1 - sqrt(1 - t), without its cancellation
 
 
 def _channel_classifier(threshold: float, n: int) -> Classifier:
-    # A node is Rate-1 iff its worst leaf, reached on the all-minus path, is
-    # under the freezing threshold, and Rate-0 iff its best leaf, on the
-    # all-plus path, is at or above it, with every step of the path in range.
-    # For an IEEE double z in [0, 1], z <= z_minus(z) <= 1 and z_plus(z) <= z
-    # (2z is exact and rounding is monotone, so fl(z*z) <= z): the all-minus
-    # path only climbs and the all-plus path only falls, so a path stays in
-    # range iff its end does, and one comparison at the end decides each
-    # node.  A MIXED node's left child's all-minus path ends at the node's
-    # worst leaf, so that child is not Rate-1; likewise its right child's
-    # all-plus path ends at its best leaf, so that child is not Rate-0.
-    # Below the root level, left children sit at even positions, right ones
-    # at odd, in every root's segment.  The root level, s == n, holds one
-    # node a root, each tested for both kinds; with several roots its size
-    # says nothing about which level it is.
+    # A leaf is frozen iff its z >= threshold.  On the doubles of [0, 1]
+    # both maps are non-decreasing:
+    # - z_plus(z) = fl(z*z), because z*z is and rounding is monotone;
+    # - z_minus(z) = fl(2z - a), a = fl(z*z), with 2z exact.  For adjacent
+    #   doubles z < z' = z + u <= 1 it suffices that a' - a <= 2u.  The
+    #   squares differ by u(z + z') < 2u.  a <= z is a multiple of the
+    #   spacing g <= u of doubles at a.  If a' is on the same grid (one
+    #   binade, or both below 2^-1021), each is within g/2 of its square, so
+    #   a' - a < 2u + g, a multiple of g: a' - a <= 2u.  Otherwise a' is
+    #   past an edge B where the spacing doubles to 2g, so
+    #   a' - a <= u(z + z') + g/2 + g = 2u + 3g/2 - m, m = u(2 - z - z');
+    #   a multiple of g, it exceeds 2u only if m <= g/2 <= u/2.  B = 1
+    #   needs z' = 1, where a' - a = 2u; B <= 1/2 needs z' < 0.71, so
+    #   m > u/2.
+    # test_channel.py checks both maps on every pair of adjacent doubles
+    # in windows around these edges.
+    # With z_plus(z) <= z <= z_minus(z), a node's best leaf is then the end
+    # of its all-plus path and its worst the end of its all-minus path.  It
+    # is Rate-0 iff z_plus^s(z) >= threshold, and Rate-1 iff
+    # z_minus^s(z) < threshold.  The z whose s-step path reaches the
+    # threshold are all the doubles from some least one on, plus[s] for
+    # z_plus and minus[s] for z_minus (inf if none), and since
+    # step^s(z) = step^(s-1)(step(z)), plus[s] is the least z with
+    # z_plus(z) >= plus[s - 1], and likewise for minus.  So the node is
+    # Rate-0 iff z >= plus[s] and Rate-1 iff z < minus[s], exactly.  A NaN
+    # z is neither.
+    plus, minus = [threshold], [threshold]
+    for _ in range(n):
+        plus.append(_least_reaching(z_plus, math.sqrt, plus[-1]))
+        minus.append(_least_reaching(z_minus, _minus_guess, minus[-1]))
+
     def classify(z, _index, s):
-        step = 1 if s == n else 2
-        rate0 = np.zeros(z.size, dtype=bool)
-        rate1 = np.zeros(z.size, dtype=bool)
-        rate0[0::step] = _path_end(z[0::step], s, z_plus) >= threshold
-        rate1[step - 1::step] = _path_end(z[step - 1::step], s, z_minus) < threshold
-        return rate0, rate1
+        return z >= plus[s], z < minus[s]
 
     return classify
 
@@ -242,9 +295,10 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
 
     Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
-    never materializes the 2^n leaves, so it reaches n = 27.  Memory is
-    O(pruned nodes) and time O(n * pruned nodes), an orbit of up to n steps
-    a node; scan_edge_profile needs only the frontier.
+    never materializes the 2^n leaves, so it reaches n = 27.  Memory and
+    time are O(pruned nodes), one comparison a node against a table of
+    per-level thresholds built in O(n); scan_edge_profile needs only the
+    frontier.
     Rejects n < 1 and pe outside (0, 1), as build_code does.
     """
     return _tree(_scan([channel.z0], n, pe, 0))
@@ -272,7 +326,8 @@ def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
 
     Equal to scan_ssc_tree(...).edge_profile(), but keeps only the frontier:
     each level is counted and dropped, so memory is O(largest level) and
-    time O(n * pruned nodes), not O(2^n).  The leaves are never classified.
+    time O(pruned nodes) plus an O(n) threshold table, not O(2^n).  The
+    leaves are never classified.
     """
     return scan_edge_profiles([channel], n, pe)[0]
 
@@ -303,7 +358,7 @@ def ssc_latency(tree: ProfileLike, P: int) -> int:
     """
     prof = _coerce_profile(tree)
     P = _check_p(P)
-    return sum(count * decoding_weight(s, P) for s, count in enumerate(prof))
+    return sum(count * _weight(s, P) for s, count in enumerate(prof))
 
 
 def sc_latency_tree(n: int, P: int) -> int:

@@ -238,11 +238,38 @@ class TestZTransforms:
     @example(5e-324)
     @example(2.2250738585072014e-308)
     def test_polarization_ordering(self, z):
-        # the monotone-path lemma the pruned-tree scan relies on: the
-        # all-minus path only climbs and the all-plus path only falls, so a
-        # path stays on one side of the freezing threshold iff its end does,
-        # and the scan decides each node by the ends of its paths
+        # with both maps non-decreasing (test_maps_are_monotone_on_windows),
+        # this puts a node's best leaf at the end of its all-plus path and
+        # its worst at the end of its all-minus path, so the pruned-tree scan
+        # decides each node by comparing its z with per-level thresholds
         assert 0.0 <= z_plus(z) <= z <= z_minus(z) <= 1.0
+
+    # Where the rounding of z*z and 2z - z*z changes: just below 1, at
+    # sqrt(1/2) and the powers of two where the squares cross a binade,
+    # where z*z leaves the normal range (2^-511) and the spacing below it
+    # stops halving (sqrt(2^-1021)), where z*z rounds to 0 (2^-537.5), and
+    # the subnormals themselves.
+    EDGES = [1.0, math.sqrt(0.5), 0.5, 0.25, 2.0 ** -26, 2.0 ** -52, 2.0 ** -511,
+             math.sqrt(2.0 ** -1021), 2.0 ** -537.5, 0.0]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_maps_are_monotone_on_windows(self, edge):
+        # every pair of adjacent doubles in a window of 2^20 + 1 around the edge
+        one = int(np.float64(1.0).view(np.int64))
+        lo = min(max(int(np.float64(edge).view(np.int64)) - 2 ** 19, 0), one - 2 ** 20)
+        z = np.arange(lo, lo + 2 ** 20 + 1, dtype=np.int64).view(np.float64)
+        assert z[0] <= edge <= z[-1] <= 1.0
+        assert (np.diff(z_plus(z)) >= 0.0).all()
+        assert (np.diff(z_minus(z)) >= 0.0).all()
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(0.0)
+    @example(math.nextafter(1.0, 0.0))
+    @example(math.nextafter(math.sqrt(0.5), 0.0))
+    def test_maps_are_monotone(self, z):
+        up = math.nextafter(z, 2.0)
+        assert z_plus(up) >= z_plus(z)
+        assert z_minus(up) >= z_minus(z)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_stays_in_unit_interval(self, z):

@@ -217,6 +217,13 @@ class TestCodeFile:
         with pytest.raises(ValueError, match="n must be >= 1, got -1"):
             code_from_text("\n".join(lines))
 
+    def test_huge_header_n_is_rejected_before_its_power(self):
+        # 2^100000000 leaves would need 2^99999998 nibbles; the length check
+        # comes before 2 ** n, which took most of a second to build
+        text = "polarcode v1\nbec 0.5 0.5 0.001 100000000\nff\n"
+        with pytest.raises(ValueError, match=r"^frozen string has 2 nibbles, too few for n=100000000$"):
+            code_from_text(text)
+
     def test_rejects_inconsistent_capacity(self):
         text = code_to_text(build_code(bec(0.5), 3, 1e-2))
         lines = text.splitlines()

@@ -27,6 +27,7 @@ from sscpolar import (
     ssc_latency,
 )
 from sscpolar import latency
+from sscpolar.channel import z_minus, z_plus
 from sscpolar.experiments import realize_policy, run_policy_sweep
 
 from conftest import reference_pruned_levels, tree_levels
@@ -64,6 +65,13 @@ class TestDecodingWeight:
         assert ssc_latency([2, 2], np.int64(2)) == 4
         assert decoding_weight(3, np.int32(3)) == 3
         assert latency_report([2, 2], np.int64(2)).ssc == 4
+
+    def test_ssc_latency_checks_p_once(self, monkeypatch):
+        checks = []
+        check = latency._check_p
+        monkeypatch.setattr(latency, "_check_p", lambda P: checks.append(P) or check(P))
+        assert ssc_latency([2 ** (20 - s) for s in range(20)], 4) == sc_latency_tree(20, 4)
+        assert checks == [4, 4]  # one a latency: ssc_latency's, then sc_latency_tree's
 
 
 # Each call gave a float or a bare TypeError on a float n, N or level; each
@@ -289,6 +297,96 @@ class TestMultiRootScan:
         assert split and seen[split[0] - 1][0] == len(channels)
         monkeypatch.undo()
         assert profiles == [scan_edge_profile(ch, 18, 1e-10) for ch in channels]
+
+
+def bisect_least(step, target):
+    """The least double z in [0, 1] with step(z) >= target, by plain bisection on bit patterns."""
+    one = int(np.float64(1.0).view(np.int64))
+    if not step(1.0) >= target:
+        return math.inf
+    lo, hi = -1, one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if step(float(np.int64(mid).view(np.float64))) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+STEPS = [(z_plus, math.sqrt), (z_minus, latency._minus_guess)]
+
+
+class TestThresholdTables:
+    @settings(max_examples=200, deadline=None)
+    @given(log2_t=st.floats(min_value=-1074.0, max_value=0.0))
+    @example(log2_t=-1074.0)
+    @example(log2_t=-1022.0)
+    @example(log2_t=0.0)
+    def test_search_equals_bisection(self, log2_t):
+        t = 2.0 ** log2_t  # log-uniform on [5e-324, 1]
+        for step, guess in STEPS:
+            assert latency._least_reaching(step, guess, t) == bisect_least(step, t)
+
+    def test_zero_target(self):
+        for step, guess in STEPS:
+            assert latency._least_reaching(step, guess, 0.0) == bisect_least(step, 0.0) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nextafter(1.0, 2.0), 2.0, math.inf])
+    def test_inf_where_no_double_reaches(self, t):
+        for step, guess in STEPS:
+            assert latency._least_reaching(step, guess, t) == math.inf
+
+    @pytest.mark.parametrize("step,guess,t", [(z_plus, math.sqrt, 5e-324),
+                                              (z_plus, math.sqrt, 1e-320),
+                                              (z_minus, latency._minus_guess, 1.0)])
+    def test_fallback(self, step, guess, t):
+        # z*z rounds a wide range of z onto a subnormal t (and 2z - z*z onto
+        # 1), so the guess is far off and the nudges give way to bisection
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return step(z)
+
+        z = latency._least_reaching(counted, guess, t)
+        assert len(calls) > 1 + 2 * latency._NUDGES
+        assert z == bisect_least(step, t)
+        assert step(z) >= t > step(math.nextafter(z, 0.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(zs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+           log2_t=st.floats(min_value=-1074.0, max_value=0.0),
+           n=st.integers(min_value=0, max_value=40))
+    @example(zs=[0.0, 5e-324, 1.0, math.nextafter(1.0, 0.0), math.nan], log2_t=-1074.0, n=40)
+    def test_tables_decide_as_path_ends(self, zs, log2_t, n):
+        # one comparison a kind decides what the s-step orbit of each map does
+        threshold = 2.0 ** log2_t
+        classify = latency._channel_classifier(threshold, n)
+        z = np.array(zs)
+        for s in range(n + 1):
+            best, worst = z.copy(), z.copy()
+            for _ in range(s):
+                best, worst = z_plus(best), z_minus(worst)
+            rate0, rate1 = classify(z, None, s)
+            assert rate0.tolist() == (best >= threshold).tolist()
+            assert rate1.tolist() == (worst < threshold).tolist()
+
+    def test_scan_runs_no_orbit(self, bec_half, monkeypatch):
+        # the maps run only on the scalars of the table search, and the
+        # walk polarizes each level once
+        args, levels = [], []
+        for name in ("z_plus", "z_minus"):
+            step = getattr(latency, name)
+            monkeypatch.setattr(latency, name, lambda z, step=step: args.append(type(z)) or step(z))
+        polarize = latency.polarize
+        monkeypatch.setattr(latency, "polarize",
+                            lambda z: levels.append(z.size) or polarize(z))
+        n = 14
+        tree = scan_ssc_tree(bec_half, n, 1e-3)
+        assert args and set(args) == {float}
+        assert len(levels) == n
+        assert levels == [int(np.count_nonzero(k == M)) for k in tree.kinds[:0:-1]]
 
 
 class TestSscLatency:
