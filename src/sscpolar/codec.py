@@ -16,12 +16,12 @@ to its leaves.  A Rate-1 node above level 1 hard-decides, unless a frame
 holds a tie there: SSC then takes SC's bits on the tie frames, from
 _inside run on those frames' inputs.  sc_ssc_agreement decodes both in one
 pass over SSC's schedule that computes each shared LLR once; each Rate-1
-node above level 1 saves its input and its bits, and after the pass
-_inside decodes all the saved inputs of each level at once, and a frame
-diverges where SC's bits differ from the saved ones.  The executor runs a
-schedule over frame-interleaved buffers: level s holds one (2^s, frames)
-LLR array, so a node's halves are contiguous row blocks, and one
-(N, frames) array holds the partial sums in place.
+node above level 1 saves copies of its input and its bits, and after the
+pass _inside decodes each level's saved inputs, joined, at once, and a
+frame diverges where SC's bits differ from the saved ones.  The executor
+runs a schedule over frame-interleaved buffers: level s holds one
+(2^s, frames) LLR array, so a node's halves are contiguous row blocks,
+and one (N, frames) array holds the partial sums in place.
 
 Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
 node above level 1 runs F, G and COMBINE, except that the F or G into a
@@ -53,13 +53,12 @@ time, so every frame equals the per-frame path bit for bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
-from .construct import PolarCode, _as_int
+from .construct import PolarCode, _as_int, _check_mask
 from .latency import NodeKind, SscTree, _mask_tree, build_ssc_tree
 
 
@@ -180,11 +179,6 @@ def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
     node it runs _inside, shifted to the node's leaves; at level 1 that is
     the one INFO_INFO op.
     """
-    frozen = np.asarray(frozen, dtype=bool)
-    N = frozen.size
-    if frozen.ndim != 1 or N == 0 or N & (N - 1):
-        raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {frozen.shape}")
-
     def expand(ops: Iterable[Op]) -> Iterator[Op]:
         for op, s, lo in ops:
             if op == RATE1:
@@ -193,7 +187,7 @@ def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
                 yield op, s, lo
 
     # the compiler reads only the kinds, so the z need not be a channel's
-    return expand(ssc_schedule(_mask_tree(frozen, 1.0)))
+    return expand(ssc_schedule(_mask_tree(_check_mask(frozen), 1.0)))
 
 
 def ssc_schedule(tree: SscTree) -> Iterator[Op]:
@@ -295,14 +289,14 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
-             check: Optional[_Rate1Check] = None) -> np.ndarray:
+             saved: Optional[dict[int, list]] = None) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j, with F kernel f.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  With `check`, every Rate-1 node above level 1
-    saves its input and its bits into it.
+    of the partial sums.  With `saved`, every Rate-1 node at a level s > 1
+    appends copies of its input and its bits, (a, b), to saved[s].
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
@@ -349,48 +343,10 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
                 ties = _tie_frames(a, T[:1 << (s - 1)])
                 if ties.size:
                     b[:, ties] = _execute(_inside(s), a[:, ties], f)
-                if check is not None:
-                    check.save(a, b)
+                if saved is not None:
+                    saved.setdefault(s, []).append((a.copy(), b.copy()))
             # RATE0: a frozen node's partial sums stay 0
     return B
-
-
-class _Rate1Check:
-    """The check that SC decides as SSC inside every Rate-1 node above level 1.
-
-    sc_ssc_agreement builds one check a call from SSC's schedule `ops`, for
-    batches of up to `frames` frames, and start()s it at each batch.  Level
-    s holds the Rate-1 nodes there side by side: save() writes a node's
-    input LLRs and SSC's bits into the level's (2^s, nodes * frames) float
-    and bool buffers, and finish(f) runs SC with F kernel f once a level
-    over the inputs and sets `diverged` where its bits differ from SSC's.
-    """
-
-    def __init__(self, ops: Iterable[Op], frames: int):
-        self.nodes = Counter(s for op, s, _lo in ops if op == RATE1 and s > 1)
-        self.flat = {s: (np.empty((m << s) * frames), np.empty((m << s) * frames, dtype=bool))
-                     for s, m in self.nodes.items()}
-
-    def start(self, frames: int) -> None:
-        """Clear the check for a batch of `frames` frames, at most the constructor's."""
-        self.diverged = np.zeros(frames, dtype=bool)
-        # contiguous prefixes, so a short batch's nodes lie side by side too
-        self.saved = {s: [x[:(self.nodes[s] << s) * frames].reshape(1 << s, -1) for x in pair]
-                      for s, pair in self.flat.items()}
-        self.used = dict.fromkeys(self.nodes, 0)
-
-    def save(self, a: np.ndarray, b: np.ndarray) -> None:
-        s, frames = a.shape[0].bit_length() - 1, a.shape[1]
-        j = self.used[s] * frames
-        x, bits = self.saved[s]
-        x[:, j:j + frames] = a
-        bits[:, j:j + frames] = b
-        self.used[s] += 1
-
-    def finish(self, f: FKernel) -> None:
-        frames = self.diverged.size
-        for s, (x, bits) in self.saved.items():
-            self.diverged |= _rate1_divergence(s, x, bits, frames, f).any(axis=0)
 
 
 def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int,
@@ -406,9 +362,9 @@ def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int,
 
 
 def _decode(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
-            check: Optional[_Rate1Check] = None) -> np.ndarray:
+            saved: Optional[dict[int, list]] = None) -> np.ndarray:
     """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs, with F kernel f."""
-    x = _execute(ops, llr, f, check).view(np.uint8)
+    x = _execute(ops, llr, f, saved).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
@@ -560,15 +516,21 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         raise ValueError(f"batch must be >= 1, got {batch}")
     f = _f_erasure if channel.kind is ChannelKind.BEC else _f
     ops = list(ssc_schedule(build_ssc_tree(code)))
-    check = None
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-        if check is None:  # the first batch is the largest
-            check = _Rate1Check(ops, llr.shape[1])
-        check.start(llr.shape[1])
-        u_ssc = _decode(ops, llr, f, check)
-        check.finish(f)  # after the pass's level buffers are freed
-        agree += llr.shape[1] - int(np.count_nonzero(check.diverged))
+        frames = llr.shape[1]
+        saved = {}
+        u_ssc = _decode(ops, llr, f, saved)
+        diverged = np.zeros(frames, dtype=bool)
+        for s, pairs in saved.items():  # after the pass's buffers are freed
+            x = np.empty((1 << s, len(pairs) * frames))
+            bits = np.empty(x.shape, dtype=bool)
+            for j in range(len(pairs)):  # each copy goes once it is joined
+                x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]
+                pairs[j] = None
+            diverged |= _rate1_divergence(s, x, bits, frames, f).any(axis=0)
+            del x, bits
+        agree += frames - int(np.count_nonzero(diverged))
         errors += _frame_errors(code, msg, u_ssc)
         del u_ssc  # before the next batch's pass
     return agree, trials, errors / trials

@@ -111,13 +111,18 @@ def build_code(channel: BmsChannel, n: int, pe: float) -> PolarCode:
     return PolarCode(channel, n, pe, frozen)
 
 
+def _check_mask(frozen) -> np.ndarray:
+    """frozen as a bool array; rejects a mask that is not 1-D with a power-of-two length."""
+    fr = np.asarray(frozen, dtype=bool)
+    if fr.ndim != 1 or fr.size == 0 or fr.size & (fr.size - 1):
+        raise ValueError(f"frozen mask must be 1-D with a power-of-two length, got {fr.shape}")
+    return fr
+
+
 def code_from_frozen(channel: BmsChannel, frozen, pe: float) -> PolarCode:
     """Wrap an explicit frozen mask (e.g. a textbook example code)."""
-    fr = np.asarray(frozen, dtype=bool)
-    n = int(fr.size).bit_length() - 1
-    if 2 ** n != fr.size:
-        raise ValueError(f"frozen mask length {fr.size} is not a power of two")
-    return PolarCode(channel, n, pe, fr)
+    fr = _check_mask(frozen)
+    return PolarCode(channel, fr.size.bit_length() - 1, pe, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +171,7 @@ def cube_interval(N: int) -> tuple[float, float]:
     Rate-1 (all information) and one with Z >= 1 - 1/N^3 is Rate-0 (all
     frozen).
     """
+    N = _as_int(N, "N")
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     return 1.0 / N ** 3, 1.0 - 1.0 / N ** 3

@@ -92,9 +92,8 @@ def decoding_weight(s: int, P: int) -> int:
     return _weight(s, _check_p(P))
 
 
-# Classifies one level's frontier: (z, node index within its root's full
-# level or None, s) -> (rate0, rate1) boolean masks.
-Classifier = Callable[[np.ndarray, Optional[np.ndarray], int], tuple[np.ndarray, np.ndarray]]
+# Classifies one level's frontier: (z, s) -> (rate0, rate1) boolean masks.
+Classifier = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 # One level of the pruned tree: (z, rate0, rate1), the masks as a Classifier returns them.
 Level = tuple[np.ndarray, np.ndarray, np.ndarray]
 # One step of a walk: (first, s, level, mixed), see _walk.
@@ -117,8 +116,7 @@ def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.bincount(owner[mask], minlength=sizes.size)
 
 
-def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier,
-          indexed: bool = False) -> Iterator[Step]:
+def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier) -> Iterator[Step]:
     """Walk the pruned trees of the roots z0 top-down, from level n to level bottom.
 
     Each step (first, s, (z, rate0, rate1), mixed) is level s of roots
@@ -130,38 +128,27 @@ def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier,
     yielding each root's remaining levels in turn and skipping roots with no
     nodes left.  A single root never splits, so its levels come whole and
     top-down, the root level included.
-
-    Each node's index within its root's full level is tracked only when
-    `indexed`; the channel scan does not read it and would pay 8 bytes a
-    node for it.
     """
-    def walk(z, index, sizes, s, first):
+    def walk(z, sizes, s, first):
         while True:
             if sizes.size > 1 and z.size > _FRONTIER_BOUND:
                 ends = np.cumsum(sizes)
                 for r, (lo, hi) in enumerate(zip(ends - sizes, ends)):
                     if hi > lo:
-                        yield from walk(z[lo:hi], None if index is None else index[lo:hi],
-                                        sizes[r:r + 1], s, first + r)
+                        yield from walk(z[lo:hi], sizes[r:r + 1], s, first + r)
                 return
-            rate0, rate1 = classify(z, index, s)
+            rate0, rate1 = classify(z, s)
             mixed = ~(rate0 | rate1)
             counts = _segment_counts(mixed, sizes)
             yield first, s, (z, rate0, rate1), counts
             if s == bottom:
                 return
             z = polarize(z[mixed])
-            if index is not None:
-                im = index[mixed] << 1
-                index = np.empty(2 * im.size, dtype=np.int64)
-                index[0::2] = im
-                index[1::2] = im + 1
             sizes = 2 * counts
             s -= 1
 
     z0 = np.asarray(z0, dtype=np.float64)
-    index = np.zeros(z0.size, dtype=np.int64) if indexed else None
-    return walk(z0, index, np.ones(z0.size, dtype=np.int64), n, 0)
+    return walk(z0, np.ones(z0.size, dtype=np.int64), n, 0)
 
 
 def _tree(steps: Iterator[Step]) -> SscTree:
@@ -252,19 +239,28 @@ def _channel_classifier(threshold: float, n: int) -> Classifier:
         plus.append(_least_reaching(z_plus, math.sqrt, plus[-1]))
         minus.append(_least_reaching(z_minus, _minus_guess, minus[-1]))
 
-    def classify(z, _index, s):
+    def classify(z, s):
         return z >= plus[s], z < minus[s]
 
     return classify
 
 
 def _mask_classifier(frozen: np.ndarray) -> Classifier:
-    prefix = np.concatenate([[0], np.cumsum(frozen, dtype=np.int64)])
+    # For one walk of one root, whose levels come whole and top-down.  It keeps
+    # each node's first leaf; a MIXED node's children start at lo and lo + 2^(s-1).
+    prefix = np.zeros(frozen.size + 1, dtype=np.int64)
+    np.cumsum(frozen, dtype=np.int64, out=prefix[1:])
+    first = np.zeros(1, dtype=np.int64)
 
-    def classify(_z, index, s):
-        lo = index << s
-        count = prefix[lo + (1 << s)] - prefix[lo]
-        return count == (1 << s), count == 0
+    def classify(_z, s):
+        nonlocal first
+        count = prefix[first + (1 << s)] - prefix[first]
+        rate0, rate1 = count == (1 << s), count == 0
+        lo = first[~(rate0 | rate1)]
+        first = np.empty(2 * lo.size, dtype=np.int64)
+        first[0::2] = lo
+        first[1::2] = lo + (1 << s >> 1)
+        return rate0, rate1
 
     return classify
 
@@ -276,7 +272,7 @@ def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
     the work after that sum is proportional to the pruned tree, not to N.
     """
     n = frozen.size.bit_length() - 1
-    return _tree(_walk([z0], n, 0, _mask_classifier(frozen), indexed=True))
+    return _tree(_walk([z0], n, 0, _mask_classifier(frozen)))
 
 
 def build_ssc_tree(code: PolarCode) -> SscTree:
@@ -394,8 +390,9 @@ def latency_upper_bound(N: int, P: int, mu: float, c: float, eps: float) -> floa
     exactly zero, which covers the fully-parallel operating point.  Rejects
     non-finite c and eps and a mu that is not positive and finite.
     """
-    if N < 2 or P < 1:
-        raise ValueError(f"need N >= 2 and P >= 1, got N={N}, P={P}")
+    N, P = _as_int(N, "N"), _check_p(P)
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     check_mu(mu)
     if not (math.isfinite(c) and math.isfinite(eps)):
         raise ValueError(f"c and eps must be finite, got c={c}, eps={eps}")

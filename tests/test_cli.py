@@ -258,6 +258,9 @@ class TestBound:
         assert rc == 2
         assert stdout == ""
         assert err == "error: log2(log2(N/P)) undefined for N/P = 1.0\n"
+        rc, stdout, err = run(capsys, "bound", "--n", "6", "--p", "0")
+        assert (rc, stdout) == (2, "")
+        assert err == "error: P must be a positive integer, got 0\n"
 
 
 class TestNonFiniteParameters:

@@ -120,7 +120,7 @@ class TestSerialSweep:
             classify = make(threshold, n)
 
             def spy(*args):
-                calls.append(args[2])
+                calls.append(args[1])
                 return classify(*args)
 
             return spy

@@ -14,6 +14,7 @@ from sscpolar import (
     build_ssc_tree,
     channel_from_capacity,
     code_from_frozen,
+    cube_interval,
     decoding_weight,
     latency_report,
     latency_upper_bound,
@@ -59,12 +60,15 @@ class TestDecodingWeight:
         # exact integer latencies: a fractional or float P is rejected, numpy ints pass
         for call in (lambda: ssc_latency([2, 2], 1.5), lambda: decoding_weight(3, 2.5),
                      lambda: latency_report([2, 2], 2.0), lambda: sc_latency_tree(3, 2.0),
-                     lambda: ssc_latency([2, 2], "2")):
+                     lambda: ssc_latency([2, 2], "2"),
+                     lambda: latency_upper_bound(16, 1.5, 3.63, 1.0, 0.5),
+                     lambda: latency_upper_bound(16, 0, 3.63, 1.0, 0.5)):
             with pytest.raises(ValueError, match="P must be"):
                 call()
         assert ssc_latency([2, 2], np.int64(2)) == 4
         assert decoding_weight(3, np.int32(3)) == 3
         assert latency_report([2, 2], np.int64(2)).ssc == 4
+        assert latency_upper_bound(16, np.int64(1), 3.63, 0.0, 0.0) == 64.0
 
     def test_ssc_latency_checks_p_once(self, monkeypatch):
         checks = []
@@ -83,8 +87,10 @@ class TestDecodingWeight:
     (lambda i: sc_latency_closed_form(i(16.0), 1), "N", 64),
     (lambda i: latency_report([2, 2], 1, n=i(2.0)).ssc, "n", 6),
     (lambda i: len(run_policy_sweep(n_max=i(5.0))), "n_max", 10),
+    (lambda i: latency_upper_bound(i(16.0), 1, 3.63, 0.0, 0.0), "N", 64.0),
+    (lambda i: cube_interval(i(2.0))[0], "N", 0.125),
 ], ids=["decoding_weight", "realize_policy", "sc_latency_tree", "sc_latency_closed_form",
-        "latency_report", "run_policy_sweep"])
+        "latency_report", "run_policy_sweep", "latency_upper_bound", "cube_interval"])
 def test_integer_arguments_are_typed(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(lambda x: x)
@@ -130,22 +136,28 @@ class TestSscTree:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kinds_agree_with_leaf_scan(self, seed):
-        # independent classifier: a node is pure iff its leaf range is pure
+        # independent classifier: a node is pure iff its leaf range is pure.
+        # Block-structured masks (bit i of a random pattern freezes block i
+        # of 2^b leaves) are pruned at every height b.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        mask = rng.random(2 ** n) < rng.random()
-        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
-        tree = build_ssc_tree(code)
-        offsets = [0]
-        for s in range(n, -1, -1):
-            kinds = tree.kinds[s].tolist()
-            assert len(kinds) == len(offsets)
-            for lo, kind in zip(offsets, kinds):
-                seg = mask[lo:lo + 2 ** s]
-                assert kind == (R0 if seg.all() else R1 if not seg.any() else M)
-            offsets = [lo + d for lo, kind in zip(offsets, kinds) if kind == M
-                       for d in (0, 2 ** (s - 1))]
-        assert offsets == []
+        masks = [rng.random(2 ** n) < rng.random()]
+        n = 2 * seed + 2
+        masks += [np.repeat(rng.random(2 ** (n - b)) < 0.5, 2 ** b) for b in range(n + 1)]
+        for mask in masks:
+            n = mask.size.bit_length() - 1
+            code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+            tree = build_ssc_tree(code)
+            offsets = [0]
+            for s in range(n, -1, -1):
+                kinds = tree.kinds[s].tolist()
+                assert len(kinds) == len(offsets)
+                for lo, kind in zip(offsets, kinds):
+                    seg = mask[lo:lo + 2 ** s]
+                    assert kind == (R0 if seg.all() else R1 if not seg.any() else M)
+                offsets = [lo + d for lo, kind in zip(offsets, kinds) if kind == M
+                           for d in (0, 2 ** (s - 1))]
+            assert offsets == []
 
 
 FAMILY_CAPACITIES = [(kind, cap) for kind in ChannelKind for cap in (0.1, 0.5, 0.9)]
@@ -247,10 +259,10 @@ class TestStreamingScan:
     @example(z0=0.5, pe=1e-3, n=16)
     @example(z0=0.5, pe=math.nextafter(1.0, 0.0), n=12)
     def test_scan_equals_reference_for_any_z0(self, z0, pe, n):
-        # the scan decides a node by the ends of its paths and tests each
-        # child for one kind only; the reference tests both kinds at every
-        # step of every path.  They agree by the monotone-path lemma
-        # (test_channel.py::TestZTransforms::test_polarization_ordering).
+        # the scan tests both kinds at every node with one comparison each,
+        # against per-level threshold tables; the reference tests both kinds
+        # at every step of every path.  They agree because both maps are
+        # non-decreasing (test_channel.py::TestZTransforms::test_maps_are_monotone).
         channel = bec(z0)
         tree = scan_ssc_tree(channel, n, pe)
         assert tree_levels(tree) == reference_pruned_levels(channel, n, pe)
@@ -368,7 +380,7 @@ class TestThresholdTables:
             best, worst = z.copy(), z.copy()
             for _ in range(s):
                 best, worst = z_plus(best), z_minus(worst)
-            rate0, rate1 = classify(z, None, s)
+            rate0, rate1 = classify(z, s)
             assert rate0.tolist() == (best >= threshold).tolist()
             assert rate1.tolist() == (worst < threshold).tolist()
 
