@@ -31,7 +31,8 @@ class PolarCode:
     frozen[i] is True when leaf i is a frozen position.  Leaf order is the
     natural factor-graph order: leaf i-1 corresponds to the transform path
     given by the binary expansion of i-1, most significant bit first, with
-    bit 0 the worse branch.  No bit-reversal anywhere.
+    bit 0 the worse branch.  No bit-reversal anywhere.  frozen is a
+    read-only copy of the mask the code was made from.
     """
 
     channel: BmsChannel
@@ -42,9 +43,10 @@ class PolarCode:
     def __post_init__(self):
         n = _check_n(self.n)
         _check_pe(self.pe)
-        fr = np.asarray(self.frozen, dtype=bool)
+        fr = np.array(self.frozen, dtype=bool)  # a copy: the caller's array may change
         if fr.shape != (2 ** n,):
             raise ValueError(f"frozen mask must have length 2^{n}")
+        fr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "frozen", fr)
 

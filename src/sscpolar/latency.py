@@ -50,7 +50,7 @@ class SscTree:
     (leaves are level 0, the root is level n), in leaf order.  Rate-0 and
     Rate-1 nodes are pruned, so the nodes at level s-1 are exactly the
     children of the MIXED nodes at level s, left child first.  z is each
-    node's synthetic-channel reliability.
+    node's synthetic-channel reliability.  Every array is read-only.
     """
 
     kinds: tuple[np.ndarray, ...]
@@ -158,6 +158,7 @@ def _tree(steps: Iterator[Step]) -> SscTree:
         kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
         kind[rate0] = NodeKind.RATE0
         kind[rate1] = NodeKind.RATE1
+        kind.flags.writeable = z.flags.writeable = False  # the walk only reads z after yielding it
         kinds.append(kind)
         zs.append(z)
     return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))

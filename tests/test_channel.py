@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from sscpolar.channel import (
     LLR_CAP,
     _bawgnc_capacity,
     _loss_integrand,
+    _loss_pairs,
+    _qagi_loss,
     bsc_llr_magnitude,
 )
+from sscpolar.experiments import DEFAULT_CAPACITIES
 
 # float.hex of (sigma, _bawgnc_capacity(sigma)) on np.geomspace(1e-3, 400, 20,
 # endpoint=False), recorded with np.logaddexp(0.0, v) as the integrand's
@@ -130,6 +134,13 @@ class TestCapacity:
         assert caps[-1] == 0.0
         assert make_channel(ChannelKind.BAWGNC, 1e300).capacity == 0.0
 
+    def test_bawgnc_noiseless_channels_are_perfect(self):
+        # the quadrature lost the loss from sigma ~ 1e-154 down and returned
+        # 0.0; at 1e-300, 2 sigma^2 underflows to 0
+        for e in range(2, 301):
+            ch = make_channel(ChannelKind.BAWGNC, 10.0 ** -e)
+            assert (ch.capacity, ch.z0) == (1.0, 0.0), e
+
     def test_bawgnc_capacity_is_pinned(self):
         got = [(s, _bawgnc_capacity(float.fromhex(s)).hex()) for s, _ in PINNED_BAWGNC_CAPACITIES]
         assert got == PINNED_BAWGNC_CAPACITIES
@@ -220,6 +231,97 @@ class TestChannelFromCapacity:
     def test_target_out_of_range(self, bad):
         with pytest.raises(ValueError):
             channel_from_capacity(ChannelKind.BEC, bad)
+
+
+def _quad_steps(f):
+    """scipy's quad of f over (-inf, inf) as _bawgnc_capacity called it, with its subintervals."""
+    integrate = pytest.importorskip("scipy.integrate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        result, abserr, info = integrate.quad(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12,
+                                              limit=200, full_output=1)[:3]
+    return _steps(result, abserr, info["last"], info["alist"], info["blist"], info["rlist"],
+                  info["elist"], info["iord"])
+
+
+def _steps(result, abserr, last, alist, blist, rlist, elist, iord):
+    # QUADPACK keeps iord ordered in its first jupbn entries only, and scipy
+    # leaves the rest unset
+    jupbn = 203 - last if last > 102 else last
+    floats = [result, abserr, *alist[:last], *blist[:last], *rlist[:last], *elist[:last]]
+    return last, [float(x).hex() for x in floats], [int(i) for i in iord[:jupbn]]
+
+
+def _generic_pairs(f):
+    """_loss_pairs for the integrand f, as QUADPACK's dqk15i evaluates it."""
+    def pairs(xs, _s2):
+        return [(f((1.0 - x) / x) + f(-((1.0 - x) / x))) / x / x for x in xs]
+    return pairs
+
+
+class TestQuadraturePort:
+    """_qagi_loss against scipy's QUADPACK, step for step and bit for bit."""
+
+    def fig6_sigmas(self, monkeypatch):
+        seen = []
+
+        def spy(sigma):
+            seen.append(sigma)
+            return _bawgnc_capacity(sigma)
+
+        with monkeypatch.context() as m:
+            m.setattr(channel_module, "_bawgnc_capacity", spy)
+            for target in DEFAULT_CAPACITIES:
+                channel_from_capacity(ChannelKind.BAWGNC, target)
+        assert len(seen) == 90
+        return seen
+
+    def test_steps_equal_scipy_quad(self, monkeypatch):
+        # the sigmas fig 6's inversions evaluate, and a grid over the range
+        # that needs the quadrature
+        sigmas = self.fig6_sigmas(monkeypatch) + np.geomspace(
+            2.0 ** -4, _LOW_SNR_SIGMA, 200, endpoint=False).tolist()
+        for sigma in sigmas:
+            s2 = sigma * sigma
+            assert _steps(*_qagi_loss(s2)) == _quad_steps(_loss_integrand(s2)), sigma
+
+    @pytest.mark.parametrize("f", [
+        lambda y: math.exp(-y * y),  # the sum over the subintervals converges
+        lambda y: 0.0,  # the first rule is exact
+        lambda y: 1.0 / (1.0 + abs(y)) ** 2.5,  # the epsilon table converges
+        lambda y: 1e-8 / (1e-16 + (y - 0.1) ** 2),  # extrapolation stalls
+        lambda y: (1.0 + 1e-7 * math.sin(1e8 * y + 0.1)) / (1.0 + y * y),  # roundoff
+        lambda y: abs(math.sin(y)) / (1.0 + abs(y)),  # divergent: all 200 subintervals
+        # found by a random search over such families: the epsilon table
+        # drops close and irregular elements; an interval too small to
+        # bisect, with the roundoff correction; extrapolation given up
+        lambda y: math.exp(-0.7360605046824417 * abs(y)) if y < -1.797555267202964 else 0.0,
+        lambda y: (abs(y - 0.24847483676097948) ** -0.9481337238740719
+                   * math.exp(-0.08054177351128285 * abs(y)) if y != 0.24847483676097948 else 0.0),
+        lambda y: ((1.0 + 1.4908515332008882e-12 * math.sin(439.02545981761835 * y + 0.3))
+                   * math.exp(-0.37361046695712163 * y * y)),
+    ], ids=["gauss", "zero", "decay", "spike", "roundoff", "divergent", "jump", "singular",
+            "flat"])
+    def test_every_exit_equals_scipy_quad(self, monkeypatch, f):
+        # the loss integrand never leaves by most of QUADPACK's exits: these
+        # integrands take all but three rare ones through the same port
+        monkeypatch.setattr(channel_module, "_loss_pairs", _generic_pairs(f))
+        assert _steps(*_qagi_loss(1.0)) == _quad_steps(f)
+
+    def test_pairs_are_the_integrand_bitwise(self):
+        rng = np.random.default_rng(21)
+        for sigma in (2.0 ** -4, 0.5, 0.9787, 2.0, 50.0, _LOW_SNR_SIGMA):
+            s2 = sigma * sigma
+            f = _loss_integrand(s2)
+            # nodes on both sides of the cut at (t - 1)^2 / 2s2 = 746, where
+            # the pairs' last nonzero values are
+            t = 1.0 + np.sqrt(2.0 * s2 * np.linspace(700.0, 760.0, 301))
+            xs = ([1.0, math.nextafter(1.0, 0.0), 0.5, 2.0 ** -208]
+                  + (1.0 / (1.0 + t)).tolist()
+                  + rng.uniform(0.0, 1.0, 500).tolist()
+                  + np.geomspace(1e-60, 1.0, 500).tolist())
+            want = [(f((1.0 - x) / x) + f(-((1.0 - x) / x))) / x / x for x in xs]
+            assert [v.hex() for v in _loss_pairs(xs, s2)] == [v.hex() for v in want], sigma
 
 
 class TestZTransforms:

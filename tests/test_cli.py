@@ -379,10 +379,14 @@ def test_any_argv_exits_cleanly(capsys, subcommands, command, data):
 
 
 def test_cli_starts_without_scipy():
-    # scipy is slow to import, and only the BAWGNC capacity quadrature needs it
+    # scipy is slow to import, and no path needs it: not the CLI, and not the
+    # BAWGNC capacity, whose quadrature is a port of QUADPACK's
     src = str(pathlib.Path(sscpolar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, sscpolar.cli as c; c.build_parser(); print('scipy' in sys.modules)"
+    probe = ("import sys, sscpolar.cli as c; c.build_parser(); "
+             "from sscpolar import ChannelKind, channel_from_capacity, make_channel; "
+             "channel_from_capacity(ChannelKind.BAWGNC, 0.5); "
+             "make_channel(ChannelKind.BAWGNC, 0.9); print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

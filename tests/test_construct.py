@@ -107,6 +107,16 @@ class TestBuildCode:
         with pytest.raises(ValueError):
             code_from_frozen(bec(0.5), np.zeros(6, dtype=bool), 0.5)
 
+    def test_code_owns_a_read_only_mask(self):
+        mask = np.zeros(8, dtype=bool)
+        mask[:3] = True
+        code = code_from_frozen(bec(0.5), mask, 0.5)
+        mask[3] = True  # the caller's array, not the code's
+        assert (code.k, code.rate, code.frozen.tolist()) == (5, 5 / 8, [True] * 3 + [False] * 5)
+        with pytest.raises(ValueError):
+            code.frozen[0] = False
+        assert not build_code(bec(0.5), 4, 1e-3).frozen.flags.writeable
+
 
 class TestEntropyInverse:
     def test_endpoints(self):

@@ -105,6 +105,13 @@ def kinds_by_level(tree):
 
 
 class TestSscTree:
+    def test_arrays_are_read_only(self, example8_code):
+        ch = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
+        for tree in (build_ssc_tree(example8_code), scan_ssc_tree(ch, 10, 1e-3)):
+            for array in tree.kinds + tree.z:
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+
     def test_example8_shape(self, example8_code):
         tree = build_ssc_tree(example8_code)
         assert tree.n == 3
