@@ -572,7 +572,10 @@ def _llrs(channel: BmsChannel, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         np.subtract(1.0, llr, out=llr)  # the transmitted symbol, exactly +-1
         llr += np.multiply(d, sigma, out=d)
         llr *= 2.0
-        llr /= sigma * sigma
+        # sigma^2 is 0 below sigma ~ 1.5e-162, where every y is exactly +-1:
+        # the quotient is then +-inf, which the clip maps to +-LLR_CAP
+        with np.errstate(divide="ignore"):
+            llr /= sigma * sigma
         return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
     hit = np.less(d, channel.param).view(np.uint8)  # erased on the BEC, flipped on the BSC
     if channel.kind is ChannelKind.BEC:

@@ -1,8 +1,10 @@
 """Command-line interface: construct, latency, simulate, sweep, bound.
 
-Exit codes: 0 on success, 2 on usage or validation failure, 3 on I/O
-failure.  Every subcommand is deterministic given its full flag set
-(including --seed).
+Each command returns its records, ordered dicts of field to value, and
+`main` prints them as `key=value` fields by experiments.format_value, the
+sweep CSV's rule; a failing command prints none.  Exit codes: 0 on
+success, 2 on usage or validation failure, 3 on I/O failure.  Every
+subcommand is deterministic given its full flag set (including --seed).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import experiments
@@ -22,7 +25,7 @@ from .channel import (
 )
 from .codec import sc_ssc_agreement
 from .construct import PolarCode, _check_n, build_code, load_code, save_code
-from .experiments import MAX_SWEEP_N, SweepRecord, realize_policy
+from .experiments import MAX_SWEEP_N, SweepRecord, format_value, realize_policy
 from .latency import latency_report, latency_upper_bound, scan_edge_profile
 from .svgplot import Series, render_gnuplot, render_line_plot
 
@@ -70,16 +73,12 @@ def _build_from_args(args) -> PolarCode:
     return build_code(channel, _required(args.n, "--n"), pe)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> list[dict]:
     _required(args.out, "--out")
     code = _build_from_args(args)
     save_code(code, args.out)
-    print(f"N={code.N}")
-    print(f"k={code.k}")
-    print(f"frozen={code.N - code.k}")
-    print(f"rate={code.rate:.6g}")
-    print(f"out={args.out}")
-    return 0
+    return [{"N": code.N, "k": code.k, "frozen": code.N - code.k, "rate": code.rate,
+             "out": args.out}]
 
 
 def _resolve_p(args, n: int, kind: ChannelKind) -> int:
@@ -93,7 +92,7 @@ def _resolve_p(args, n: int, kind: ChannelKind) -> int:
     return realize_policy(args.policy, n, mu)
 
 
-def cmd_latency(args) -> int:
+def cmd_latency(args) -> list[dict]:
     code = _code_from_args(args)
     if code is not None:
         profile = code  # latency helpers accept a PolarCode directly
@@ -105,27 +104,15 @@ def cmd_latency(args) -> int:
         kind = channel.kind
         profile = scan_edge_profile(channel, n, pe)
     P = _resolve_p(args, n, kind)
-    report = latency_report(profile, P, n=n)
-    print(f"n={report.n}")
-    print(f"N={report.N}")
-    print(f"P={report.P}")
-    print(f"sc_tree={report.sc_tree}")
-    print(f"sc_closed={report.sc_closed if report.sc_closed is not None else 'na'}")
-    print(f"ssc={report.ssc}")
-    print(f"normalized={report.normalized:.6g}")
-    return 0
+    return [asdict(latency_report(profile, P, n=n))]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[dict]:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     code = _code_from_args(args) or _build_from_args(args)
     agree, trials, fer = sc_ssc_agreement(code, code.channel, args.trials, args.seed)
-    print(f"trials={trials}")
-    print(f"agree={agree}/{trials}")
-    print(f"fer={fer:.6g}")
-    print(f"seed={args.seed}")
-    return 0
+    return [{"trials": trials, "agree": f"{agree}/{trials}", "fer": fer, "seed": args.seed}]
 
 
 def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], str, str]:
@@ -153,7 +140,7 @@ def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], s
             "log2 N", "log2 P")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[dict]:
     _required(args.out, "--out")
     fig = args.figure
     if args.channel is not None and fig != 6:
@@ -167,24 +154,18 @@ def cmd_sweep(args) -> int:
     else:
         records = experiments.run_parallelism_sweep(factor=args.factor, **n_max)
     experiments.write_csv(records, args.out)
-    print(f"rows={len(records)}")
-    print(f"out={args.out}")
-    if args.svg or args.gnuplot:
-        series, x_label, y_label = _sweep_series(fig, records)
-        if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_line_plot(series, x_label, y_label,
-                                          title=f"sweep preset {fig}"))
-            print(f"svg={args.svg}")
-        if args.gnuplot:
-            with open(args.gnuplot, "w", encoding="utf-8") as fh:
-                fh.write(render_gnuplot(series, x_label, y_label,
-                                        title=f"sweep preset {fig}"))
-            print(f"gnuplot={args.gnuplot}")
-    return 0
+    record = {"rows": len(records), "out": args.out}
+    plot = _sweep_series(fig, records) if args.svg or args.gnuplot else None
+    for flag, render in (("svg", render_line_plot), ("gnuplot", render_gnuplot)):
+        path = getattr(args, flag)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render(*plot, title=f"sweep preset {fig}"))
+            record[flag] = path
+    return [record]
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> list[dict]:
     if args.c <= 0.0:
         raise CliError(f"--c must be positive, got {args.c}")
     if args.eps < 0.0:
@@ -197,12 +178,14 @@ def cmd_bound(args) -> int:
     if n_hi < n_lo:
         raise CliError(f"--nmax must be >= --n, got {n_hi} < {n_lo}")
     _cap_n(n_hi, "--nmax" if args.nmax is not None else "--n")
+    records = []
     for n in range(n_lo, n_hi + 1):
         N = 2 ** _check_n(n)
         P = _resolve_p(args, n, ChannelKind.BEC)
         value = latency_upper_bound(N, P, mu, args.c, args.eps)
-        print(f"n={n} N={N} P={P} bound={value:.6g} log2_bound={math.log2(value):.6g}")
-    return 0
+        records.append({"n": n, "N": N, "P": P, "bound": value,
+                        "log2_bound": math.log2(value)})
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,20 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command, and what main puts between the fields of one of its records:
+# a newline for one field a line, a space for one record (a row) a line
 _COMMANDS = {
-    "construct": cmd_construct,
-    "latency": cmd_latency,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "bound": cmd_bound,
+    "construct": (cmd_construct, "\n"),
+    "latency": (cmd_latency, "\n"),
+    "simulate": (cmd_simulate, "\n"),
+    "sweep": (cmd_sweep, "\n"),
+    "bound": (cmd_bound, " "),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command, sep = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        for record in command(args):
+            print(sep.join(f"{key}={format_value(value)}" for key, value in record.items()))
+        return 0
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

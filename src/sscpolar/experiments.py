@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .channel import ChannelKind, SCALING_EXPONENT, channel_from_capacity
@@ -43,7 +44,9 @@ DEFAULT_CAPACITIES = (0.1, 0.5, 0.9)
 DEFAULT_ERROR_TARGETS = (1e-3, 1e-10)
 MAX_SWEEP_N = 27
 
-CSV_HEADER = "channel,capacity,pe,n,log2N,p_policy,P,latency,latency_norm,log2_latency"
+_CSV_COLUMNS = ("channel", "capacity", "pe", "n", "log2N", "p_policy", "P", "latency",
+                "latency_norm", "log2_latency")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -181,18 +184,18 @@ def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, n_min: int = 4, factor: floa
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
+def format_value(x) -> str:
+    """The text of one value, in the CLI's output and in the CSV alike: a float to
+    six significant digits, None as `na`, anything else by str."""
+    if isinstance(x, float):
+        return format(x, ".6g")
+    return "na" if x is None else str(x)
 
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
+    row = attrgetter(*_CSV_COLUMNS)
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            r.channel, _fmt(r.capacity), _fmt(r.pe), str(r.n), str(r.log2N),
-            r.p_policy, str(r.P), str(r.latency), _fmt(r.latency_norm),
-            _fmt(r.log2_latency),
-        ]))
+    lines.extend(",".join(map(format_value, row(r))) for r in records)
     return "\n".join(lines) + "\n"
 
 

@@ -443,6 +443,16 @@ class TestSampleLlrs:
         assert llr.mean() == pytest.approx(2 / sigma ** 2, rel=0.05)
         assert llr.std() == pytest.approx(2 / sigma, rel=0.05)
 
+    def test_bawgnc_tiny_sigma_saturates_silently(self):
+        # below sigma ~ 1.5e-162 sigma^2 is 0: every y is exactly +-1, so each
+        # quotient is +-inf and the clip gives +-LLR_CAP, with no warning
+        ch = make_channel(ChannelKind.BAWGNC, 1e-170)
+        x = np.array([0, 1] * 32, dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            llr = sample_llrs(ch, x, 3)
+        assert np.array_equal(llr, np.where(x == 0, LLR_CAP, -LLR_CAP))
+
     def test_rejects_matrix_input(self):
         ch = make_channel(ChannelKind.BEC, 0.5)
         with pytest.raises(ValueError):

@@ -37,6 +37,59 @@ def example8_file(tmp_path, bec_half):
     return str(path)
 
 
+# The full stdout of each command, byte for byte: one field a line, floats to
+# six significant digits, `na` for an absent value, and one line a row for
+# `bound`.  Paths are relative to a directory holding example8.code.
+_STDOUT = {
+    "construct": (
+        ("construct", "--channel", "bec", "--capacity", "0.5", "--pe", "1e-3", "--n", "10",
+         "--out", "c.code"),
+        "N=1024\nk=261\nfrozen=763\nrate=0.254883\nout=c.code\n"),
+    "latency-p4": (
+        ("latency", "--code", "example8.code", "--p", "4"),
+        "n=3\nN=8\nP=4\nsc_tree=14\nsc_closed=14\nssc=10\nnormalized=1.25\n"),
+    "latency-p3": (
+        ("latency", "--code", "example8.code", "--p", "3"),
+        "n=3\nN=8\nP=3\nsc_tree=16\nsc_closed=na\nssc=12\nnormalized=1.5\n"),
+    "simulate": (
+        ("simulate", "--code", "example8.code", "--trials", "300", "--seed", "4"),
+        "trials=300\nagree=300/300\nfer=0.256667\nseed=4\n"),
+    "sweep-6": (
+        ("sweep", "--figure", "6", "--channel", "bec", "--nmax", "8", "--out", "f6.csv",
+         "--svg", "f6.svg", "--gnuplot", "f6.gp"),
+        "rows=35\nout=f6.csv\nsvg=f6.svg\ngnuplot=f6.gp\n"),
+    "sweep-7": (
+        ("sweep", "--figure", "7", "--nmax", "8", "--out", "f7.csv"),
+        "rows=25\nout=f7.csv\n"),
+    "sweep-8": (
+        ("sweep", "--figure", "8", "--nmax", "8", "--out", "f8.csv"),
+        "rows=5\nout=f8.csv\n"),
+    "bound": (
+        ("bound", "--nmax", "8", "--policy", "one", "--mu", "3.63"),
+        "n=4 N=16 P=1 bound=87.4543 log2_bound=6.45046\n"
+        "n=5 N=32 P=1 bound=198.071 log2_bound=7.62988\n"
+        "n=6 N=64 P=1 bound=433.946 log2_bound=8.76137\n"
+        "n=7 N=128 P=1 bound=931.982 log2_bound=9.86416\n"
+        "n=8 N=256 P=1 bound=1975.57 log2_bound=10.9481\n"),
+}
+
+
+@pytest.mark.parametrize("argv, stdout", _STDOUT.values(), ids=list(_STDOUT))
+def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, bec_half, argv, stdout):
+    monkeypatch.chdir(tmp_path)
+    save_code(code_from_frozen(bec_half, EXAMPLE8_FROZEN, pe=1e-3), "example8.code")
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_failing_command_prints_no_record(capsys, tmp_path, monkeypatch):
+    # the CSV is written before the SVG fails, but no field reaches stdout
+    monkeypatch.chdir(tmp_path)
+    rc, stdout, err = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv",
+                          "--svg", str(tmp_path / "no" / "x.svg"))
+    assert (rc, stdout) == (3, "")
+    assert err.startswith("i/o error: ")
+
+
 class TestConstruct:
     def test_writes_file_and_reports(self, capsys, tmp_path):
         out = tmp_path / "c.code"
