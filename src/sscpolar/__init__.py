@@ -47,7 +47,6 @@ from .experiments import (
     run_parallelism_sweep,
     run_policy_sweep,
     run_serial_sweep,
-    write_csv,
 )
 from .latency import (
     LatencyReport,

@@ -10,7 +10,11 @@ subcommand is deterministic given its full flag set (including --seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -153,16 +157,66 @@ def cmd_sweep(args) -> list[dict]:
         records = experiments.run_policy_sweep(**n_max)
     else:
         records = experiments.run_parallelism_sweep(factor=args.factor, **n_max)
-    experiments.write_csv(records, args.out)
     record = {"rows": len(records), "out": args.out}
+    files = {args.out: experiments.records_to_csv(records).encode("ascii")}
     plot = _sweep_series(fig, records) if args.svg or args.gnuplot else None
     for flag, render in (("svg", render_line_plot), ("gnuplot", render_gnuplot)):
         path = getattr(args, flag)
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render(*plot, title=f"sweep preset {fig}"))
+            files[path] = render(*plot, title=f"sweep preset {fig}").encode("utf-8")
             record[flag] = path
+    _write_all(files)
     return [record]
+
+
+def _write_all(files: dict[str, bytes]) -> None:
+    """Write every path's bytes, or leave every path as it was.
+
+    Every path is checked first: a directory, or a path naming one, fails
+    before anything is written.  A missing path or a regular file (through
+    any symlinks, which stay) gets a new file beside its target, with an
+    existing file's mode and owner; anything else, such as /dev/null or a
+    FIFO, is written in place once the new files are, and only then do the
+    new files replace their targets.  A failure removes the new files.
+    """
+    plan = []
+    for path, data in files.items():
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+        mode = 0 if st is None else st.st_mode
+        if os.path.basename(path) in ("", ".", "..") or stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if stat.S_ISREG(mode) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        plan.append((path, data, st, st is not None and not stat.S_ISREG(mode)))
+    temps = []
+    try:
+        for path, data, st, in_place in plan:
+            if in_place:
+                continue
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            with open(temp, "xb") as fh:
+                temps.append((temp, target))
+                fh.write(data)
+            if st is not None:
+                os.chmod(temp, stat.S_IMODE(st.st_mode))
+                with contextlib.suppress(OSError):  # only root may give files away
+                    os.chown(temp, st.st_uid, st.st_gid)
+        for path, data, _st, in_place in plan:
+            if in_place:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+        for temp, target in temps:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _target in temps:
+            with contextlib.suppress(OSError):  # gone if it replaced its target
+                os.remove(temp)
+        raise
 
 
 def cmd_bound(args) -> list[dict]:

@@ -47,7 +47,10 @@ in all of its F ops.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
 first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
-time, so every frame equals the per-frame path bit for bit.
+time, so every frame equals the per-frame path bit for bit.  Trial i's
+stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i], with the
+seed words of all children computed at once (_spawn_words), and its message
+bits are read off its raw words, as integers(0, 2, k, np.uint8) draws them.
 """
 
 from __future__ import annotations
@@ -427,9 +430,80 @@ def ssc_decode(code: PolarCode, llrs: np.ndarray,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its hash's
+# initial value and multiplier while mixing entropy (A) and while generating
+# state (B), and the multipliers of its mix of two words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _spawn_words(seed: int, trials: int) -> np.ndarray:
+    """(trials, 4) uint64, row i SeedSequence(seed).spawn(trials)[i].generate_state(4, np.uint64).
+
+    Child i's entropy is the seed's 32-bit words, least significant first and
+    padded with zeros to the pool's 4, then i.  SeedSequence hashes the first
+    4 words into the pool, mixes the pool, then mixes each later word into
+    every pool word.  The hash's constant advances once a call whatever it
+    hashes, so every child takes the same constants and differs only in its
+    last word, i: the steps before it run once on Python ints, and the same
+    code runs i's step and generate_state on uint32 arrays over the children.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        v = v * hash_const & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return r ^ r >> 16
+
+    entropy = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 128), 32)]
+    # the spawn key: one word while i < 2^32, far more streams than memory holds
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state, c = [], _INIT_B
+    for j in range(8):  # generate_state: 8 uint32 words, cycling through the pool
+        v = pool[j % 4] ^ c
+        c = c * _MULT_B & _M32
+        v = v * c & _M32
+        state.append(v ^ v >> 16)
+    # each pair of words is one uint64, the first word its low half
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
-    # one independent child stream per trial so results do not depend on batching
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+    """Trial i's stream: PCG64 seeded by SeedSequence(seed).spawn(trials)[i].
+
+    One independent stream per trial, so results do not depend on batching;
+    _spawn_words gives all the children's seed words at once.
+    """
+    # imported here: numpy.random would add 15-19 ms to the CLI's start
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence that hands PCG64 one child's precomputed words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for these 4 uint64 words, and only once
+
+    return [Generator(PCG64(Words(w))) for w in _spawn_words(seed, trials)]
 
 
 # Frames a block: 16 float64 frames fill two 64-byte cache lines of an LLR row
@@ -440,9 +514,22 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
                    llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Message bits (k, trials) and the LLRs, written into llr (N, trials),
     frame-interleaved; each stream draws its message bits, then its noise,
-    as for sample_llrs."""
+    as for sample_llrs.
+
+    The message bits are rng.integers(0, 2, k, dtype=np.uint8), read off the
+    stream's next ceil(k/8) raw words: that call draws each bit as a byte b
+    of a buffered next_uint32, low byte first, and returns (2*b) >> 8 = b >> 7,
+    Lemire's method for range 2 rejecting nothing; PCG64's next_uint32 gives
+    each raw word's low half, then its high half.  So bit j is the top bit of
+    byte j of the raw words in little-endian order.  An odd count of halves
+    leaves one buffered, which only next_uint32 reads, and the noise draws
+    read whole raw words.
+    """
     trials, info, k = len(rngs), ~code.frozen, code.k
-    msg = np.array([rng.integers(0, 2, k, dtype=np.uint8) for rng in rngs]).T
+    raw = np.empty((trials, -(-k // 8)), dtype="<u8")
+    for row, rng in zip(raw, rngs):
+        row[:] = rng.bit_generator.random_raw(row.size)
+    msg = (raw.view(np.uint8)[:, :k] >> 7).T
     x = np.zeros((code.N, trials), dtype=np.uint8)
     x[info] = msg
     _butterflies(x, code.N, trials)  # the codewords, in place
@@ -507,9 +594,15 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     check finds a divergence only if that conservative bound is wrong:
     what it verifies is the bound.
 
+    seed is an integer >= 0, and trial i's frame comes from stream i of
+    _trial_streams(seed, trials).
+
     On the BEC every F runs as _f_erasure, which equals _f on its LLRs.
     """
     trials, batch = _as_int(trials, "trials"), _as_int(batch, "batch")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if batch < 1:

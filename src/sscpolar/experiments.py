@@ -197,8 +197,3 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
     lines = [CSV_HEADER]
     lines.extend(",".join(map(format_value, row(r))) for r in records)
     return "\n".join(lines) + "\n"
-
-
-def write_csv(records: Sequence[SweepRecord], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(records_to_csv(records))

@@ -1,7 +1,9 @@
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -11,7 +13,7 @@ import sscpolar
 from sscpolar import code_from_frozen, load_code, make_channel, save_code
 from sscpolar.channel import ChannelKind
 from sscpolar.cli import main
-from sscpolar.experiments import POLICIES
+from sscpolar.experiments import CSV_HEADER, POLICIES
 
 from conftest import EXAMPLE8_FROZEN
 
@@ -82,12 +84,82 @@ def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, bec_half, argv, stdout)
 
 
 def test_failing_command_prints_no_record(capsys, tmp_path, monkeypatch):
-    # the CSV is written before the SVG fails, but no field reaches stdout
+    # the SVG's path cannot be written, so no field reaches stdout, and the
+    # sweep writes none of its outputs: an existing CSV stays as it was
     monkeypatch.chdir(tmp_path)
+    pathlib.Path("x.csv").write_bytes(b"old csv\n")
     rc, stdout, err = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv",
                           "--svg", str(tmp_path / "no" / "x.svg"))
     assert (rc, stdout) == (3, "")
     assert err.startswith("i/o error: ")
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+    assert pathlib.Path("x.csv").read_bytes() == b"old csv\n"
+
+
+def test_failing_gnuplot_path_writes_no_svg(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, _, _ = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv",
+                   "--svg", "x.svg", "--gnuplot", str(tmp_path / "no" / "x.gp"))
+    assert rc == 3
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_replaces_its_outputs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("x.csv").write_bytes(b"old csv\n")
+    os.chmod("x.csv", 0o640)
+    rc, _, _ = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv",
+                   "--svg", "x.svg")
+    assert rc == 0
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.svg"]
+    assert pathlib.Path("x.csv").read_text().startswith(CSV_HEADER)
+    assert stat.S_IMODE(os.stat("x.csv").st_mode) == 0o640
+
+
+def test_directory_output_writes_nothing(capsys, tmp_path, monkeypatch):
+    # every path is checked before the first is written
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("x.csv").write_bytes(b"old csv\n")
+    os.mkdir("plots")
+    for svg in ("plots", "new.svg/"):
+        rc, stdout, err = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out",
+                              "x.csv", "--svg", svg)
+        assert (rc, stdout) == (3, "")
+        assert err.startswith("i/o error: [Errno 21] Is a directory")
+        assert sorted(os.listdir(tmp_path)) == ["plots", "x.csv"]
+        assert os.listdir("plots") == []
+        assert pathlib.Path("x.csv").read_bytes() == b"old csv\n"
+
+
+def test_symlinked_output_keeps_its_link(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("data")
+    pathlib.Path("data/real.csv").write_bytes(b"old csv\n")
+    os.symlink("data/real.csv", "x.csv")
+    rc, _, _ = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv")
+    assert rc == 0
+    assert os.readlink("x.csv") == "data/real.csv"
+    assert os.listdir("data") == ["real.csv"]
+    assert pathlib.Path("data/real.csv").read_text().startswith(CSV_HEADER)
+
+
+def test_fifo_output_is_written_in_place(capsys, tmp_path, monkeypatch):
+    # a path that is no regular file, such as /dev/null or a FIFO, is not
+    # replaced: its reader gets the CSV and the FIFO stays
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("pipe")
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pathlib.Path("pipe").read_bytes()),
+                              daemon=True)
+    reader.start()
+    rc, stdout, _ = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "pipe",
+                        "--svg", "x.svg")
+    reader.join(timeout=10)
+    assert rc == 0
+    assert "out=pipe\n" in stdout
+    assert stat.S_ISFIFO(os.stat("pipe").st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe", "x.svg"]
+    assert got[0].decode().startswith(CSV_HEADER)
 
 
 class TestConstruct:
@@ -224,6 +296,11 @@ class TestSimulate:
         rc, _, _ = run(capsys, "simulate", "--channel", "bec", "--capacity",
                        "0.5", "--pe", "1e-2", "--n", "4", "--trials", "0")
         assert rc == 2
+
+    def test_negative_seed(self, capsys):
+        rc, stdout, err = run(capsys, "simulate", "--channel", "bec", "--capacity", "0.5",
+                              "--pe", "1e-2", "--n", "4", "--trials", "3", "--seed", "-1")
+        assert (rc, stdout, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 class TestSweep:
@@ -440,6 +517,17 @@ def test_cli_starts_without_scipy():
              "from sscpolar import ChannelKind, channel_from_capacity, make_channel; "
              "channel_from_capacity(ChannelKind.BAWGNC, 0.5); "
              "make_channel(ChannelKind.BAWGNC, 0.9); print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_starts_without_numpy_random():
+    # numpy.random costs 15-19 ms to import, and only simulate's streams need it
+    src = str(pathlib.Path(sscpolar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, sscpolar.cli as c; c.build_parser(); "
+             "print('numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -48,6 +48,7 @@ from sscpolar.codec import (
     _g,
     _rate1_divergence,
     _tie_frames,
+    _trial_streams,
 )
 
 from conftest import EXAMPLE8_FROZEN, reference_sc
@@ -568,6 +569,39 @@ class TestMonteCarlo:
         for batch in (0, -3, 2.5):
             with pytest.raises(ValueError, match="batch"):
                 sc_ssc_agreement(code, bec_half, 10, seed=0, batch=batch)
+        for seed in (-1, 7.0, None):
+            with pytest.raises(ValueError, match="seed"):
+                sc_ssc_agreement(code, bec_half, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 - 1, 2 ** 128,
+                                      2 ** 200 + 17])
+    @pytest.mark.parametrize("trials", [1, 5, 300])
+    def test_streams_are_the_spawned_streams(self, seed, trials):
+        # seeds of 1, 2, 4, 5 and 7 words: above 4, SeedSequence mixes the
+        # seed's later words into its pool before the child's index
+        streams = _trial_streams(seed, trials)
+        assert len(streams) == trials
+        for rng, child in zip(streams, np.random.SeedSequence(seed).spawn(trials)):
+            expected = np.random.default_rng(child).bit_generator.random_raw(3)
+            assert np.array_equal(rng.bit_generator.random_raw(3), expected)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 7, 9, 12, 31, 33])
+    def test_message_bits_are_integers_draws(self, k):
+        # k = 0 draws no raw word; an odd count of 32-bit halves leaves one
+        # buffered in the per-frame path, which its noise draws never read
+        channel = make_channel(ChannelKind.BSC, 0.2)
+        code = code_from_frozen(channel, np.arange(64) < 64 - k, 1e-2)
+        assert code.k == k
+        seed, trials = 2 ** 130 + 5, 9
+        frames = [(msg[:, j].copy(), llr[:, j].copy())
+                  for msg, llr in _frame_batches(code, channel, trials, seed, 4)
+                  for j in range(llr.shape[1])]
+        for (msg, llr), child in zip(frames, np.random.SeedSequence(seed).spawn(trials)):
+            rng = np.random.default_rng(child)
+            bits = rng.integers(0, 2, k, dtype=np.uint8)
+            expected = sample_llrs(channel, encode_message(code, bits), rng)
+            assert msg.dtype == np.uint8 and np.array_equal(msg, bits)
+            assert np.array_equal(llr, expected)
 
     def test_batch_boundary_does_not_change_result(self, bec_half):
         code = build_code(bec_half, 5, 1e-2)
