@@ -146,6 +146,13 @@ def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], s
 
 def cmd_sweep(args) -> list[dict]:
     _required(args.out, "--out")
+    named = {}  # each output's real path, and the first flag that names it
+    for flag in ("out", "svg", "gnuplot"):
+        path = getattr(args, flag)
+        if path:
+            first = named.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise CliError(f"--{first} and --{flag} name the same file: {path}")
     fig = args.figure
     if args.channel is not None and fig != 6:
         raise CliError("--channel applies to --figure 6 only")

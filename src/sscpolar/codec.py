@@ -48,9 +48,10 @@ in all of its F ops.
 Monte Carlo frames come from one seeded stream per trial, message bits
 first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
 time, so every frame equals the per-frame path bit for bit.  Trial i's
-stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i], with the
-seed words of all children computed at once (_spawn_words), and its message
-bits are read off its raw words, as integers(0, 2, k, np.uint8) draws them.
+stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i], each batch's
+streams built for it with the seed words of all its children computed at
+once (_spawn_words), and its message bits are read off its raw words, as
+integers(0, 2, k, np.uint8) draws them.
 """
 
 from __future__ import annotations
@@ -439,8 +440,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 
 
-def _spawn_words(seed: int, trials: int) -> np.ndarray:
-    """(trials, 4) uint64, row i SeedSequence(seed).spawn(trials)[i].generate_state(4, np.uint64).
+def _spawn_words(seed: int, trials: int, first: int = 0) -> np.ndarray:
+    """(trials, 4) uint64, row i SeedSequence(seed).spawn(first + trials)[first + i]'s
+    generate_state(4, np.uint64).
 
     Child i's entropy is the seed's 32-bit words, least significant first and
     padded with zeros to the pool's 4, then i.  SeedSequence hashes the first
@@ -465,7 +467,7 @@ def _spawn_words(seed: int, trials: int) -> np.ndarray:
 
     entropy = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 128), 32)]
     # the spawn key: one word while i < 2^32, far more streams than memory holds
-    entropy.append(np.arange(trials, dtype=np.uint32))
+    entropy.append(np.arange(first, first + trials, dtype=np.uint32))
     pool = [hashmix(w) for w in entropy[:4]]
     for src in range(4):
         for dst in range(4):
@@ -484,8 +486,9 @@ def _spawn_words(seed: int, trials: int) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
-    """Trial i's stream: PCG64 seeded by SeedSequence(seed).spawn(trials)[i].
+def _trial_streams(seed: int, trials: int, first: int = 0) -> list[np.random.Generator]:
+    """Streams of trials first .. first + trials - 1, trial i's PCG64 seeded by
+    SeedSequence(seed).spawn(m)[i] for any m > i.
 
     One independent stream per trial, so results do not depend on batching;
     _spawn_words gives all the children's seed words at once.
@@ -503,7 +506,7 @@ def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 asks for these 4 uint64 words, and only once
 
-    return [Generator(PCG64(Words(w))) for w in _spawn_words(seed, trials)]
+    return [Generator(PCG64(Words(w))) for w in _spawn_words(seed, trials, first)]
 
 
 # Frames a block: 16 float64 frames fill two 64-byte cache lines of an LLR row
@@ -558,15 +561,14 @@ def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
     """Yield interleaved (message bits, LLRs) for the seeded trials, `batch` frames at a time.
 
     Batches hold at most _BATCH_FRAME_BITS // N frames.  Every batch's
-    LLRs are written into one buffer, so they hold only until the next
-    batch is generated.
+    streams are built for it, and its LLRs are written into one buffer, so
+    both hold only until the next batch is generated.
     """
     N = code.N
     batch = min(batch, max(1, _BATCH_FRAME_BITS // N), trials)
-    rngs = _trial_streams(seed, trials)
     flat = np.empty(N * batch)
     for start in range(0, trials, batch):
-        block = rngs[start:start + batch]
+        block = _trial_streams(seed, min(batch, trials - start), start)
         yield _random_frames(code, channel, block, flat[:N * len(block)].reshape(N, len(block)))
 
 

@@ -6,14 +6,15 @@ latency is the sum of edge costs over its (possibly pruned) decoding tree.
 Everything in this module is exact integer arithmetic; no floating point
 touches the latency path.
 
-The pruned tree is walked top-down a level at a time by one walker
-(_walk), which serves the mask-based build, the channel scan and the edge
-profiles.  The channel scan classifies a node by its all-plus and all-minus
-reliability paths (Alamdar-Yazdi and Kschischang's Rate-0/Rate-1 rule).  In
-IEEE doubles both polarization maps are non-decreasing, so whether a path
-of s steps ends on one side of the threshold is a threshold on its start:
-the scan builds one table of these per-level thresholds and decides every
-node with one comparison for each kind.
+A frozen mask's pruned tree is read off the mask bottom-up (_mask_tree):
+a node is Rate-0 or Rate-1 exactly when its leaves are all frozen or all
+information (Alamdar-Yazdi and Kschischang's rule).  The channel scan and
+the edge profiles walk the tree top-down a level at a time with one walker
+(_walk), and classify a node by its all-plus and all-minus reliability
+paths instead.  In IEEE doubles both polarization maps are non-decreasing,
+so whether a path of s steps ends on one side of the threshold is a
+threshold on its start: the scan builds one table of these per-level
+thresholds and decides every node with one comparison for each kind.
 scan_edge_profile counts each level's frontier and drops it.  At one
 (n, pe) the scan depends on a channel only through its z0, so
 scan_edge_profiles walks the roots of several channels together, one
@@ -126,8 +127,8 @@ def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier) -> Ite
     polarize keep order.  A level of more than _FRONTIER_BOUND nodes is not
     classified whole: the walk goes on depth-first one root at a time,
     yielding each root's remaining levels in turn and skipping roots with no
-    nodes left.  A single root never splits, so its levels come whole and
-    top-down, the root level included.
+    nodes left.  A single root never splits, so its levels come whole, as
+    _tree needs.
     """
     def walk(z, sizes, s, first):
         while True:
@@ -246,34 +247,31 @@ def _channel_classifier(threshold: float, n: int) -> Classifier:
     return classify
 
 
-def _mask_classifier(frozen: np.ndarray) -> Classifier:
-    # For one walk of one root, whose levels come whole and top-down.  It keeps
-    # each node's first leaf; a MIXED node's children start at lo and lo + 2^(s-1).
-    prefix = np.zeros(frozen.size + 1, dtype=np.int64)
-    np.cumsum(frozen, dtype=np.int64, out=prefix[1:])
-    first = np.zeros(1, dtype=np.int64)
-
-    def classify(_z, s):
-        nonlocal first
-        count = prefix[first + (1 << s)] - prefix[first]
-        rate0, rate1 = count == (1 << s), count == 0
-        lo = first[~(rate0 | rate1)]
-        first = np.empty(2 * lo.size, dtype=np.int64)
-        first[0::2] = lo
-        first[1::2] = lo + (1 << s >> 1)
-        return rate0, rate1
-
-    return classify
-
-
 def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
     """The pruned tree of a power-of-two frozen mask, its z from z0 at the root.
 
-    Each node's frozen-leaf count comes from a prefix sum over the mask, so
-    the work after that sum is proportional to the pruned tree, not to N.
+    A node is Rate-0 or Rate-1 iff its leaves are all frozen or all
+    information, so the full tree's kinds are read bottom-up in one O(N)
+    pass: a parent takes its children's kind when they agree and is MIXED
+    otherwise.  Going down from the root, the pruned tree keeps the children
+    of its MIXED nodes.
     """
-    n = frozen.size.bit_length() - 1
-    return _tree(_walk([z0], n, 0, _mask_classifier(frozen)))
+    full = [(~frozen).view(np.int8)]  # a leaf is Rate-0 (0) if frozen, else Rate-1 (1)
+    while full[-1].size > 1:
+        left, right = full[-1][0::2], full[-1][1::2]
+        full.append(np.where(left == right, left, np.int8(NodeKind.MIXED)))
+    kinds, zs = [], []
+    keep, z = np.ones(1, dtype=bool), np.array([z0], dtype=np.float64)
+    while full:
+        level = full.pop()
+        kind = level[keep]
+        kind.flags.writeable = z.flags.writeable = False
+        kinds.append(kind)
+        zs.append(z)
+        if full:
+            keep = np.repeat(keep & (level == NodeKind.MIXED), 2)
+            z = polarize(z[kind == NodeKind.MIXED])
+    return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
 
 
 def build_ssc_tree(code: PolarCode) -> SscTree:

@@ -96,6 +96,21 @@ def test_failing_command_prints_no_record(capsys, tmp_path, monkeypatch):
     assert pathlib.Path("x.csv").read_bytes() == b"old csv\n"
 
 
+@pytest.mark.parametrize("argv", [("--svg", "a.csv"), ("--svg", "./a.csv"),
+                                  ("--svg", "a.svg", "--gnuplot", "sub/../a.svg")])
+def test_outputs_naming_one_file_write_nothing(capsys, tmp_path, monkeypatch, argv):
+    # two outputs at one path would leave only the last one written there
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    pathlib.Path("a.csv").write_bytes(b"old csv\n")
+    rc, stdout, err = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "a.csv",
+                          *argv)
+    assert (rc, stdout) == (2, "")
+    assert "name the same file" in err
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "sub"]
+    assert pathlib.Path("a.csv").read_bytes() == b"old csv\n"
+
+
 def test_failing_gnuplot_path_writes_no_svg(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc, _, _ = run(capsys, "sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -820,6 +821,20 @@ class TestMonteCarlo:
         assert [llr.shape[1] for _u, llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
             == [7] * 7 + [1]
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
+
+
+    def test_stream_memory_does_not_grow_with_trials(self, bec_half):
+        # each batch builds its own streams, about 800 bytes apiece: all 50 000
+        # built up front peaked at 38 MiB, where one batch's LLRs are 128 KiB
+        code = build_code(bec_half, 4, 1e-3)
+        tracemalloc.start()
+        try:
+            for _batch in _frame_batches(code, bec_half, 50_000, 7, 1024):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 def agreement_equals_decoding_alone(channel, tie_frames, n, log_block, pattern, batch, trials,

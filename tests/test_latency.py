@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,11 +147,16 @@ class TestSscTree:
         # independent classifier: a node is pure iff its leaf range is pure.
         # Block-structured masks (bit i of a random pattern freezes block i
         # of 2^b leaves) are pruned at every height b.
+        # So are masks that are all frozen, all information, alternating, or
+        # frozen but for one leaf.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         masks = [rng.random(2 ** n) < rng.random()]
         n = 2 * seed + 2
         masks += [np.repeat(rng.random(2 ** (n - b)) < 0.5, 2 ** b) for b in range(n + 1)]
+        leaves = np.arange(2 ** 12)
+        masks += [leaves >= 0, leaves < 0, leaves % 2 == seed % 2,
+                  leaves != rng.integers(leaves.size)]
         for mask in masks:
             n = mask.size.bit_length() - 1
             code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
@@ -165,6 +171,19 @@ class TestSscTree:
                 offsets = [lo + d for lo, kind in zip(offsets, kinds) if kind == M
                            for d in (0, 2 ** (s - 1))]
             assert offsets == []
+
+    def test_mask_build_memory(self, bec_half):
+        # The bottom-up build holds the full tree's kinds, two bytes a leaf,
+        # and then the pruned tree: 4.2 MiB at n = 20.  Walking down with a
+        # prefix sum over the mask took 16 bytes a leaf.
+        code = build_code(bec_half, 20, 1e-3)
+        tracemalloc.start()
+        try:
+            build_ssc_tree(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * code.N
 
 
 FAMILY_CAPACITIES = [(kind, cap) for kind in ChannelKind for cap in (0.1, 0.5, 0.9)]
