@@ -149,7 +149,7 @@ def cmd_sweep(args) -> list[dict]:
     named = {}  # each output's real path, and the first flag that names it
     for flag in ("out", "svg", "gnuplot"):
         path = getattr(args, flag)
-        if path:
+        if path is not None:
             first = named.setdefault(os.path.realpath(path), flag)
             if first != flag:
                 raise CliError(f"--{first} and --{flag} name the same file: {path}")
@@ -166,10 +166,11 @@ def cmd_sweep(args) -> list[dict]:
         records = experiments.run_parallelism_sweep(factor=args.factor, **n_max)
     record = {"rows": len(records), "out": args.out}
     files = {args.out: experiments.records_to_csv(records).encode("ascii")}
-    plot = _sweep_series(fig, records) if args.svg or args.gnuplot else None
+    plot = (_sweep_series(fig, records)
+            if args.svg is not None or args.gnuplot is not None else None)
     for flag, render in (("svg", render_line_plot), ("gnuplot", render_gnuplot)):
         path = getattr(args, flag)
-        if path:
+        if path is not None:
             files[path] = render(*plot, title=f"sweep preset {fig}").encode("utf-8")
             record[flag] = path
     _write_all(files)

@@ -188,12 +188,7 @@ def cube_interval(N: int) -> tuple[float, float]:
 
 
 def _frozen_to_hex(frozen: np.ndarray) -> str:
-    bits = np.asarray(frozen, dtype=np.uint8)
-    pad = (-bits.size) % 4
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    nibbles = bits.reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
-    return "".join(f"{v:x}" for v in nibbles)
+    return np.packbits(frozen).tobytes().hex()[:(frozen.size + 3) // 4]
 
 
 def _hex_to_frozen(text: str, N: int) -> np.ndarray:
@@ -201,10 +196,10 @@ def _hex_to_frozen(text: str, N: int) -> np.ndarray:
     if len(text) != expected:
         raise ValueError(f"frozen string has {len(text)} nibbles, expected {expected}")
     bad = set(text).difference(string.hexdigits)
-    if bad:  # int(c, 16) alone would also take non-ASCII digits
+    if bad:  # bytes.fromhex alone would skip whitespace between bytes
         raise ValueError(f"frozen string has non-hex characters {''.join(sorted(bad))!r}")
-    vals = np.array([int(c, 16) for c in text], dtype=np.uint8)
-    bits = ((vals[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
+    packed = bytes.fromhex(text + "0" * (len(text) % 2))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[N:].any():
         raise ValueError(f"frozen string has nonzero padding bits after N={N}")
     return bits[:N].astype(bool)

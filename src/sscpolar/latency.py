@@ -13,8 +13,9 @@ the edge profiles walk the tree top-down a level at a time with one walker
 (_walk), and classify a node by its all-plus and all-minus reliability
 paths instead.  In IEEE doubles both polarization maps are non-decreasing,
 so whether a path of s steps ends on one side of the threshold is a
-threshold on its start: the scan builds one table of these per-level
-thresholds and decides every node with one comparison for each kind.
+threshold on its start.  The walker builds the two tables of these
+per-level thresholds itself (_thresholds) and decides every node with one
+comparison for each kind; it has no classifier parameter.
 scan_edge_profile counts each level's frontier and drops it.  At one
 (n, pe) the scan depends on a channel only through its z0, so
 scan_edge_profiles walks the roots of several channels together, one
@@ -93,12 +94,8 @@ def decoding_weight(s: int, P: int) -> int:
     return _weight(s, _check_p(P))
 
 
-# Classifies one level's frontier: (z, s) -> (rate0, rate1) boolean masks.
-Classifier = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
-# One level of the pruned tree: (z, rate0, rate1), the masks as a Classifier returns them.
-Level = tuple[np.ndarray, np.ndarray, np.ndarray]
-# One step of a walk: (first, s, level, mixed), see _walk.
-Step = tuple[int, int, Level, np.ndarray]
+# One step of a walk: (first, s, (z, rate0, rate1), mixed), see _walk.
+Step = tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # Largest level a walk of several roots classifies in one array.  Past it the
 # walk goes on one root at a time, so a deep sweep holds one root's frontier
@@ -117,18 +114,20 @@ def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.bincount(owner[mask], minlength=sizes.size)
 
 
-def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier) -> Iterator[Step]:
-    """Walk the pruned trees of the roots z0 top-down, from level n to level bottom.
+def _walk(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]:
+    """Walk the pruned trees for (each z0, 2^n, pe) top-down, from level n to level bottom.
 
-    Each step (first, s, (z, rate0, rate1), mixed) is level s of roots
-    first, first + 1, ...: z holds each root's nodes as one contiguous
-    segment, in root order, and mixed[r] counts root first + r's MIXED
-    nodes.  The segments stay contiguous because filtering by a mask and
-    polarize keep order.  A level of more than _FRONTIER_BOUND nodes is not
-    classified whole: the walk goes on depth-first one root at a time,
-    yielding each root's remaining levels in turn and skipping roots with no
-    nodes left.  A single root never splits, so its levels come whole, as
-    _tree needs.
+    Rejects n < 1 and pe outside (0, 1) when called, as build_code does.
+    The walker builds the per-level tables of _thresholds once and decides
+    each level against them, one comparison a node for each kind.  Each
+    step (first, s, (z, rate0, rate1), mixed) is level s of roots first,
+    first + 1, ...: z holds each root's nodes as one contiguous segment, in
+    root order, and mixed[r] counts root first + r's MIXED nodes.  The
+    segments stay contiguous because filtering by a mask and polarize keep
+    order.  A level of more than _FRONTIER_BOUND nodes is not classified
+    whole: the walk goes on depth-first one root at a time, yielding each
+    root's remaining levels in turn and skipping roots with no nodes left.
+    A single root never splits, so its levels come whole, as _tree needs.
     """
     def walk(z, sizes, s, first):
         while True:
@@ -138,7 +137,7 @@ def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier) -> Ite
                     if hi > lo:
                         yield from walk(z[lo:hi], sizes[r:r + 1], s, first + r)
                 return
-            rate0, rate1 = classify(z, s)
+            rate0, rate1 = z >= plus[s], z < minus[s]
             mixed = ~(rate0 | rate1)
             counts = _segment_counts(mixed, sizes)
             yield first, s, (z, rate0, rate1), counts
@@ -148,6 +147,9 @@ def _walk(z0: Sequence[float], n: int, bottom: int, classify: Classifier) -> Ite
             sizes = 2 * counts
             s -= 1
 
+    n = _check_n(n)
+    _check_pe(pe)
+    plus, minus = _thresholds(pe / 2 ** n, n)
     z0 = np.asarray(z0, dtype=np.float64)
     return walk(z0, np.ones(z0.size, dtype=np.int64), n, 0)
 
@@ -209,7 +211,7 @@ def _minus_guess(t: float) -> float:
     return t / (1.0 + math.sqrt(1.0 - t))  # 1 - sqrt(1 - t), without its cancellation
 
 
-def _channel_classifier(threshold: float, n: int) -> Classifier:
+def _thresholds(threshold: float, n: int) -> tuple[list[float], list[float]]:
     # A leaf is frozen iff its z >= threshold.  On the doubles of [0, 1]
     # both maps are non-decreasing:
     # - z_plus(z) = fl(z*z), because z*z is and rounding is monotone;
@@ -240,11 +242,7 @@ def _channel_classifier(threshold: float, n: int) -> Classifier:
     for _ in range(n):
         plus.append(_least_reaching(z_plus, math.sqrt, plus[-1]))
         minus.append(_least_reaching(z_minus, _minus_guess, minus[-1]))
-
-    def classify(z, s):
-        return z >= plus[s], z < minus[s]
-
-    return classify
+    return plus, minus
 
 
 def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
@@ -279,13 +277,6 @@ def build_ssc_tree(code: PolarCode) -> SscTree:
     return _mask_tree(code.frozen, code.channel.z0)
 
 
-def _scan(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]:
-    """_walk over the pruned trees for (each z0, 2^n, pe); rejects what build_code rejects."""
-    n = _check_n(n)
-    _check_pe(pe)
-    return _walk(z0, n, bottom, _channel_classifier(pe / 2 ** n, n))
-
-
 def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
 
@@ -296,7 +287,7 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     frontier.
     Rejects n < 1 and pe outside (0, 1), as build_code does.
     """
-    return _tree(_scan([channel.z0], n, pe, 0))
+    return _tree(_walk([channel.z0], n, pe, 0))
 
 
 def scan_edge_profiles(channels: Sequence[BmsChannel], n: int, pe: float) -> list[list[int]]:
@@ -308,7 +299,7 @@ def scan_edge_profiles(channels: Sequence[BmsChannel], n: int, pe: float) -> lis
     goes on alone.  This saves per-call overhead on shallow trees and keeps
     the memory of deep ones at that of one root's frontier.
     """
-    steps = _scan([ch.z0 for ch in channels], n, pe, 1)
+    steps = _walk([ch.z0 for ch in channels], n, pe, 1)
     profiles = [[0] * n for _ in channels]
     for first, s, _level, mixed in steps:
         for profile, m in zip(profiles[first:], mixed.tolist()):

@@ -146,6 +146,23 @@ def test_directory_output_writes_nothing(capsys, tmp_path, monkeypatch):
         assert pathlib.Path("x.csv").read_bytes() == b"old csv\n"
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--gnuplot"])
+def test_empty_plot_path_writes_nothing(capsys, tmp_path, monkeypatch, flag):
+    # an empty path is a given path: it fails the up-front check instead of
+    # being skipped with no plot written
+    monkeypatch.chdir(tmp_path)
+    argv = ("sweep", "--figure", "7", "--nmax", "6", "--out", "x.csv", flag, "")
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, stdout) == (3, "")
+    assert err.startswith("i/o error: [Errno 21] Is a directory")
+    assert os.listdir(tmp_path) == []
+    pathlib.Path("x.csv").write_bytes(b"old csv\n")
+    rc, stdout, _ = run(capsys, *argv)
+    assert (rc, stdout) == (3, "")
+    assert os.listdir(tmp_path) == ["x.csv"]
+    assert pathlib.Path("x.csv").read_bytes() == b"old csv\n"
+
+
 def test_symlinked_output_keeps_its_link(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     os.mkdir("data")

@@ -111,21 +111,16 @@ class TestSerialSweep:
 
     def test_channels_scanned_together(self, monkeypatch):
         # preset 6 to n = 18 walks its nine channels together at each
-        # (n, pe): one classifier call a level, sum(range(4, 19)) = 165 a pe,
-        # plus the few of the roots that outgrow the bound near the leaves
+        # (n, pe): one classified segment a level, sum(range(4, 19)) = 165 a
+        # pe, plus the few of the roots that outgrow the bound near the leaves
         calls = []
-        make = latency._channel_classifier
+        count = latency._segment_counts
 
-        def counting(threshold, n):
-            classify = make(threshold, n)
+        def spy(mask, sizes):
+            calls.append(sizes.size)
+            return count(mask, sizes)
 
-            def spy(*args):
-                calls.append(args[1])
-                return classify(*args)
-
-            return spy
-
-        monkeypatch.setattr(latency, "_channel_classifier", counting)
+        monkeypatch.setattr(latency, "_segment_counts", spy)
         run_serial_sweep(n_max=18)
         assert 330 <= len(calls) <= 340
 

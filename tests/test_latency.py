@@ -400,15 +400,14 @@ class TestThresholdTables:
     def test_tables_decide_as_path_ends(self, zs, log2_t, n):
         # one comparison a kind decides what the s-step orbit of each map does
         threshold = 2.0 ** log2_t
-        classify = latency._channel_classifier(threshold, n)
+        plus, minus = latency._thresholds(threshold, n)
         z = np.array(zs)
         for s in range(n + 1):
             best, worst = z.copy(), z.copy()
             for _ in range(s):
                 best, worst = z_plus(best), z_minus(worst)
-            rate0, rate1 = classify(z, s)
-            assert rate0.tolist() == (best >= threshold).tolist()
-            assert rate1.tolist() == (worst < threshold).tolist()
+            assert (z >= plus[s]).tolist() == (best >= threshold).tolist()
+            assert (z < minus[s]).tolist() == (worst < threshold).tolist()
 
     def test_scan_runs_no_orbit(self, bec_half, monkeypatch):
         # the maps run only on the scalars of the table search, and the
