@@ -43,7 +43,11 @@ clamps to +-LLR_CAP; G's sum lies in {0, +-LLR_CAP, +-2*LLR_CAP}, which its
 clamp maps back into the set.  On the set F equals a0*a1/LLR_CAP bit for
 bit, the sign of zero included, since LLR_CAP^2 and LLR_CAP^2/LLR_CAP are
 exact; sc_ssc_agreement decodes BEC frames with that kernel, _f_erasure,
-in all of its F ops.
+in all of its F ops.  All of this holds in float32 as well, so it decodes
+them in float32, bit for bit: the set is exact there, LLR_CAP^2 = 90000
+fits in float32's 24-bit significand, so _f_erasure's product and quotient
+and G's sums stay exact, and tanh(+-LLR_CAP/2) is +-1.0 in both widths, so
+the level-1 ops' signs and _tie_frames' logs (0 or -inf) are the same.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
 first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
@@ -62,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
-from .construct import PolarCode, _as_int, _check_mask
+from .construct import PolarCode, _as_int, _check_mask, _check_n
 from .latency import NodeKind, SscTree, _mask_tree, build_ssc_tree
 
 
@@ -204,16 +208,25 @@ def schedule_profile(ops: Iterable[Op], n: int) -> list[int]:
 
     An F, G or RATE0 op is one edge and a level-1 op is the two edges into
     its leaves, so this equals the edge profile the latency model charges:
-    tree.edge_profile() for ssc_schedule(tree).
+    tree.edge_profile() for ssc_schedule(tree).  Raises ValueError for an n
+    that is not an integer >= 1 and for an op whose edge enters a level
+    outside 0 .. n-1, as the ops of a taller tree do.
     """
+    n = _check_n(n)
     counts = [0] * n
-    for op, s, _lo in ops:
+    for op, s, lo in ops:
         if op == F or op == G:
-            counts[s - 1] += 1
+            level, edges = s - 1, 1
         elif op == RATE0:
-            counts[s] += 1
+            level, edges = s, 1
         elif op > RATE0:
-            counts[0] += 2
+            level, edges = 0, 2
+        else:
+            continue
+        if not 0 <= level < n:
+            raise ValueError(f"op {(op, s, lo)} has an edge into level {level}, "
+                             f"outside levels 0..{n - 1} of a tree with n={n}")
+        counts[level] += edges
     return counts
 
 
@@ -256,13 +269,22 @@ def _f_erasure(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
 FKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
+# The unsigned integer of each float width and the shift to its sign bit
+_SIGN_BIT = {4: (np.dtype(np.uint32), 31), 8: (np.dtype(np.uint64), 63)}
+
+
 def _g(a: np.ndarray, c: np.ndarray, o: np.ndarray) -> None:
-    """G into o, unclamped: a1 + (1-2c)*a0 for a's halves a0, a1 and the left child's bits c."""
+    """G into o, unclamped: a1 + (1-2c)*a0 for a's halves a0, a1 and the left child's bits c.
+
+    a and o are float64, or float32 on the BEC.  Multiplying by -1.0 flips
+    exactly the sign bit, so o, viewed as the unsigned integers of its width,
+    is scratch for (1-2c)*a0.
+    """
     h = o.shape[0]
-    # multiplying by -1.0 flips exactly the sign bit, so o is scratch for (1-2c)*a0
-    u = o.view(np.uint64)
-    np.left_shift(c, 63, out=u, dtype=np.uint64)
-    np.bitwise_xor(a[:h].view(np.uint64), u, out=u)
+    uint, shift = _SIGN_BIT[o.itemsize]
+    u = o.view(uint)
+    np.left_shift(c, shift, out=u, dtype=uint)
+    np.bitwise_xor(a[:h].view(uint), u, out=u)
     np.add(a[h:], o, out=o)
 
 
@@ -299,14 +321,17 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  With `saved`, every Rate-1 node at a level s > 1
-    appends copies of its input and its bits, (a, b), to saved[s].
+    of the partial sums.  The level buffers and the scratch take llr's
+    dtype, float64 or, for BEC frames, float32, and so do the inputs of the
+    inline SC run on a Rate-1 node's tie frames.  With `saved`, every Rate-1
+    node at a level s > 1 appends copies of its input and its bits, (a, b),
+    to saved[s].
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
     # no op writes leaf LLRs: a level-1 op decides its leaves from signs
-    A = [np.empty((1 << s, frames)) if s else None for s in range(n)] + [llr]
-    T = np.empty((max(N >> 1, 2), frames))
+    A = [np.empty((1 << s, frames), llr.dtype) if s else None for s in range(n)] + [llr]
+    T = np.empty((max(N >> 1, 2), frames), llr.dtype)
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
@@ -552,7 +577,10 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 # of Rate-1 nodes, which grow with the share of leaves under Rate-1 nodes), so
 # a batch stays near 100-130 MB: 1024 frames up to n = 12, 256 at n = 14, 64
 # at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 % longer in
-# 64-frame batches than in 128-frame ones, at half the peak.
+# 64-frame batches than in 128-frame ones, at half the peak.  BEC batches
+# decode in float32 and peak lower: 20.9, 20.7 and 21.0 bytes a frame-bit at
+# n = 10, 12 and 14 (tracemalloc, I = 0.5, pe = 1e-3), against 23.5, 23.6 and
+# 24.2 in float64.
 _BATCH_FRAME_BITS = 1 << 22
 
 
@@ -599,7 +627,10 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     seed is an integer >= 0, and trial i's frame comes from stream i of
     _trial_streams(seed, trials).
 
-    On the BEC every F runs as _f_erasure, which equals _f on its LLRs.
+    On the BEC every F runs as _f_erasure, which equals _f on its LLRs, and
+    each batch's LLRs are cast to float32 once, so the shared pass, the SC
+    runs on tie frames, the saved Rate-1 inputs and the check all run in
+    float32, bit for bit as in float64 (see the module docstring).
     """
     trials, batch = _as_int(trials, "trials"), _as_int(batch, "batch")
     seed = _as_int(seed, "seed")
@@ -609,16 +640,19 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         raise ValueError(f"trials must be >= 1, got {trials}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    f = _f_erasure if channel.kind is ChannelKind.BEC else _f
+    erasure = channel.kind is ChannelKind.BEC
+    f = _f_erasure if erasure else _f
     ops = list(ssc_schedule(build_ssc_tree(code)))
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+        if erasure:
+            llr = llr.astype(np.float32)
         frames = llr.shape[1]
         saved = {}
         u_ssc = _decode(ops, llr, f, saved)
         diverged = np.zeros(frames, dtype=bool)
         for s, pairs in saved.items():  # after the pass's buffers are freed
-            x = np.empty((1 << s, len(pairs) * frames))
+            x = np.empty((1 << s, len(pairs) * frames), llr.dtype)
             bits = np.empty(x.shape, dtype=bool)
             for j in range(len(pairs)):  # each copy goes once it is joined
                 x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]

@@ -8,6 +8,7 @@ paper's proof charges against pruned decoding trees.
 
 from __future__ import annotations
 
+import binascii
 import operator
 import string
 from dataclasses import dataclass
@@ -195,10 +196,11 @@ def _hex_to_frozen(text: str, N: int) -> np.ndarray:
     expected = (N + 3) // 4
     if len(text) != expected:
         raise ValueError(f"frozen string has {len(text)} nibbles, expected {expected}")
-    bad = set(text).difference(string.hexdigits)
-    if bad:  # bytes.fromhex alone would skip whitespace between bytes
-        raise ValueError(f"frozen string has non-hex characters {''.join(sorted(bad))!r}")
-    packed = bytes.fromhex(text + "0" * (len(text) % 2))
+    try:  # unlike bytes.fromhex, unhexlify rejects whitespace between bytes
+        packed = binascii.unhexlify(text + "0" * (len(text) % 2))
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        bad = "".join(sorted(set(text).difference(string.hexdigits)))
+        raise ValueError(f"frozen string has non-hex characters {bad!r}") from None
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[N:].any():
         raise ValueError(f"frozen string has nonzero padding bits after N={N}")

@@ -480,6 +480,21 @@ class TestSchedule:
             assert (sum(c * decoding_weight(s, P) for s, c in enumerate(profile))
                     == sc_latency_tree(n, P))
 
+    def test_profile_rejects_a_schedule_taller_than_n(self):
+        # every node of this height-6 schedule is MIXED: its first op is F into level 5
+        ops = list(sc_schedule(np.arange(64) % 2 == 0))
+        assert schedule_profile(ops, 6) == [2 ** (6 - s) for s in range(6)]
+        with pytest.raises(ValueError, match=r"^op \(0, 6, 0\) has an edge into level 5, "
+                                             r"outside levels 0\.\.2 of a tree with n=3$"):
+            schedule_profile(ops, 3)
+        # a RATE0 op at level n would be an edge into the root
+        with pytest.raises(ValueError, match=r"edge into level 3, outside levels 0\.\.2"):
+            schedule_profile([(RATE0, 3, 0)], 3)
+        for n, message in ((-1, "n must be >= 1, got -1"), (0, "n must be >= 1, got 0"),
+                           (6.0, "n must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                schedule_profile(ops, n)
+
     @pytest.mark.parametrize("shape", [(0,), (6,), (2, 4)])
     def test_sc_schedule_rejects_bad_masks(self, shape):
         with pytest.raises(ValueError):
@@ -691,6 +706,72 @@ class TestMonteCarlo:
         if kind is ChannelKind.BEC:
             assert ties[True] > 0 and ties[False] > 0
 
+    @pytest.mark.parametrize("kind, dtype", [
+        (ChannelKind.BEC, np.float32),
+        (ChannelKind.BSC, np.float64),
+        (ChannelKind.BAWGNC, np.float64),
+    ])
+    def test_channel_picks_the_llr_dtype(self, monkeypatch, kind, dtype):
+        # Only BEC batches decode in float32: the shared pass, the inline SC
+        # runs on tie frames and the check over each level's joined Rate-1
+        # block.  The code is test_channel_picks_the_f_kernel's.
+        passes, checks = [], []
+
+        def execute_spy(ops, llr, f, saved=None):
+            passes.append((llr.dtype, llr.shape[0]))
+            return _execute(ops, llr, f, saved)
+
+        def divergence_spy(s, x, bits, frames, f):
+            checks.append(x.dtype)
+            return _rate1_divergence(s, x, bits, frames, f)
+
+        monkeypatch.setattr("sscpolar.codec._execute", execute_spy)
+        monkeypatch.setattr("sscpolar.codec._rate1_divergence", divergence_spy)
+        channel = channel_from_capacity(kind, 0.5)
+        code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
+        sc_ssc_agreement(code, channel, 24, 5, 7)
+        assert {d for d, _rows in passes} == {np.dtype(dtype)}
+        assert set(checks) == {np.dtype(dtype)}
+        # passes over whole frames, and SC inside Rate-1 nodes of 4 leaves
+        assert {rows for _d, rows in passes} >= {256, 4}
+        if kind is ChannelKind.BEC:
+            # beyond the 4 batches' passes and one SC run a check, SC ran
+            # inline on tie frames
+            assert len(passes) > 4 + len(checks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10),
+           log_block=st.integers(min_value=0, max_value=10),
+           pattern=st.integers(min_value=0, max_value=2 ** 1024 - 1),
+           erasure=st.floats(min_value=0.0, max_value=1.0),
+           trials=st.integers(min_value=1, max_value=24),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(n=10, log_block=2, pattern=3893328472462677366, erasure=0.5, trials=24,
+             seed=3855495969)
+    def test_float32_pass_is_exact_on_the_bec(self, n, log_block, pattern, erasure, trials,
+                                              seed):
+        # sc_ssc_agreement's BEC batches: the float32 pass with _f_erasure
+        # decodes, saves and checks what the float64 pass with _f does, bit
+        # for bit, signed zeros included; ties occur at any erasure probability
+        channel = make_channel(ChannelKind.BEC, erasure)
+        code = code_from_frozen(channel, block_mask(n, log_block, pattern), 1e-2)
+        ops = list(ssc_schedule(build_ssc_tree(code)))
+        for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
+            saved32, saved64 = {}, {}
+            u32 = _decode(ops, llr.astype(np.float32), _f_erasure, saved32)
+            assert np.array_equal(u32, _decode(ops, llr, _f, saved64))
+            assert saved32.keys() == saved64.keys()
+            for s, pairs in saved64.items():
+                assert len(saved32[s]) == len(pairs)
+                for (x32, b32), (x64, b64) in zip(saved32[s], pairs):
+                    assert x32.dtype == np.float32
+                    assert np.array_equal(x32.astype(np.float64).view(np.uint64),
+                                          x64.view(np.uint64))
+                    assert np.array_equal(b32, b64)
+                    assert np.array_equal(
+                        _rate1_divergence(s, x32, b32, llr.shape[1], _f_erasure),
+                        _rate1_divergence(s, x64, b64, llr.shape[1], _f))
+
     @pytest.mark.parametrize("kind, n, trials, digest", [
         (ChannelKind.BEC, 10, 2048,
          "a9cbdd4bd93b09fce224c97e496fd9d048ab83730c02800101b4a075274eed32"),
@@ -837,18 +918,22 @@ class TestMonteCarlo:
         assert peak < 8 * 2 ** 20
 
 
+def block_mask(n, log_block, pattern):
+    """A frozen mask of 2^n leaves whose bit i of `pattern` freezes block i of
+    2^log_block leaves, so its codes have Rate-1 nodes of many sizes."""
+    size = 2 ** min(log_block, n)
+    return np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
+
+
 def agreement_equals_decoding_alone(channel, tie_frames, n, log_block, pattern, batch, trials,
                                     seed):
     """Check that sc_ssc_agreement equals SC and SSC decoded alone with _f, with
     codec._tie_frames replaced by tie_frames; return how many Rate-1 nodes of
     sc_ssc_agreement's passes ran SC inline for a tie frame.
 
-    Bit i of `pattern` freezes block i of 2^log_block leaves, so the codes
-    have Rate-1 nodes of many sizes.
+    The code's mask is block_mask(n, log_block, pattern).
     """
-    size = 2 ** min(log_block, n)
-    frozen = np.repeat([pattern >> i & 1 == 1 for i in range(2 ** n // size)], size)
-    code = code_from_frozen(channel, frozen, 1e-2)
+    code = code_from_frozen(channel, block_mask(n, log_block, pattern), 1e-2)
     tree = build_ssc_tree(code)
     inline = []
 

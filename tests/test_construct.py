@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestCodeFile:
         lines = code_to_text(build_code(bec(0.5), 1, 0.5)).splitlines()
         lines[2] = nibble
         with pytest.raises(ValueError):
+            code_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("hex_line, bad", [
+        ("ab cd ef", "' '"),  # bytes.fromhex alone would read three bytes
+        ("abcdef0\u0667", "'\u0667'"),  # int(c, 16) alone reads an Arabic-Indic 7 as 7
+        ("a\tcd\u0667ef0", "'\\t\u0667'"),
+    ])
+    def test_non_hex_characters_are_named(self, hex_line, bad):
+        # n = 5 takes eight nibbles, as many as each line has
+        lines = code_to_text(build_code(bec(0.5), 5, 1e-2)).splitlines()
+        lines[2] = hex_line
+        message = f"frozen string has non-hex characters {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             code_from_text("\n".join(lines))
 
     def test_header_n_is_checked_first(self):
