@@ -58,10 +58,6 @@ class BmsChannel:
     def __post_init__(self):
         _check_param(self.kind, self.param)
 
-    @property
-    def mu(self) -> float:
-        return SCALING_EXPONENT[self.kind]
-
 
 def _check_param(kind: ChannelKind, param: float) -> None:
     if not math.isfinite(param):

@@ -97,6 +97,8 @@ def _resolve_p(args, n: int, kind: ChannelKind) -> int:
 
 
 def cmd_latency(args) -> list[dict]:
+    if args.mu is not None and args.policy != "invmu":  # the one policy that reads it
+        raise CliError("--mu applies to --policy invmu only")
     code = _code_from_args(args)
     if code is not None:
         profile = code  # latency helpers accept a PolarCode directly
@@ -112,8 +114,6 @@ def cmd_latency(args) -> list[dict]:
 
 
 def cmd_simulate(args) -> list[dict]:
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
     code = _code_from_args(args) or _build_from_args(args)
     agree, trials, fer = sc_ssc_agreement(code, code.channel, args.trials, args.seed)
     return [{"trials": trials, "agree": f"{agree}/{trials}", "fer": fer, "seed": args.seed}]
@@ -156,6 +156,8 @@ def cmd_sweep(args) -> list[dict]:
     fig = args.figure
     if args.channel is not None and fig != 6:
         raise CliError("--channel applies to --figure 6 only")
+    if args.factor is not None and fig != 8:
+        raise CliError("--factor applies to --figure 8 only")
     n_max = {} if args.nmax is None else {"n_max": args.nmax}
     if fig == 6:
         kinds = [ChannelKind(args.channel)] if args.channel else tuple(ChannelKind)
@@ -163,7 +165,8 @@ def cmd_sweep(args) -> list[dict]:
     elif fig == 7:
         records = experiments.run_policy_sweep(**n_max)
     else:
-        records = experiments.run_parallelism_sweep(factor=args.factor, **n_max)
+        factor = {} if args.factor is None else {"factor": args.factor}
+        records = experiments.run_parallelism_sweep(**factor, **n_max)
     record = {"rows": len(records), "out": args.out}
     files = {args.out: experiments.records_to_csv(records).encode("ascii")}
     plot = (_sweep_series(fig, records)
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=[k.value for k in ChannelKind],
                    help="restrict preset 6 to one channel family")
     p.add_argument("--nmax", type=int)
-    p.add_argument("--factor", type=float, default=1.01)
+    p.add_argument("--factor", type=float)
     p.add_argument("--out")
     p.add_argument("--svg")
     p.add_argument("--gnuplot")

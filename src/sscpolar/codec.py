@@ -43,19 +43,20 @@ clamps to +-LLR_CAP; G's sum lies in {0, +-LLR_CAP, +-2*LLR_CAP}, which its
 clamp maps back into the set.  On the set F equals a0*a1/LLR_CAP bit for
 bit, the sign of zero included, since LLR_CAP^2 and LLR_CAP^2/LLR_CAP are
 exact; sc_ssc_agreement decodes BEC frames with that kernel, _f_erasure,
-in all of its F ops.  All of this holds in float32 as well, so it decodes
-them in float32, bit for bit: the set is exact there, LLR_CAP^2 = 90000
-fits in float32's 24-bit significand, so _f_erasure's product and quotient
-and G's sums stay exact, and tanh(+-LLR_CAP/2) is +-1.0 in both widths, so
-the level-1 ops' signs and _tie_frames' logs (0 or -inf) are the same.
+in all of its F ops.  All of this holds in float32 as well, so BEC frames
+are made and decoded in float32, bit for bit: the set is exact there,
+LLR_CAP^2 = 90000 fits in float32's 24-bit significand, so _f_erasure's
+product and quotient and G's sums stay exact, and tanh(+-LLR_CAP/2) is
++-1.0 in both widths, so the level-1 ops' signs and _tie_frames' logs (0
+or -inf) are the same.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
 first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
-time, so every frame equals the per-frame path bit for bit.  Trial i's
-stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i], each batch's
-streams built for it with the seed words of all its children computed at
-once (_spawn_words), and its message bits are read off its raw words, as
-integers(0, 2, k, np.uint8) draws them.
+time, so every frame, read as float64, equals the per-frame path bit for
+bit.  Trial i's stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i],
+each batch's streams built for it with the seed words of all its children
+computed at once (_spawn_words), and its message bits are read off its raw
+words, as integers(0, 2, k, np.uint8) draws them.
 """
 
 from __future__ import annotations
@@ -534,15 +535,15 @@ def _trial_streams(seed: int, trials: int, first: int = 0) -> list[np.random.Gen
     return [Generator(PCG64(Words(w))) for w in _spawn_words(seed, trials, first)]
 
 
-# Frames a block: 16 float64 frames fill two 64-byte cache lines of an LLR row
+# Frames a block: 16 frames fill two 64-byte cache lines of a float64 LLR row
 _FRAME_BLOCK = 16
 
 
 def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Generator],
                    llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Message bits (k, trials) and the LLRs, written into llr (N, trials),
-    frame-interleaved; each stream draws its message bits, then its noise,
-    as for sample_llrs.
+    frame-interleaved and in llr's dtype; each stream draws its message
+    bits, then its noise, as for sample_llrs.
 
     The message bits are rng.integers(0, 2, k, dtype=np.uint8), read off the
     stream's next ceil(k/8) raw words: that call draws each bit as a byte b
@@ -578,9 +579,9 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 # a batch stays near 100-130 MB: 1024 frames up to n = 12, 256 at n = 14, 64
 # at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 % longer in
 # 64-frame batches than in 128-frame ones, at half the peak.  BEC batches
-# decode in float32 and peak lower: 20.9, 20.7 and 21.0 bytes a frame-bit at
-# n = 10, 12 and 14 (tracemalloc, I = 0.5, pe = 1e-3), against 23.5, 23.6 and
-# 24.2 in float64.
+# are made and decoded in float32 and peak lower: 12.9, 12.7 and 13.0 bytes a
+# frame-bit at n = 10, 12 and 14 (tracemalloc, I = 0.5, pe = 1e-3), against
+# 23.5, 23.6 and 24.2 in float64.
 _BATCH_FRAME_BITS = 1 << 22
 
 
@@ -590,11 +591,12 @@ def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
 
     Batches hold at most _BATCH_FRAME_BITS // N frames.  Every batch's
     streams are built for it, and its LLRs are written into one buffer, so
-    both hold only until the next batch is generated.
+    both hold only until the next batch is generated.  The buffer is float32
+    on the BEC, which holds its LLRs exactly, and float64 on the others.
     """
     N = code.N
     batch = min(batch, max(1, _BATCH_FRAME_BITS // N), trials)
-    flat = np.empty(N * batch)
+    flat = np.empty(N * batch, np.float32 if channel.kind is ChannelKind.BEC else np.float64)
     for start in range(0, trials, batch):
         block = _trial_streams(seed, min(batch, trials - start), start)
         yield _random_frames(code, channel, block, flat[:N * len(block)].reshape(N, len(block)))
@@ -628,7 +630,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     _trial_streams(seed, trials).
 
     On the BEC every F runs as _f_erasure, which equals _f on its LLRs, and
-    each batch's LLRs are cast to float32 once, so the shared pass, the SC
+    _frame_batches makes BEC frames in float32, so the shared pass, the SC
     runs on tie frames, the saved Rate-1 inputs and the check all run in
     float32, bit for bit as in float64 (see the module docstring).
     """
@@ -640,13 +642,10 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
         raise ValueError(f"trials must be >= 1, got {trials}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    erasure = channel.kind is ChannelKind.BEC
-    f = _f_erasure if erasure else _f
+    f = _f_erasure if channel.kind is ChannelKind.BEC else _f
     ops = list(ssc_schedule(build_ssc_tree(code)))
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-        if erasure:
-            llr = llr.astype(np.float32)
         frames = llr.shape[1]
         saved = {}
         u_ssc = _decode(ops, llr, f, saved)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sscpolar import (
+    SCALING_EXPONENT,
     ChannelKind,
     bhattacharyya,
     capacity,
@@ -395,9 +396,9 @@ class TestChannelInvariants:
         assert abs(ch.z0 - bhattacharyya(kind, param)) <= 1e-12
 
     def test_mu_lookup(self):
-        assert make_channel(ChannelKind.BEC, 0.5).mu == 3.63
-        assert make_channel(ChannelKind.BSC, 0.1).mu == 4.2
-        assert make_channel(ChannelKind.BAWGNC, 1.0).mu == 4.0
+        assert SCALING_EXPONENT[ChannelKind.BEC] == 3.63
+        assert SCALING_EXPONENT[ChannelKind.BSC] == 4.2
+        assert SCALING_EXPONENT[ChannelKind.BAWGNC] == 4.0
 
 
 class TestSampleLlrs:

@@ -288,6 +288,16 @@ class TestLatency:
                        "--p", "2", "--policy", "half")
         assert rc == 2
 
+    @pytest.mark.parametrize("pick", [("--p", "4"), ("--policy", "half"), ("--policy", "one")])
+    def test_mu_only_with_invmu(self, capsys, pick):
+        # --mu is the exponent of the invmu policy; with --p or another policy
+        # it used to be dropped
+        source = ("--channel", "bec", "--capacity", "0.5", "--pe", "1e-3", "--n", "6")
+        rc, stdout, err = run(capsys, "latency", *source, *pick, "--mu", "2")
+        assert (rc, stdout, err) == (2, "", "error: --mu applies to --policy invmu only\n")
+        rc, stdout, _ = run(capsys, "latency", *source, "--policy", "invmu", "--mu", "2")
+        assert rc == 0 and "P=" in stdout
+
     @pytest.mark.parametrize("flag", [("--channel", "bsc"), ("--capacity", "0.5"),
                                       ("--param", "0.1"), ("--pe", "0.3"), ("--n", "9")])
     def test_code_conflicts_with_channel_flags(self, capsys, example8_file, flag):
@@ -325,9 +335,9 @@ class TestSimulate:
         assert err == "error: --code conflicts with --channel, --pe, --n\n"
 
     def test_bad_trials(self, capsys):
-        rc, _, _ = run(capsys, "simulate", "--channel", "bec", "--capacity",
-                       "0.5", "--pe", "1e-2", "--n", "4", "--trials", "0")
-        assert rc == 2
+        rc, stdout, err = run(capsys, "simulate", "--channel", "bec", "--capacity",
+                              "0.5", "--pe", "1e-2", "--n", "4", "--trials", "0")
+        assert (rc, stdout, err) == (2, "", "error: trials must be >= 1, got 0\n")
 
     def test_negative_seed(self, capsys):
         rc, stdout, err = run(capsys, "simulate", "--channel", "bec", "--capacity", "0.5",
@@ -347,13 +357,15 @@ class TestSweep:
         assert len(lines) == 1 + 5 * 17
 
     def test_parallelism_preset_single_curve(self, capsys, tmp_path):
-        out = tmp_path / "f8.csv"
+        out, svg = tmp_path / "f8.csv", tmp_path / "f8.svg"
         rc, _, _ = run(capsys, "sweep", "--figure", "8", "--factor", "1.01",
-                       "--nmax", "12", "--out", str(out))
+                       "--nmax", "12", "--out", str(out), "--svg", str(svg))
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 9
         assert all(",fixed," in line for line in lines[1:])
+        labels = [t.text for t in ET.fromstring(svg.read_text()).iterfind(".//{*}text")]
+        assert "min P within factor" in labels and "log2 P" in labels
 
     def test_serial_preset_with_svg_and_gnuplot(self, capsys, tmp_path):
         out = tmp_path / "f6.csv"
@@ -374,6 +386,16 @@ class TestSweep:
                               "--nmax", "6", "--out", str(out))
         assert (rc, stdout) == (2, "")
         assert err == "error: --channel applies to --figure 6 only\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["6", "7"])
+    def test_factor_only_for_figure_8(self, capsys, tmp_path, figure):
+        # the sweep used to run and drop --factor
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run(capsys, "sweep", "--figure", figure, "--nmax", "5",
+                              "--factor", "3", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == "error: --factor applies to --figure 8 only\n"
         assert not out.exists()
 
     def test_figure_9_rejected(self, capsys, tmp_path):
@@ -410,6 +432,13 @@ class TestBound:
     def test_requires_n(self, capsys):
         rc, _, _ = run(capsys, "bound", "--policy", "one")
         assert rc == 2
+
+    def test_mu_with_p_sets_the_first_term(self, capsys):
+        # unlike latency's, the bound's --mu applies with --p too
+        outs = [run(capsys, "bound", "--n", "6", "--p", "2", *mu) for mu in ([], ["--mu", "2"])]
+        assert [rc for rc, _, _ in outs] == [0, 0]
+        assert outs[0][1] == "n=6 N=64 P=2 bound=206.106 log2_bound=7.68725\n"
+        assert outs[1][1] == "n=6 N=64 P=2 bound=193.754 log2_bound=7.59808\n"
 
     def test_invalid_ratio_rejected(self, capsys):
         rc, _, _ = run(capsys, "bound", "--n", "1", "--p", "2")

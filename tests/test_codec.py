@@ -228,12 +228,17 @@ class TestTransformAndEncode:
         u = np.ones(8, dtype=np.uint8)
         with pytest.raises(ValueError):
             encode(example8_code, u)
+        with pytest.raises(ValueError, match=r"^input length 4 != N=8$"):
+            encode(example8_code, np.zeros(4, dtype=np.uint8))
 
     def test_encode_message_places_info_bits(self, example8_code):
         x = encode_message(example8_code, np.array([1, 0, 1, 1], dtype=np.uint8))
         u = polar_transform(x)  # invert
         assert list(u[~example8_code.frozen]) == [1, 0, 1, 1]
         assert not u[example8_code.frozen].any()
+        assert np.array_equal(encode(example8_code, u), x)
+        with pytest.raises(ValueError, match=r"^message length 3 != k=4$"):
+            encode_message(example8_code, np.array([1, 0, 1], dtype=np.uint8))
 
     @pytest.mark.parametrize("bad", [[1.7, -3, 2, 0], [0, 1, 2, 0], [0, 0.5, 1, 1],
                                      [np.nan, 0, 0, 0], [-1, 0, 0, 0]])
@@ -662,7 +667,9 @@ class TestMonteCarlo:
             u[~code.frozen] = bits
             expected = sample_llrs(channel, polar_transform(u), rng)
             assert np.array_equal(msg, bits)
-            assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))  # signed zeros too
+            # BEC frames are float32, which holds their LLRs exactly; signed zeros too
+            assert np.array_equal(llr.astype(np.float64).view(np.uint64),
+                                  expected.view(np.uint64))
 
     @settings(max_examples=40, deadline=None)
     @given(cap=st.floats(min_value=0.0, max_value=1.0),
@@ -676,7 +683,7 @@ class TestMonteCarlo:
         code = build_code(channel, n, 1e-3)
         allowed = np.array([-LLR_CAP, 0.0, LLR_CAP]).view(np.uint64)
         for _msg, llr in _frame_batches(code, channel, trials, seed, batch):
-            assert np.isin(llr.view(np.uint64), allowed).all()
+            assert np.isin(llr.astype(np.float64).view(np.uint64), allowed).all()
 
     @pytest.mark.parametrize("kind, used, unused", [
         (ChannelKind.BEC, "_f_erasure", "_f"),
@@ -712,24 +719,35 @@ class TestMonteCarlo:
         (ChannelKind.BAWGNC, np.float64),
     ])
     def test_channel_picks_the_llr_dtype(self, monkeypatch, kind, dtype):
-        # Only BEC batches decode in float32: the shared pass, the inline SC
+        # Only BEC batches are made and decoded in float32: the frames, the
+        # shared pass, which reads each batch's buffer itself, the inline SC
         # runs on tie frames and the check over each level's joined Rate-1
         # block.  The code is test_channel_picks_the_f_kernel's.
-        passes, checks = [], []
+        batches, passes, checks, uncast = [], [], [], []
+
+        def batches_spy(*args):
+            for msg, llr in _frame_batches(*args):
+                batches.append(llr)
+                yield msg, llr
 
         def execute_spy(ops, llr, f, saved=None):
             passes.append((llr.dtype, llr.shape[0]))
+            if saved is not None:  # the shared pass
+                uncast.append(llr is batches[-1])
             return _execute(ops, llr, f, saved)
 
         def divergence_spy(s, x, bits, frames, f):
             checks.append(x.dtype)
             return _rate1_divergence(s, x, bits, frames, f)
 
+        monkeypatch.setattr("sscpolar.codec._frame_batches", batches_spy)
         monkeypatch.setattr("sscpolar.codec._execute", execute_spy)
         monkeypatch.setattr("sscpolar.codec._rate1_divergence", divergence_spy)
         channel = channel_from_capacity(kind, 0.5)
         code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
         sc_ssc_agreement(code, channel, 24, 5, 7)
+        assert {llr.dtype for llr in batches} == {np.dtype(dtype)}
+        assert uncast == [True] * 4
         assert {d for d, _rows in passes} == {np.dtype(dtype)}
         assert set(checks) == {np.dtype(dtype)}
         # passes over whole frames, and SC inside Rate-1 nodes of 4 leaves
@@ -758,8 +776,8 @@ class TestMonteCarlo:
         ops = list(ssc_schedule(build_ssc_tree(code)))
         for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
             saved32, saved64 = {}, {}
-            u32 = _decode(ops, llr.astype(np.float32), _f_erasure, saved32)
-            assert np.array_equal(u32, _decode(ops, llr, _f, saved64))
+            u32 = _decode(ops, llr, _f_erasure, saved32)
+            assert np.array_equal(u32, _decode(ops, llr.astype(np.float64), _f, saved64))
             assert saved32.keys() == saved64.keys()
             for s, pairs in saved64.items():
                 assert len(saved32[s]) == len(pairs)
@@ -782,13 +800,13 @@ class TestMonteCarlo:
         # The frames of the benchmark's simulate runs (I = 0.5, pe = 1e-3,
         # seed 7), which decode with fer=0 and full agreement, so their
         # output cannot show a change in the frames.  Hashed per batch: the
-        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs.
+        # (k, trials) uint8 message bits, then the (N, trials) LLRs as float64.
         channel = channel_from_capacity(kind, 0.5)
         code = build_code(channel, n, 1e-3)
         h = hashlib.sha256()
         for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
             h.update(msg.tobytes())
-            h.update(llr.tobytes())
+            h.update(llr.astype(np.float64).tobytes())
         assert h.hexdigest() == digest
 
     def test_agreement_sees_disagreement(self, monkeypatch):
@@ -903,6 +921,19 @@ class TestMonteCarlo:
             == [7] * 7 + [1]
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
 
+
+    def test_bec_agreement_peaks_under_16_bytes_a_frame_bit(self, bec_half):
+        # one batch of 1024 frames at n = 10: about 13 bytes a frame-bit, where
+        # a float64 batch cast to float32 for the pass peaked near 21
+        code = build_code(bec_half, 10, 1e-3)
+        sc_ssc_agreement(code, bec_half, 8, 7)  # imports and caches outside the peak
+        tracemalloc.start()
+        try:
+            assert sc_ssc_agreement(code, bec_half, 1024, 7)[:2] == (1024, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * code.N
 
     def test_stream_memory_does_not_grow_with_trials(self, bec_half):
         # each batch builds its own streams, about 800 bytes apiece: all 50 000

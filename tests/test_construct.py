@@ -110,6 +110,8 @@ class TestBuildCode:
     def test_code_from_frozen_requires_power_of_two(self):
         with pytest.raises(ValueError):
             code_from_frozen(bec(0.5), np.zeros(6, dtype=bool), 0.5)
+        with pytest.raises(ValueError, match=r"^frozen mask must have length 2\^3$"):
+            PolarCode(bec(0.5), 3, 0.5, np.zeros(4, dtype=bool))
 
     def test_code_owns_a_read_only_mask(self):
         mask = np.zeros(8, dtype=bool)
@@ -165,6 +167,8 @@ class TestPolarizationDiagnostics:
         lo, hi = cube_interval(8)
         assert lo == pytest.approx(1 / 512)
         assert hi == pytest.approx(511 / 512)
+        with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
+            cube_interval(1)
 
 
 class TestCodeFile:
@@ -220,6 +224,8 @@ class TestCodeFile:
         lambda t: "\n".join(t.splitlines()[:2]) + "\n",
         lambda t: t.replace("bec", "bad"),
         lambda t: t.rstrip()[:-1] + "\u0667",  # int(c, 16) alone reads an Arabic-Indic 7 as 7
+        lambda t: t.replace(" 3\n", "\n"),  # a header of 4 fields
+        lambda t: t.rstrip() + "0\n",  # a nibble more than N = 8 takes
     ])
     def test_rejects_malformed(self, mangle):
         text = code_to_text(build_code(bec(0.5), 3, 1e-2))

@@ -541,6 +541,8 @@ class TestLatencyBound:
             latency_upper_bound(16, 16, 3.63, 1.0, 0.5)
         with pytest.raises(ValueError):
             latency_upper_bound(16, 32, 3.63, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
+            latency_upper_bound(1, 1, 3.63, 1.0, 0.5)
 
     def test_serial_estimate(self):
         # the fully-serial asymptote (2+eps) N log2 log2 N is the P=1, c=0 case
