@@ -19,9 +19,10 @@ pass over SSC's schedule that computes each shared LLR once; each Rate-1
 node above level 1 saves copies of its input and its bits, and after the
 pass _inside decodes each level's saved inputs, joined, at once, and a
 frame diverges where SC's bits differ from the saved ones.  The executor
-runs a schedule over frame-interleaved buffers: level s holds one
-(2^s, frames) LLR array, so a node's halves are contiguous row blocks,
-and one (N, frames) array holds the partial sums in place.
+runs a schedule over frame-interleaved buffers: the channel LLRs, one
+(2^s, frames) LLR array a level s >= 1, so a node's halves are contiguous
+row blocks, a 2-row block at level 0, and one (N, frames) array of partial
+sums, in place.  Its kernels' scratch is a level buffer no later op reads.
 
 Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
 node above level 1 runs F, G and COMBINE, except that the F or G into a
@@ -240,16 +241,21 @@ def _clamp(o: np.ndarray) -> None:
 def _f(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
     """F into o: 2*arctanh(tanh(a0/2)*tanh(a1/2)), clamped, for a's halves a0, a1.
 
-    t is scratch shaped like o.  arctanh(+-1) is +-inf, which the clamp
+    t is scratch with o's columns and at most o's rows; tanh(a0/2) goes
+    through it one tile of t's rows at a time, and F is elementwise, so every
+    tiling gives the same bits.  arctanh(+-1) is +-inf, which the clamp
     saturates; callers silence numpy's divide warning for it.
     """
-    h = o.shape[0]
+    h, m = o.shape[0], t.shape[0]
     # step by step, and x*0.5 == x/2.0
-    np.multiply(a[:h], 0.5, out=t)
-    np.tanh(t, out=t)
-    np.multiply(a[h:], 0.5, out=o)
-    np.tanh(o, out=o)
-    o *= t
+    for r in range(0, h, m):
+        e = min(r + m, h)
+        o_r, t_r = o[r:e], t[:e - r]
+        np.multiply(a[r:e], 0.5, out=t_r)
+        np.tanh(t_r, out=t_r)
+        np.multiply(a[h + r:h + e], 0.5, out=o_r)
+        np.tanh(o_r, out=o_r)
+        o_r *= t_r
     np.arctanh(o, out=o)
     o *= 2.0
     _clamp(o)
@@ -302,7 +308,8 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     tanh(|a|/2) over the node's inputs, and the leftmost leaf attains it, so
     a frame is tie-free when the log of that product stays above
     _LOG_TIE_FREE.  An exact 0 in the input (a BEC erasure) gives -inf.
-    t is scratch for one half of a.
+    t is scratch shaped like one half of a, untiled: numpy sums a column row
+    by row over 2+ frames but pairwise over 1, so tiles could move a tie.
     """
     h = a.shape[0] // 2
     total = np.zeros(a.shape[1])
@@ -320,26 +327,25 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j, with F kernel f.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
-    Level s >= 1 keeps one (2^s, frames) LLR buffer, so both halves of every
+    Level s keeps one (2^s, frames) LLR buffer A[s], so both halves of every
     node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums.  The level buffers and the scratch take llr's
-    dtype, float64 or, for BEC frames, float32, and so do the inputs of the
+    of the partial sums; no op writes leaf LLRs, so A[0] is 2 rows.  Each
+    kernel's scratch is a buffer below its node that no later op reads: F at
+    level s borrows A[s-2], a Rate-1 node at level s > 1 (no children) lends
+    A[s-1] to _tie_frames, and the level-1 ops borrow A[0].  All take llr's
+    dtype, float64 or, for BEC frames, float32, as do the inputs of the
     inline SC run on a Rate-1 node's tie frames.  With `saved`, every Rate-1
-    node at a level s > 1 appends copies of its input and its bits, (a, b),
-    to saved[s].
+    node above level 1 appends copies of its input and bits, (a, b), to saved[s].
     """
     N, frames = llr.shape
     n = N.bit_length() - 1
-    # no op writes leaf LLRs: a level-1 op decides its leaves from signs
-    A = [np.empty((1 << s, frames), llr.dtype) if s else None for s in range(n)] + [llr]
-    T = np.empty((max(N >> 1, 2), frames), llr.dtype)
+    A = [np.empty((max(1 << s, 2), frames), llr.dtype) for s in range(n)] + [llr]
     B = np.zeros((N, frames), dtype=bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
         for op, s, lo in ops:
             if op == F:
-                h = 1 << (s - 1)
-                f(A[s], A[s - 1], T[:h])
+                f(A[s], A[s - 1], A[s - 2])
             elif op == G:
                 h = 1 << (s - 1)
                 o = A[s - 1]
@@ -354,7 +360,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
                 # and clamp and G without its clamp; a frozen left leaf's bit
                 # is 0.  This is SC's own computation, so a Rate-1 node here
                 # needs no tie check.
-                a, b, t = A[1], B[lo:lo + 2], T[:2]
+                a, b, t = A[1], B[lo:lo + 2], A[0]
                 if op == FROZEN_INFO:
                     np.add(a[1], a[0], out=t[0])
                     np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
@@ -370,7 +376,7 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
             elif op == RATE1:  # above level 1: the hard decision, or SC's bits on tie frames
                 a, b = A[s], B[lo:lo + (1 << s)]
                 np.less(a, 0.0, out=b)
-                ties = _tie_frames(a, T[:1 << (s - 1)])
+                ties = _tie_frames(a, A[s - 1])
                 if ties.size:
                     b[:, ties] = _execute(_inside(s), a[:, ties], f)
                 if saved is not None:
@@ -573,15 +579,15 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
-# 24-32 bytes a frame-bit (tracemalloc at n = 16..20: the LLRs, one LLR buffer
-# per level, scratch, partial sums, input bits, and the saved inputs and bits
-# of Rate-1 nodes, which grow with the share of leaves under Rate-1 nodes), so
-# a batch stays near 100-130 MB: 1024 frames up to n = 12, 256 at n = 14, 64
-# at n = 16 and 4 at n = 20.  At n = 16, 256 trials took 10 % longer in
-# 64-frame batches than in 128-frame ones, at half the peak.  BEC batches
-# are made and decoded in float32 and peak lower: 12.9, 12.7 and 13.0 bytes a
-# frame-bit at n = 10, 12 and 14 (tracemalloc, I = 0.5, pe = 1e-3), against
-# 23.5, 23.6 and 24.2 in float64.
+# 19-27 bytes a frame-bit (tracemalloc, BAWGNC n = 12..16: 19-20 at I = 0.5,
+# 24.7 and 26.5 at I = 0.9 and 0.99; the LLRs, one LLR buffer per level,
+# partial sums, input bits, and the saved inputs and bits of Rate-1 nodes,
+# which grow with the share of leaves under Rate-1 nodes), so a batch stays
+# near 80-115 MB: 1024 frames up to n = 12, 256 at n = 14, 64 at n = 16 and
+# 4 at n = 20.  At n = 16, 256 trials took 10 % longer in 64-frame batches
+# than in 128-frame ones, at half the peak.  BEC batches are made and decoded
+# in float32 and peak near half that: 10.9, 10.7 and 11.0 bytes a frame-bit
+# at n = 10, 12 and 14 (I = 0.5, pe = 1e-3).
 _BATCH_FRAME_BITS = 1 << 22
 
 

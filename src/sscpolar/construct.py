@@ -67,12 +67,14 @@ class PolarCode:
 def _as_int(value, name: str) -> int:
     """value as a Python int; rejects, naming the argument, a value that is not an integer.
 
-    numpy's integers pass; floats, even integral ones, do not.
+    numpy's integers pass; floats, even integral ones, and booleans do not.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_n(n) -> int:

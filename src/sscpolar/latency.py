@@ -324,7 +324,9 @@ def _coerce_profile(obj: ProfileLike) -> list[int]:
     if isinstance(obj, SscTree):
         return obj.edge_profile()
     prof = list(obj)
-    try:  # numpy's integers pass, as Python ints
+    try:  # numpy's integers pass, as Python ints; booleans, as in _as_int, do not
+        if bool in map(type, prof):  # operator.index rejects only numpy's
+            raise TypeError
         prof = [operator.index(count) for count in prof]
     except TypeError:
         raise ValueError(f"edge counts must be integers, got {prof}") from None

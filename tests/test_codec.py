@@ -122,6 +122,33 @@ class TestFKernel:
     def test_magnitude_contraction(self, a, b):
         assert abs(f_arm(a, b)) <= min(abs(a), abs(b)) + 1e-6
 
+    # saturation, signed zeros, float64's and float32's smallest subnormals,
+    # and LLRs near where tanh(x/2) rounds to +-1: about 38 in float64, 18 in
+    # float32
+    tile_llr = st.one_of(
+        finite_llr,
+        st.sampled_from([0.0, -0.0, LLR_CAP, -LLR_CAP, 5e-324, -5e-324, 1e-45, -1e-45]),
+        st.floats(min_value=37.5, max_value=38.7), st.floats(min_value=-38.7, max_value=-37.5),
+        st.floats(min_value=17.0, max_value=19.0), st.floats(min_value=-19.0, max_value=-17.0),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from([np.float64, np.float32]), h=st.integers(1, 12),
+           frames=st.integers(1, 5), data=st.data())
+    def test_short_scratch_gives_the_same_bits(self, dtype, h, frames, data):
+        # the executor lends F a level buffer of half its output's rows, so
+        # F runs one tile of the scratch's height at a time
+        values = data.draw(st.lists(self.tile_llr, min_size=2 * h * frames,
+                                    max_size=2 * h * frames))
+        a = np.array(values).astype(dtype).reshape(2 * h, frames)
+        expected = np.empty((h, frames), dtype)
+        with np.errstate(divide="ignore"):
+            _f(a, expected, np.empty((h, frames), dtype))
+            for rows in {1, 3, h // 2, h} & set(range(1, h + 1)):
+                o = np.full((h, frames), np.nan, dtype)
+                _f(a, o, np.empty((rows, frames), dtype))
+                assert o.tobytes() == expected.tobytes(), rows
+
 
 # the BEC's LLRs: every value that F and G give from the channel's
 ERASURE_LLRS = np.array([-LLR_CAP, -0.0, 0.0, LLR_CAP])
@@ -584,13 +611,14 @@ class TestMonteCarlo:
 
     def test_trials_validated(self, bec_half):
         code = build_code(bec_half, 4, 1e-2)
-        for trials in (0, 2.5):
+        # a boolean is not an integer, whether Python's (True == 1) or numpy's
+        for trials in (0, 2.5, True, np.True_):
             with pytest.raises(ValueError, match="trials"):
                 sc_ssc_agreement(code, bec_half, trials, seed=0)
-        for batch in (0, -3, 2.5):
+        for batch in (0, -3, 2.5, True, np.True_):
             with pytest.raises(ValueError, match="batch"):
                 sc_ssc_agreement(code, bec_half, 10, seed=0, batch=batch)
-        for seed in (-1, 7.0, None):
+        for seed in (-1, 7.0, None, False, np.False_):
             with pytest.raises(ValueError, match="seed"):
                 sc_ssc_agreement(code, bec_half, 10, seed=seed)
 
@@ -922,18 +950,23 @@ class TestMonteCarlo:
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
 
 
-    def test_bec_agreement_peaks_under_16_bytes_a_frame_bit(self, bec_half):
-        # one batch of 1024 frames at n = 10: about 13 bytes a frame-bit, where
-        # a float64 batch cast to float32 for the pass peaked near 21
+    def test_bec_agreement_peaks_under_12_bytes_a_frame_bit(self, bec_half):
+        # one batch of 1024 frames at n = 10: about 10.9 bytes a frame-bit; a
+        # float64 batch cast to float32 for the pass would peak near 21, and
+        # an N/2-row scratch beside the level buffers would add 2
         code = build_code(bec_half, 10, 1e-3)
-        sc_ssc_agreement(code, bec_half, 8, 7)  # imports and caches outside the peak
-        tracemalloc.start()
-        try:
-            assert sc_ssc_agreement(code, bec_half, 1024, 7)[:2] == (1024, 1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 1024 * code.N
+        result, peak = agreement_peak(code, bec_half, 1024, 7)
+        assert result[:2] == (1024, 1024)
+        assert peak < 12
+
+    def test_agreement_peaks_under_21_bytes_a_frame_bit(self):
+        # one batch of 1024 frames at n = 12 in float64: about 19 bytes a
+        # frame-bit; an N/2-row scratch beside the level buffers would add 4
+        channel = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
+        code = build_code(channel, 12, 1e-3)
+        result, peak = agreement_peak(code, channel, 1024, 7)
+        assert result[1] == 1024
+        assert peak < 21
 
     def test_stream_memory_does_not_grow_with_trials(self, bec_half):
         # each batch builds its own streams, about 800 bytes apiece: all 50 000
@@ -947,6 +980,18 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def agreement_peak(code, channel, trials, seed):
+    """sc_ssc_agreement's result and its tracemalloc peak in bytes a frame-bit."""
+    sc_ssc_agreement(code, channel, 8, seed)  # imports and caches outside the peak
+    tracemalloc.start()
+    try:
+        result = sc_ssc_agreement(code, channel, trials, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / (trials * code.N)
 
 
 def block_mask(n, log_block, pattern):

@@ -196,6 +196,10 @@ class TestCodeFile:
         mask = np.array([True, True, False, False])
         with pytest.raises(ValueError, match="n must be an integer"):
             PolarCode(bec(0.5), 2.0, 1e-3, mask)
+        # a boolean is not an integer, though True == 1 would build an N=2 code
+        for n in (True, np.True_):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                build_code(bec(0.5), n, 1e-3)
         code = PolarCode(bec(0.5), np.int64(2), 1e-3, mask)
         assert type(code.n) is int
         assert code_from_text(code_to_text(code)).n == 2

@@ -61,7 +61,8 @@ class TestDecodingWeight:
         # exact integer latencies: a fractional or float P is rejected, numpy ints pass
         for call in (lambda: ssc_latency([2, 2], 1.5), lambda: decoding_weight(3, 2.5),
                      lambda: latency_report([2, 2], 2.0), lambda: sc_latency_tree(3, 2.0),
-                     lambda: ssc_latency([2, 2], "2"),
+                     lambda: ssc_latency([2, 2], "2"), lambda: ssc_latency([2, 2], True),
+                     lambda: decoding_weight(3, np.True_),
                      lambda: latency_upper_bound(16, 1.5, 3.63, 1.0, 0.5),
                      lambda: latency_upper_bound(16, 0, 3.63, 1.0, 0.5)):
             with pytest.raises(ValueError, match="P must be"):
@@ -452,7 +453,7 @@ class TestSscLatency:
         with pytest.raises(ValueError):
             min_p_within_factor([2, -2, 2], 1.01)
         # counts are integers, numpy's too: the latency is exact integer arithmetic
-        for bad in ([1, 2.5], [1, 2.0], [np.float64(2)]):
+        for bad in ([1, 2.5], [1, 2.0], [np.float64(2)], [True, 2], [np.True_, 2]):
             with pytest.raises(ValueError, match="integers"):
                 ssc_latency(bad, 1)
         assert ssc_latency([np.int64(1), np.int32(2)], 1) == 5
