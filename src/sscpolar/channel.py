@@ -26,6 +26,9 @@ _CAPACITY_TOL = 1e-9
 
 
 class ChannelKind(str, Enum):
+    """A channel family.  The public functions and BmsChannel also take a
+    member's value ("bec") and coerce it; any other name is a ValueError."""
+
     BEC = "bec"
     BSC = "bsc"
     BAWGNC = "bawgnc"
@@ -56,6 +59,7 @@ class BmsChannel:
     z0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ChannelKind(self.kind))
         _check_param(self.kind, self.param)
 
 
@@ -72,6 +76,7 @@ def _check_param(kind: ChannelKind, param: float) -> None:
 
 def bhattacharyya(kind: ChannelKind, param: float) -> float:
     """Bhattacharyya parameter Z = sum_y sqrt(W(y|0) W(y|1)) of the channel."""
+    kind = ChannelKind(kind)
     _check_param(kind, param)
     if kind is ChannelKind.BEC:
         return param
@@ -455,6 +460,7 @@ def _bawgnc_capacity(sigma: float) -> float:
 
 def capacity(kind: ChannelKind, param: float) -> float:
     """Symmetric capacity I(W) in bits per channel use."""
+    kind = ChannelKind(kind)
     _check_param(kind, param)
     if kind is ChannelKind.BEC:
         return 1.0 - param
@@ -476,10 +482,12 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
     Raises
     ------
     ValueError
-        If the target capacity is not strictly inside (0, 1).
+        If kind names no ChannelKind, or the target capacity is not
+        strictly inside (0, 1).
     ArithmeticError
         If bisection has not converged to 1e-9 after 200 iterations.
     """
+    kind = ChannelKind(kind)
     if not 0.0 < target_capacity < 1.0:
         raise ValueError(f"target capacity must be in (0, 1), got {target_capacity}")
 

@@ -233,9 +233,8 @@ def schedule_profile(ops: Iterable[Op], n: int) -> list[int]:
 
 
 def _clamp(o: np.ndarray) -> None:
-    # np.clip's result without NaN, at half its per-call cost
-    np.minimum(o, LLR_CAP, out=o)
-    np.maximum(o, -LLR_CAP, out=o)
+    # the ndarray method: np.clip's wrapper costs more than the pass on small blocks
+    o.clip(-LLR_CAP, LLR_CAP, out=o)
 
 
 def _f(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import binascii
 import operator
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +200,7 @@ def _hex_to_frozen(text: str, N: int) -> np.ndarray:
     try:  # unlike bytes.fromhex, unhexlify rejects whitespace between bytes
         packed = binascii.unhexlify(text + "0" * (len(text) % 2))
     except ValueError:  # binascii.Error, or a character outside ASCII
-        bad = "".join(sorted(set(text).difference(string.hexdigits)))
+        bad = "".join(sorted(set(text).difference("0123456789abcdefABCDEF")))
         raise ValueError(f"frozen string has non-hex characters {bad!r}") from None
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[N:].any():

@@ -10,7 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
+
+
+def _escape(text: str) -> str:
+    """text with &, < and > as XML entities, as xml.sax.saxutils.escape gives it.
+
+    That module's import loads urllib, http, email and ssl.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")
@@ -89,7 +97,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
     ]
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-size="14">{escape(title)}</text>')
+                   f'font-size="14">{_escape(title)}</text>')
 
     for t in nice_ticks(xmin, xmax):
         if xmin <= t <= xmax:
@@ -109,9 +117,9 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
     out.append(f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="black" stroke-width="1"/>')
     out.append(f'<text x="{left + pw / 2:.1f}" y="{height - 12}" '
-               f'text-anchor="middle">{escape(x_label)}</text>')
+               f'text-anchor="middle">{_escape(x_label)}</text>')
     out.append(f'<text x="16" y="{top + ph / 2:.1f}" text-anchor="middle" '
-               f'transform="rotate(-90 16 {top + ph / 2:.1f})">{escape(y_label)}</text>')
+               f'transform="rotate(-90 16 {top + ph / 2:.1f})">{_escape(y_label)}</text>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -130,7 +138,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
         color = PALETTE[i % len(PALETTE)]
         out.append(f'<line x1="{left + 10}" y1="{ly - 4}" x2="{left + 34}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{left + 40}" y="{ly}">{escape(s.label)}</text>')
+        out.append(f'<text x="{left + 40}" y="{ly}">{_escape(s.label)}</text>')
         ly += 16
 
     out.append("</g></svg>")

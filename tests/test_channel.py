@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from sscpolar import (
     SCALING_EXPONENT,
+    BmsChannel,
     ChannelKind,
     bhattacharyya,
     capacity,
@@ -85,10 +86,17 @@ class TestBhattacharyya:
         (ChannelKind.BEC, -0.1), (ChannelKind.BEC, 1.1),
         (ChannelKind.BSC, 0.6), (ChannelKind.BSC, -0.01),
         (ChannelKind.BAWGNC, 0.0), (ChannelKind.BAWGNC, -1.0),
+        # a kind given by its value is checked as that member; other names are rejected
+        ("bec", 1.5), ("bsc", 0.75), ("bawgnc", -2.0), ("foo", 0.3),
     ])
     def test_out_of_range_param(self, kind, param):
-        with pytest.raises(ValueError):
-            bhattacharyya(kind, param)
+        for call in (bhattacharyya, capacity, make_channel,
+                     lambda kind, param: BmsChannel(kind, param, 0.5, 0.5)):
+            with pytest.raises(ValueError):
+                call(kind, param)
+        if kind == "foo":
+            with pytest.raises(ValueError, match="not a valid ChannelKind"):
+                channel_from_capacity(kind, 0.5)
 
 
 class TestCapacity:
@@ -193,6 +201,7 @@ class TestChannelFromCapacity:
     def test_bsc_half_capacity(self):
         ch = channel_from_capacity(ChannelKind.BSC, 0.5)
         assert ch.param == pytest.approx(0.1100278644, abs=1e-6)
+        assert channel_from_capacity("bsc", 0.5) == ch
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     @pytest.mark.parametrize("target", [0.1, 0.25, 0.5, 0.75, 0.9])
@@ -389,11 +398,14 @@ class TestZTransforms:
 class TestChannelInvariants:
     @pytest.mark.parametrize("kind,param", [
         (ChannelKind.BEC, 0.37), (ChannelKind.BSC, 0.11), (ChannelKind.BAWGNC, 0.9787),
+        ("bec", 0.3), ("bsc", 0.2), ("bawgnc", 0.3),
     ])
     def test_stored_fields_consistent(self, kind, param):
         ch = make_channel(kind, param)
         assert abs(ch.capacity - capacity(kind, param)) <= 1e-9
         assert abs(ch.z0 - bhattacharyya(kind, param)) <= 1e-12
+        assert ch.kind is ChannelKind(kind)
+        assert ch == make_channel(ChannelKind(kind), param)
 
     def test_mu_lookup(self):
         assert SCALING_EXPONENT[ChannelKind.BEC] == 3.63

@@ -569,26 +569,21 @@ def test_any_argv_exits_cleanly(capsys, subcommands, command, data):
     assert rc in (0, 2, 3), argv
 
 
-def test_cli_starts_without_scipy():
-    # scipy is slow to import, and no path needs it: not the CLI, and not the
-    # BAWGNC capacity, whose quadrature is a port of QUADPACK's
+def test_cli_starts_without_unused_modules():
+    # None of these is needed at start.  scipy is slow to import, and no path
+    # needs it: not the CLI, and not the BAWGNC capacity, whose quadrature is a
+    # port of QUADPACK's.  numpy.random costs 15-19 ms, and only simulate's
+    # streams need it.  xml.sax's escape loads urllib, http, email, ssl and
+    # socket, 23-35 ms and 6 MB, for three replaces.
+    guarded = ("scipy", "numpy.random", "urllib.request", "http.client", "email", "ssl",
+               "socket", "xml.sax")
     src = str(pathlib.Path(sscpolar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys, sscpolar.cli as c; c.build_parser(); "
              "from sscpolar import ChannelKind, channel_from_capacity, make_channel; "
              "channel_from_capacity(ChannelKind.BAWGNC, 0.5); "
-             "make_channel(ChannelKind.BAWGNC, 0.9); print('scipy' in sys.modules)")
+             "make_channel(ChannelKind.BAWGNC, 0.9); "
+             f"print(sorted(set({guarded!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_starts_without_numpy_random():
-    # numpy.random costs 15-19 ms to import, and only simulate's streams need it
-    src = str(pathlib.Path(sscpolar.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, sscpolar.cli as c; c.build_parser(); "
-             "print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

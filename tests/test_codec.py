@@ -99,6 +99,15 @@ class TestFKernel:
     def test_saturates_instead_of_overflowing(self):
         assert f_arm(LLR_CAP, LLR_CAP) == LLR_CAP
         assert f_arm(-LLR_CAP, LLR_CAP) == -LLR_CAP
+        # the clamp alone, in both widths: signed zeros, the smallest
+        # subnormals and NaN pass through, and infinities and magnitudes past
+        # the cap saturate
+        for dtype, tiny in ((np.float64, 5e-324), (np.float32, 1e-45)):
+            o = np.array([0.0, -0.0, tiny, -tiny, 301.0, -301.0, np.inf, -np.inf, np.nan], dtype)
+            _clamp(o)
+            expected = np.array([0.0, -0.0, tiny, -tiny, LLR_CAP, -LLR_CAP, LLR_CAP, -LLR_CAP,
+                                 np.nan], dtype)
+            assert o.tobytes() == expected.tobytes(), dtype
 
     @given(finite_llr, finite_llr)
     def test_symmetry(self, a, b):

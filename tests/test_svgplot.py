@@ -25,8 +25,8 @@ class TestSvg:
         assert svg.count("<polyline") == 2
 
     def test_labels_escaped(self):
-        svg = render_line_plot([Series("a<b&c", [0, 1], [0, 1])], "x<1", "y&z")
-        assert "a&lt;b&amp;c" in svg
+        svg = render_line_plot([Series("a<b&c>d", [0, 1], [0, 1])], "x<1", "y&z")
+        assert "a&lt;b&amp;c&gt;d" in svg
         ET.fromstring(svg)
 
     def test_empty_rejected(self):
