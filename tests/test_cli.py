@@ -569,12 +569,11 @@ def test_any_argv_exits_cleanly(capsys, subcommands, command, data):
     assert rc in (0, 2, 3), argv
 
 
-def test_cli_starts_without_unused_modules():
-    # None of these is needed at start.  scipy is slow to import, and no path
-    # needs it: not the CLI, and not the BAWGNC capacity, whose quadrature is a
-    # port of QUADPACK's.  numpy.random costs 15-19 ms, and only simulate's
-    # streams need it.  xml.sax's escape loads urllib, http, email, ssl and
-    # socket, 23-35 ms and 6 MB, for three replaces.
+@pytest.fixture(scope="module")
+def loaded_at_start():
+    # One fresh interpreter starts the CLI and builds two BAWGNC channels; the
+    # tests below read which of the guarded modules it loaded.  None is needed
+    # at start.
     guarded = ("scipy", "numpy.random", "urllib.request", "http.client", "email", "ssl",
                "socket", "xml.sax")
     src = str(pathlib.Path(sscpolar.__file__).parents[1])
@@ -586,4 +585,21 @@ def test_cli_starts_without_unused_modules():
              f"print(sorted(set({guarded!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_starts_without_scipy(loaded_at_start):
+    # scipy is slow to import, and no path needs it: not the CLI, and not the
+    # BAWGNC capacity, whose quadrature is a port of QUADPACK's
+    assert "'scipy'" not in loaded_at_start
+
+
+def test_cli_starts_without_numpy_random(loaded_at_start):
+    # numpy.random costs 15-19 ms to import, and only simulate's streams need it
+    assert "'numpy.random'" not in loaded_at_start
+
+
+def test_cli_starts_without_unused_modules(loaded_at_start):
+    # xml.sax's escape loads urllib, http, email, ssl and socket, 23-35 ms and
+    # 6 MB, for three replaces; with scipy and numpy.random, nothing guarded loads
+    assert loaded_at_start == "[]"
