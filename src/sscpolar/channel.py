@@ -567,25 +567,45 @@ def _draw(channel: BmsChannel, rng: np.random.Generator, out: np.ndarray) -> np.
     return (rng.standard_normal if channel.kind is ChannelKind.BAWGNC else rng.random)(out=out)
 
 
-def _llrs(channel: BmsChannel, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The LLRs of uint8 codeword bits x from the noise d that _draw gave them, for
-    any two arrays of one shape, exactly by sample_llrs's formulas; overwrites d."""
+def _decide(channel: BmsChannel, d: np.ndarray, out=None) -> np.ndarray:
+    """The bit that each uniform draw of _draw decides on the BEC or BSC, whatever
+    the codeword: kept (d >= p, not erased) on the BEC, flipped (d < p) on the BSC."""
+    return (np.greater_equal if channel.kind is ChannelKind.BEC else np.less)(
+        d, channel.param, out=out)
+
+
+def _llrs(channel: BmsChannel, x: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sample_llrs's draws-to-LLR map: the LLRs of uint8 codeword bits x into out.
+
+    noise is what _draw gave on the BAWGNC, and the bits _decide read off it
+    on the BEC and BSC; x, noise and out have one shape.  Overwrites x, and
+    on the BAWGNC noise.  On the BEC and BSC the LLR is an int8 sign times
+    the magnitude, computed in out's dtype: kept*(1-2x) * LLR_CAP, where
+    int8 0 gives +0.0 if erased, and (1-2*(x^flipped)) * mag, where -1 * 0.0
+    is -0.0 at p = 1/2, as the BSC's LLRs are +-0.0 there.
+    """
     if channel.kind is ChannelKind.BAWGNC:
         sigma = channel.param
-        llr = np.multiply(x, 2.0)
+        llr = np.multiply(x, 2.0, out=out)
         np.subtract(1.0, llr, out=llr)  # the transmitted symbol, exactly +-1
-        llr += np.multiply(d, sigma, out=d)
+        llr += np.multiply(noise, sigma, out=noise)
         llr *= 2.0
         # sigma^2 is 0 below sigma ~ 1.5e-162, where every y is exactly +-1:
         # the quotient is then +-inf, which the clip maps to +-LLR_CAP
         with np.errstate(divide="ignore"):
             llr /= sigma * sigma
         return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
-    hit = np.less(d, channel.param).view(np.uint8)  # erased on the BEC, flipped on the BSC
+    sign = x.view(np.int8)
+    if channel.kind is ChannelKind.BSC:
+        sign ^= noise
+    sign *= -2
+    sign += 1
     if channel.kind is ChannelKind.BEC:
-        return np.take(np.array([LLR_CAP, -LLR_CAP, 0.0, 0.0]), x + 2 * hit)  # +0.0 if erased
-    mag = bsc_llr_magnitude(channel.param)
-    return np.take(np.array([mag, -mag]), x ^ hit)
+        sign *= noise
+        mag = LLR_CAP
+    else:
+        mag = bsc_llr_magnitude(channel.param)
+    return np.multiply(sign, mag, out=out, dtype=out.dtype)
 
 
 def sample_llrs(channel: BmsChannel, codeword: np.ndarray, seed) -> np.ndarray:
@@ -594,10 +614,13 @@ def sample_llrs(channel: BmsChannel, codeword: np.ndarray, seed) -> np.ndarray:
     Deterministic for a fixed seed.  BEC outputs are +/-LLR_CAP with 0 on
     erasure; BSC outputs are +/-log((1-p)/p); BAWGNC outputs are 2y/sigma^2
     for y = (1 - 2x) + noise.  Positive LLR favors bit 0.  Rejects non-bits.
+    The map from draws to LLRs is _llrs, which Monte Carlo batches share.
     """
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
-    x = np.asarray(_check_bits(codeword), dtype=np.uint8)
+    x = np.array(_check_bits(codeword), dtype=np.uint8)  # a copy: _llrs overwrites it
     if x.ndim != 1:
         raise ValueError("codeword must be a 1-D bit vector")
-    d = _draw(channel, rng, np.empty(x.shape))
-    return _llrs(channel, x, d)
+    noise = _draw(channel, rng, np.empty(x.shape))
+    if channel.kind is not ChannelKind.BAWGNC:
+        noise = _decide(channel, noise)
+    return _llrs(channel, x, noise, np.empty(x.shape))

@@ -52,9 +52,14 @@ product and quotient and G's sums stay exact, and tanh(+-LLR_CAP/2) is
 or -inf) are the same.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
-first; sample_llrs's own draws-to-LLR map makes the LLRs of 16 frames at a
-time, so every frame, read as float64, equals the per-frame path bit for
-bit.  Trial i's stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i],
+first, then noise, and sample_llrs's own draws-to-LLR map, channel._llrs,
+makes their LLRs, so every frame, read as float64, equals the per-frame
+path bit for bit.  On the BAWGNC the map runs on 16 frames at a time.  On
+the BEC and BSC each uniform draw decides one bit whatever the codeword,
+kept or flipped: a batch's bits are decided as they are drawn, into one
+frame-major byte matrix, transposed once into the decoder's (N, frames)
+orientation, and the map writes all the batch's LLRs into its buffer from
+int8 signs.  Trial i's stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i],
 each batch's streams built for it with the seed words of all its children
 computed at once (_spawn_words), and its message bits are read off its raw
 words, as integers(0, 2, k, np.uint8) draws them.
@@ -67,7 +72,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _draw, _llrs
+from .channel import LLR_CAP, BmsChannel, ChannelKind, _check_bits, _decide, _draw, _llrs
 from .construct import PolarCode, _as_int, _check_mask, _check_n
 from .latency import NodeKind, SscTree, _mask_tree, build_ssc_tree
 
@@ -540,15 +545,29 @@ def _trial_streams(seed: int, trials: int, first: int = 0) -> list[np.random.Gen
     return [Generator(PCG64(Words(w))) for w in _spawn_words(seed, trials, first)]
 
 
-# Frames a block: 16 frames fill two 64-byte cache lines of a float64 LLR row
+# Frames a block.  Each block's noise is drawn into one (16, N) float64
+# buffer.  On the BAWGNC the block's LLRs are made from it at once, and 16
+# frames fill two 64-byte cache lines of a float64 LLR row.  On the BEC and
+# BSC the block only stages the draws: they are decided as they come, and the
+# transpose of a batch's decisions copies a block of frames at a time.
 _FRAME_BLOCK = 16
+
+
+def _codewords(code: PolarCode, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The message bits (k, trials) read off the raw words (trials, words), and
+    their codewords (N, trials) in uint8."""
+    msg = (raw.view(np.uint8)[:, :code.k] >> 7).T
+    x = np.zeros((code.N, msg.shape[1]), dtype=np.uint8)
+    x[~code.frozen] = msg
+    _butterflies(x, code.N, msg.shape[1])  # in place
+    return msg, x
 
 
 def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Generator],
                    llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Message bits (k, trials) and the LLRs, written into llr (N, trials),
     frame-interleaved and in llr's dtype; each stream draws its message
-    bits, then its noise, as for sample_llrs.
+    bits, then its noise, as for sample_llrs, and the LLRs are _llrs's.
 
     The message bits are rng.integers(0, 2, k, dtype=np.uint8), read off the
     stream's next ceil(k/8) raw words: that call draws each bit as a byte b
@@ -558,23 +577,45 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
     byte j of the raw words in little-endian order.  An odd count of halves
     leaves one buffered, which only next_uint32 reads, and the noise draws
     read whole raw words.
+
+    On the BAWGNC all message bits are drawn first, and each block's LLRs
+    come from its codewords and its draws.  On the BEC and BSC each stream
+    draws its message words and its noise in one loop over a block, and
+    _decide turns the block's draws into bytes of one (trials, N) matrix.
+    After the last block the matrix is transposed once, and _llrs writes all
+    LLRs into llr from it and the codewords.
     """
-    trials, info, k = len(rngs), ~code.frozen, code.k
-    raw = np.empty((trials, -(-k // 8)), dtype="<u8")
-    for row, rng in zip(raw, rngs):
-        row[:] = rng.bit_generator.random_raw(row.size)
-    msg = (raw.view(np.uint8)[:, :k] >> 7).T
-    x = np.zeros((code.N, trials), dtype=np.uint8)
-    x[info] = msg
-    _butterflies(x, code.N, trials)  # the codewords, in place
-    d = np.empty((min(trials, _FRAME_BLOCK), code.N))
+    trials, N = len(rngs), code.N
+    raw = np.empty((trials, -(-code.k // 8)), dtype="<u8")
+    d = np.empty((min(trials, _FRAME_BLOCK), N))
+    if channel.kind is ChannelKind.BAWGNC:
+        for row, rng in zip(raw, rngs):
+            row[:] = rng.bit_generator.random_raw(row.size)
+        msg, x = _codewords(code, raw)
+        for start in range(0, trials, _FRAME_BLOCK):
+            block = rngs[start:start + _FRAME_BLOCK]
+            for row, rng in zip(d, block):
+                _draw(channel, rng, row)
+            cols = slice(start, start + len(block))
+            llr[:, cols] = _llrs(channel, x[:, cols], d[:len(block)].T,
+                                 np.empty((N, len(block))))
+        return msg, llr
+    decided = np.empty((trials, N), dtype=bool)
     for start in range(0, trials, _FRAME_BLOCK):
         block = rngs[start:start + _FRAME_BLOCK]
-        for row, rng in zip(d, block):
+        for words, row, rng in zip(raw[start:], d, block):
+            words[:] = rng.bit_generator.random_raw(words.size)
             _draw(channel, rng, row)
-        cols = slice(start, start + len(block))
-        llr[:, cols] = _llrs(channel, x[:, cols], d[:len(block)].T)
-    return msg, llr
+        _decide(channel, d[:len(block)], decided[start:start + len(block)])
+    # a plain copy of decided.T reads down columns: at n = 12 (a 4 KiB row
+    # stride) it took 31 ms for 1024 frames on a 2-vCPU Xeon, and 7-9 ms a
+    # block of rows at a time
+    noise = np.empty((N, trials), dtype=bool)
+    for start in range(0, trials, _FRAME_BLOCK):
+        noise[:, start:start + _FRAME_BLOCK] = decided[start:start + _FRAME_BLOCK].T
+    del decided
+    msg, x = _codewords(code, raw)
+    return msg, _llrs(channel, x, noise, llr)
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at

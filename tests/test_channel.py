@@ -466,6 +466,31 @@ class TestSampleLlrs:
             llr = sample_llrs(ch, x, 3)
         assert np.array_equal(llr, np.where(x == 0, LLR_CAP, -LLR_CAP))
 
+    @pytest.mark.parametrize("kind, param", [
+        (ChannelKind.BEC, 0.0), (ChannelKind.BEC, 0.3), (ChannelKind.BEC, 1.0),
+        (ChannelKind.BSC, 0.0), (ChannelKind.BSC, 0.2), (ChannelKind.BSC, 0.5),
+        (ChannelKind.BAWGNC, 0.8),
+    ])
+    def test_llrs_follow_the_draws(self, kind, param):
+        # Each LLR by the documented formulas from the stream's own draws, bit
+        # for bit, signed zeros included; the caller's codeword is not changed.
+        ch = make_channel(kind, param)
+        x = np.random.default_rng(1).integers(0, 2, 512, dtype=np.uint8)
+        given = x.copy()
+        llr = sample_llrs(ch, x, 4)
+        rng = np.random.default_rng(4)
+        if kind is ChannelKind.BAWGNC:
+            y = (1.0 - 2.0 * x) + param * rng.standard_normal(x.size)
+            expected = np.clip(2.0 * y / (param * param), -LLR_CAP, LLR_CAP)
+        elif kind is ChannelKind.BEC:
+            expected = np.where(rng.random(x.size) < param, 0.0,
+                                np.where(x == 0, LLR_CAP, -LLR_CAP))
+        else:
+            mag = bsc_llr_magnitude(param)
+            expected = np.where((rng.random(x.size) < param) ^ (x == 1), -mag, mag)
+        assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(x, given)
+
     def test_rejects_matrix_input(self):
         ch = make_channel(ChannelKind.BEC, 0.5)
         with pytest.raises(ValueError):

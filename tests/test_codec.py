@@ -708,6 +708,46 @@ class TestMonteCarlo:
             assert np.array_equal(llr.astype(np.float64).view(np.uint64),
                                   expected.view(np.uint64))
 
+    @pytest.mark.parametrize("kind, param", [
+        (ChannelKind.BEC, 0.0), (ChannelKind.BEC, 1.0),
+        (ChannelKind.BSC, 0.0), (ChannelKind.BSC, 0.5),
+    ])
+    @pytest.mark.parametrize("n, batch, trials", [(1, 1024, 1), (5, 7, 40), (8, 1024, 37)])
+    def test_edge_channel_frames_equal_the_per_frame_path(self, kind, param, n, batch, trials):
+        # Channels that capacities in (0, 1) never reach: no erasure or every
+        # one, LLR_CAP as the BSC's magnitude, and all LLRs +-0.0 at p = 1/2.
+        # Half the leaves carry information, so codewords hold ones.
+        channel = make_channel(kind, param)
+        code = code_from_frozen(channel, np.arange(2 ** n) % 2 == 0, 1e-3)
+        seed = 2 ** 33 + n
+        frames = [(msg[:, j].copy(), llr[:, j].copy())
+                  for msg, llr in _frame_batches(code, channel, trials, seed, batch)
+                  for j in range(llr.shape[1])]
+        assert len(frames) == trials
+        for (msg, llr), stream in zip(frames, np.random.SeedSequence(seed).spawn(trials)):
+            rng = np.random.default_rng(stream)
+            bits = rng.integers(0, 2, code.k, dtype=np.uint8)
+            expected = sample_llrs(channel, encode_message(code, bits), rng)
+            assert np.array_equal(msg, bits)
+            assert np.array_equal(llr.astype(np.float64).view(np.uint64),
+                                  expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("trials, batch", [(1, 1024), (37, 1024), (70, 1024), (70, 29)])
+    def test_frames_do_not_depend_on_the_block_size(self, monkeypatch, kind, trials, batch):
+        # Blocks of 1, 3, 16 and 64 frames, with partial last blocks
+        channel = channel_from_capacity(kind, 0.5)
+        code = build_code(channel, 6, 1e-3)
+        digests = set()
+        for block in (1, 3, 16, 64):
+            monkeypatch.setattr("sscpolar.codec._FRAME_BLOCK", block)
+            h = hashlib.sha256()
+            for msg, llr in _frame_batches(code, channel, trials, 11, batch):
+                h.update(msg.tobytes())
+                h.update(llr.tobytes())
+            digests.add(h.hexdigest())
+        assert len(digests) == 1
+
     @settings(max_examples=40, deadline=None)
     @given(cap=st.floats(min_value=0.0, max_value=1.0),
            n=st.integers(min_value=1, max_value=10),
@@ -832,11 +872,14 @@ class TestMonteCarlo:
          "a9cbdd4bd93b09fce224c97e496fd9d048ab83730c02800101b4a075274eed32"),
         (ChannelKind.BAWGNC, 14, 256,
          "0bef39688481f5176b421c7e43d09592ed99da99d080bc251759741c5a9f85a3"),
-    ], ids=["bec-n10", "bawgnc-n14"])
+        (ChannelKind.BSC, 10, 2048,
+         "ad9409ea576865b1d1fcbaa791c884f427d5bcf930c98a5f89fcc8d0d34cfbc8"),
+    ], ids=["bec-n10", "bawgnc-n14", "bsc-n10"])
     def test_generated_frames_are_pinned(self, kind, n, trials, digest):
         # The frames of the benchmark's simulate runs (I = 0.5, pe = 1e-3,
         # seed 7), which decode with fer=0 and full agreement, so their
-        # output cannot show a change in the frames.  Hashed per batch: the
+        # output cannot show a change in the frames, and the BSC's frames at
+        # the same settings, which no benchmark run makes.  Hashed per batch: the
         # (k, trials) uint8 message bits, then the (N, trials) LLRs as float64.
         channel = channel_from_capacity(kind, 0.5)
         code = build_code(channel, n, 1e-3)
