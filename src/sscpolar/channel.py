@@ -578,28 +578,31 @@ def _llrs(channel: BmsChannel, x: np.ndarray, noise: np.ndarray, out: np.ndarray
     """sample_llrs's draws-to-LLR map: the LLRs of uint8 codeword bits x into out.
 
     noise is what _draw gave on the BAWGNC, and the bits _decide read off it
-    on the BEC and BSC; x, noise and out have one shape.  Overwrites x, and
-    on the BAWGNC noise.  On the BEC and BSC the LLR is an int8 sign times
-    the magnitude, computed in out's dtype: kept*(1-2x) * LLR_CAP, where
-    int8 0 gives +0.0 if erased, and (1-2*(x^flipped)) * mag, where -1 * 0.0
-    is -0.0 at p = 1/2, as the BSC's LLRs are +-0.0 there.
+    on the BEC and BSC; x, noise and out have one shape, and on the BAWGNC
+    out may be noise.  Overwrites x with the int8 sign 1 - 2x.  On the
+    BAWGNC y = noise*sigma + sign, which is the symbol plus the scaled noise
+    bit for bit, as the sign is exactly +-1 and IEEE addition commutes.  On
+    the BEC and BSC the LLR is an int8 sign times the magnitude, in out's
+    dtype: kept*(1-2x) * LLR_CAP, where int8 0 gives +0.0 if erased, and
+    (1-2*(x^flipped)) * mag, where -1 * 0.0 is -0.0 at p = 1/2, as the
+    BSC's LLRs are +-0.0 there.
     """
-    if channel.kind is ChannelKind.BAWGNC:
-        sigma = channel.param
-        llr = np.multiply(x, 2.0, out=out)
-        np.subtract(1.0, llr, out=llr)  # the transmitted symbol, exactly +-1
-        llr += np.multiply(noise, sigma, out=noise)
-        llr *= 2.0
-        # sigma^2 is 0 below sigma ~ 1.5e-162, where every y is exactly +-1:
-        # the quotient is then +-inf, which the clip maps to +-LLR_CAP
-        with np.errstate(divide="ignore"):
-            llr /= sigma * sigma
-        return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
     sign = x.view(np.int8)
     if channel.kind is ChannelKind.BSC:
         sign ^= noise
     sign *= -2
     sign += 1
+    if channel.kind is ChannelKind.BAWGNC:
+        sigma = channel.param
+        llr = np.multiply(noise, sigma, out=out)
+        llr += sign
+        llr *= 2.0
+        # below sigma ~ 1.05e-154 the quotient overflows to +-inf, and below
+        # ~ 1.5e-162 sigma^2 is 0 and every y is exactly +-1, so it divides
+        # by 0: either way the clip maps +-inf to +-LLR_CAP
+        with np.errstate(divide="ignore", over="ignore"):
+            llr /= sigma * sigma
+        return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
     if channel.kind is ChannelKind.BEC:
         sign *= noise
         mag = LLR_CAP

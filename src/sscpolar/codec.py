@@ -54,15 +54,16 @@ or -inf) are the same.
 Monte Carlo frames come from one seeded stream per trial, message bits
 first, then noise, and sample_llrs's own draws-to-LLR map, channel._llrs,
 makes their LLRs, so every frame, read as float64, equals the per-frame
-path bit for bit.  On the BAWGNC the map runs on 16 frames at a time.  On
-the BEC and BSC each uniform draw decides one bit whatever the codeword,
-kept or flipped: a batch's bits are decided as they are drawn, into one
-frame-major byte matrix, transposed once into the decoder's (N, frames)
-orientation, and the map writes all the batch's LLRs into its buffer from
-int8 signs.  Trial i's stream is PCG64 seeded by SeedSequence(seed).spawn(trials)[i],
-each batch's streams built for it with the seed words of all its children
-computed at once (_spawn_words), and its message bits are read off its raw
-words, as integers(0, 2, k, np.uint8) draws them.
+path bit for bit.  Each block of 16 streams' noise is drawn frame-major and
+written transposed into the decoder's (N, frames) orientation: on the
+BAWGNC the draws go straight into the batch's LLR buffer, and on the BEC
+and BSC the bit each uniform draw decides whatever the codeword, kept or
+flipped, goes into one byte array.  The map then writes the batch's LLRs
+into its buffer in place, a tile of rows at a time.  Trial i's stream is
+PCG64 seeded by SeedSequence(seed).spawn(trials)[i], each batch's streams
+built for it with the seed words of all its children computed at once
+(_spawn_words), and its message bits are read off its raw words, as
+integers(0, 2, k, np.uint8) draws them.
 """
 
 from __future__ import annotations
@@ -546,10 +547,8 @@ def _trial_streams(seed: int, trials: int, first: int = 0) -> list[np.random.Gen
 
 
 # Frames a block.  Each block's noise is drawn into one (16, N) float64
-# buffer.  On the BAWGNC the block's LLRs are made from it at once, and 16
-# frames fill two 64-byte cache lines of a float64 LLR row.  On the BEC and
-# BSC the block only stages the draws: they are decided as they come, and the
-# transpose of a batch's decisions copies a block of frames at a time.
+# buffer, frame-major, and written transposed into the batch's (N, frames)
+# target, 16 frames (two 64-byte cache lines of a float64 row) at a time.
 _FRAME_BLOCK = 16
 
 
@@ -578,44 +577,33 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
     leaves one buffered, which only next_uint32 reads, and the noise draws
     read whole raw words.
 
-    On the BAWGNC all message bits are drawn first, and each block's LLRs
-    come from its codewords and its draws.  On the BEC and BSC each stream
-    draws its message words and its noise in one loop over a block, and
-    _decide turns the block's draws into bytes of one (trials, N) matrix.
-    After the last block the matrix is transposed once, and _llrs writes all
-    LLRs into llr from it and the codewords.
+    Each stream of a block draws its message words and its noise row, and
+    the block is written transposed into one (N, trials) target: on the
+    BAWGNC the draws themselves, into llr, which must then be float64; on
+    the BEC and BSC the bits _decide reads off them, into a bool array.
+    After the last block _codewords encodes the messages, and _llrs maps
+    the target into llr a tile of rows at a time.
     """
     trials, N = len(rngs), code.N
     raw = np.empty((trials, -(-code.k // 8)), dtype="<u8")
     d = np.empty((min(trials, _FRAME_BLOCK), N))
-    if channel.kind is ChannelKind.BAWGNC:
-        for row, rng in zip(raw, rngs):
-            row[:] = rng.bit_generator.random_raw(row.size)
-        msg, x = _codewords(code, raw)
-        for start in range(0, trials, _FRAME_BLOCK):
-            block = rngs[start:start + _FRAME_BLOCK]
-            for row, rng in zip(d, block):
-                _draw(channel, rng, row)
-            cols = slice(start, start + len(block))
-            llr[:, cols] = _llrs(channel, x[:, cols], d[:len(block)].T,
-                                 np.empty((N, len(block))))
-        return msg, llr
-    decided = np.empty((trials, N), dtype=bool)
+    awgn = channel.kind is ChannelKind.BAWGNC
+    noise = llr if awgn else np.empty((N, trials), dtype=bool)
+    bits = d if awgn else np.empty(d.shape, dtype=bool)
     for start in range(0, trials, _FRAME_BLOCK):
         block = rngs[start:start + _FRAME_BLOCK]
         for words, row, rng in zip(raw[start:], d, block):
             words[:] = rng.bit_generator.random_raw(words.size)
             _draw(channel, rng, row)
-        _decide(channel, d[:len(block)], decided[start:start + len(block)])
-    # a plain copy of decided.T reads down columns: at n = 12 (a 4 KiB row
-    # stride) it took 31 ms for 1024 frames on a 2-vCPU Xeon, and 7-9 ms a
-    # block of rows at a time
-    noise = np.empty((N, trials), dtype=bool)
-    for start in range(0, trials, _FRAME_BLOCK):
-        noise[:, start:start + _FRAME_BLOCK] = decided[start:start + _FRAME_BLOCK].T
-    del decided
+        if not awgn:
+            _decide(channel, d[:len(block)], bits[:len(block)])
+        noise[:, start:start + len(block)] = bits[:len(block)].T
     msg, x = _codewords(code, raw)
-    return msg, _llrs(channel, x, noise, llr)
+    rows = max(1, (1 << 19) // (trials * llr.itemsize))  # 512 KiB tiles stay in cache
+    for lo in range(0, N, rows):
+        tile = slice(lo, lo + rows)
+        _llrs(channel, x[tile], noise[tile], llr[tile])
+    return msg, llr
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at

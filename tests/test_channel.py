@@ -24,6 +24,9 @@ from sscpolar.channel import (
     _LOW_SNR_SIGMA,
     LLR_CAP,
     _bawgnc_capacity,
+    _decide,
+    _draw,
+    _llrs,
     _loss_integrand,
     _loss_pairs,
     _qagi_loss,
@@ -456,10 +459,13 @@ class TestSampleLlrs:
         assert llr.mean() == pytest.approx(2 / sigma ** 2, rel=0.05)
         assert llr.std() == pytest.approx(2 / sigma, rel=0.05)
 
-    def test_bawgnc_tiny_sigma_saturates_silently(self):
-        # below sigma ~ 1.5e-162 sigma^2 is 0: every y is exactly +-1, so each
-        # quotient is +-inf and the clip gives +-LLR_CAP, with no warning
-        ch = make_channel(ChannelKind.BAWGNC, 1e-170)
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-160, 1e-155])
+    def test_bawgnc_tiny_sigma_saturates_silently(self, sigma):
+        # every y is exactly +-1 here; below sigma ~ 1.05e-154 each quotient
+        # overflows to +-inf (sigma^2 is subnormal), and below ~ 1.5e-162
+        # sigma^2 is 0 and it divides by 0: the clip gives +-LLR_CAP, with no
+        # warning
+        ch = make_channel(ChannelKind.BAWGNC, sigma)
         x = np.array([0, 1] * 32, dtype=np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -490,6 +496,33 @@ class TestSampleLlrs:
             expected = np.where((rng.random(x.size) < param) ^ (x == 1), -mag, mag)
         assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(x, given)
+
+    @pytest.mark.parametrize("kind, param, dtype", [
+        (ChannelKind.BEC, 0.0, np.float64), (ChannelKind.BEC, 0.3, np.float64),
+        (ChannelKind.BEC, 1.0, np.float64), (ChannelKind.BEC, 0.0, np.float32),
+        (ChannelKind.BEC, 0.3, np.float32), (ChannelKind.BEC, 1.0, np.float32),
+        (ChannelKind.BSC, 0.0, np.float64), (ChannelKind.BSC, 0.2, np.float64),
+        (ChannelKind.BSC, 0.5, np.float64),
+        (ChannelKind.BAWGNC, 1e-170, np.float64), (ChannelKind.BAWGNC, 1e-155, np.float64),
+        (ChannelKind.BAWGNC, 0.8, np.float64),
+    ])
+    def test_llrs_in_place_equal_out_of_place(self, kind, param, dtype):
+        # Monte Carlo batches map a frame-interleaved buffer a tile of rows at a
+        # time, on the BAWGNC with out the noise itself: the same bits, signed
+        # zeros included, as one call into a separate buffer
+        ch = make_channel(kind, param)
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2, (96, 24), dtype=np.uint8)
+        noise = _draw(ch, rng, np.empty(x.shape))
+        if kind is not ChannelKind.BAWGNC:
+            noise = _decide(ch, noise)
+        expected = _llrs(ch, x.copy(), noise.copy(), np.empty(x.shape, dtype))
+        got = noise if kind is ChannelKind.BAWGNC else np.empty(x.shape, dtype)
+        for lo in range(0, x.shape[0], 40):
+            tile = slice(lo, lo + 40)
+            _llrs(ch, x[tile], noise[tile], got[tile])
+        bits = np.uint64 if dtype is np.float64 else np.uint32
+        assert np.array_equal(got.view(bits), expected.view(bits))
 
     def test_rejects_matrix_input(self):
         ch = make_channel(ChannelKind.BEC, 0.5)

@@ -1020,6 +1020,22 @@ class TestMonteCarlo:
         assert result[1] == 1024
         assert peak < 21
 
+    def test_frame_batches_peak_under_19_bytes_a_frame_bit(self):
+        # at n = 18 a batch is 16 frames, one block: the draws and the batch's
+        # float64 LLRs, which the draws are written into, are 16 bytes a
+        # frame-bit; a fresh array for the block's LLRs would add 8
+        channel = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
+        code = build_code(channel, 18, 1e-3)
+        next(_frame_batches(code, channel, 1, 7, 1))  # imports outside the peak
+        tracemalloc.start()
+        try:
+            for _batch in _frame_batches(code, channel, 32, 7, 1024):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * code.N) < 19
+
     def test_stream_memory_does_not_grow_with_trials(self, bec_half):
         # each batch builds its own streams, about 800 bytes apiece: all 50 000
         # built up front peaked at 38 MiB, where one batch's LLRs are 128 KiB

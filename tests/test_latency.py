@@ -317,6 +317,28 @@ class TestMultiRootScan:
         with mock.patch.object(latency, "_FRONTIER_BOUND", bound):
             assert scan_edge_profiles(channels, n, pe) == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.one_of(
+               st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
+               st.builds(lambda roots, seed: np.random.default_rng(seed).integers(0, 5, roots),
+                         st.integers(min_value=1000, max_value=4000),
+                         st.integers(min_value=0, max_value=2 ** 32 - 1))),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(sizes=[0, 4, 0, 0, 7, 0], seed=0)
+    @example(sizes=[0], seed=0)
+    @example(sizes=[5], seed=0)
+    @example(sizes=[], seed=0)
+    def test_segment_counts_equal_bincount(self, sizes, seed):
+        # the owner-array count the walk once used, kept as the oracle; empty
+        # segments come first, between and last
+        sizes = np.asarray(sizes, dtype=np.int64)
+        mask = np.random.default_rng(seed).random(int(sizes.sum())) < 0.5
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        expected = np.bincount(owner[mask], minlength=sizes.size)
+        counts = latency._segment_counts(mask, sizes)
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+
     def test_split_past_the_bound(self, monkeypatch):
         # preset 6's nine roots outgrow the bound at level 1 for n = 18 and
         # pe = 1e-10: no level of several roots is classified past the bound,
