@@ -3,7 +3,9 @@
 The reference decoder here deliberately re-implements successive
 cancellation straight off the factor-graph recurrences (scalar math,
 per-bit recomputation, no memoization) so the package decoders are
-checked against something that shares none of their code.  The reference
+checked against something that shares none of their code.  Its recursive
+twin, reference_sc_frames, computes the same LLRs on whole columns of
+frames, fast enough for the block lengths the tool runs.  The reference
 pruned-tree scan likewise classifies one node at a time, depth first,
 where the package classifies whole tree levels at once.
 """
@@ -84,6 +86,32 @@ def reference_sc(llr, frozen):
             for j in range(base + half, base + blk):
                 beta[s, j] = beta[s - 1, j]
     return u
+
+
+def reference_sc_frames(llrs, frozen):
+    """Recursive SC over a (frames, N) LLR matrix, one frame a row, at any N.
+
+    Each node takes F of its LLR halves into its left child and G into its
+    right one, with _f_ref's and _g_ref's numpy tanh, arctanh and clamp on
+    whole columns, and returns its leaves' bits and its partial sums.  No
+    subtree is pruned: frozen leaves are decided as 0.  Returns (frames, N)
+    uint8 input-bit estimates.
+    """
+    def decide(a, frozen):
+        if a.shape[1] == 1:
+            u = (a < 0.0) & ~frozen
+            return u, u
+        h = a.shape[1] // 2
+        a0, a1 = a[:, :h], a[:, h:]
+        t = np.tanh(a0 / 2.0) * np.tanh(a1 / 2.0)
+        with np.errstate(divide="ignore"):  # arctanh(+-1) = +-inf, clamped
+            left = np.clip(2.0 * np.arctanh(t), -LLR_CAP, LLR_CAP)
+        u0, x0 = decide(left, frozen[:h])
+        u1, x1 = decide(np.clip(a1 + (1.0 - 2.0 * x0) * a0, -LLR_CAP, LLR_CAP), frozen[h:])
+        return np.hstack([u0, u1]), np.hstack([x0 ^ x1, x1])
+
+    u, _ = decide(np.asarray(llrs, dtype=np.float64), np.asarray(frozen, dtype=bool))
+    return u.astype(np.uint8)
 
 
 def _reference_kind(z, s, threshold):

@@ -52,7 +52,7 @@ from sscpolar.codec import (
     _trial_streams,
 )
 
-from conftest import EXAMPLE8_FROZEN, reference_sc
+from conftest import EXAMPLE8_FROZEN, reference_sc, reference_sc_frames
 
 finite_llr = st.floats(min_value=-LLR_CAP, max_value=LLR_CAP,
                        allow_nan=False, allow_infinity=False)
@@ -435,6 +435,43 @@ class TestSscEquivalence:
             errors += int((u_ssc[:, ~code.frozen] != msg.T).any(axis=1).sum())
         assert sc_ssc_agreement(code, noisy, 8, 5) == (8, 8, errors / 8)
 
+    @pytest.mark.parametrize("kind, n, trials, worse, digest", [
+        (ChannelKind.BEC, 10, 32, 0.27,
+         "1adff36c9336e0e7fe10e649c631eeac80b1d83dd7c5c5d588afd53a64860bb4"),
+        (ChannelKind.BSC, 10, 32, 0.2,
+         "1851373a82619e3e464fe7dd4e844bf398e47be86f071e18233270da7d89bc02"),
+        (ChannelKind.BAWGNC, 10, 32, 0.28,
+         "24358cfcdf5c3f9c835fd3df0ab3cccaff72132dab8f0673b60854d2bb80ed48"),
+        (ChannelKind.BEC, 12, 32, 0.27,
+         "5dd1c4fd60c581351577c7aac58ac4ab1c0fa0a6493491707bfb80f72a8e32b6"),
+        (ChannelKind.BSC, 12, 32, 0.2,
+         "5e301b7858bcdf8aeeb2c92106a7b9245f267aff1ca389bf7378e7d0d2a31eec"),
+        (ChannelKind.BAWGNC, 12, 32, 0.28,
+         "1c38bf9e39e17c478cf36ca4c18b31e89871cc7f074124081579e9eb32e9ee6f"),
+        (ChannelKind.BAWGNC, 14, 16, 0.28,
+         "3eb00e0bd464eae6f2ff5eb5c0e6c14dc2dbe1e950994ffdc494589cddf8ed14"),
+    ], ids=["bec-n10", "bsc-n10", "bawgnc-n10", "bec-n12", "bsc-n12", "bawgnc-n12",
+            "bawgnc-n14"])
+    def test_decoders_equal_the_reference_at_tool_sizes(self, kind, n, trials, worse, digest):
+        # The code is built at I = 0.5, pe = 1e-3 and its frames come from a
+        # worse channel, so 4 to 32 frames a case are decoded wrong, and
+        # Rate-1 nodes meet ties: 1 210 node-frames at BEC n=12, 6 at BSC
+        # n=12.  sc_ssc_agreement decodes BEC frames in float32 with
+        # _f_erasure; its error rate must be the reference's on float64 frames.
+        code = build_code(channel_from_capacity(kind, 0.5), n, 1e-3)
+        channel = channel_from_capacity(kind, worse)
+        h, errors = hashlib.sha256(), 0
+        for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
+            frames = llr.T.astype(np.float64)
+            u = reference_sc_frames(frames, code.frozen)
+            assert np.array_equal(sc_decode_batch(code, frames), u)
+            assert np.array_equal(ssc_decode_batch(code, frames), u)
+            errors += int((u[:, ~code.frozen] != msg.T).any(axis=1).sum())
+            h.update(u.tobytes())
+        assert h.hexdigest() == digest
+        assert errors > 0
+        assert sc_ssc_agreement(code, channel, trials, 7) == (trials, trials, errors / trials)
+
     def test_tie_in_pure_information_node(self):
         # size-2 all-information code with an erased first input: the one-shot
         # hard decision alone would disagree with sequential decoding here
@@ -456,6 +493,7 @@ class TestSchedule:
         mask, frames = np.array(case[0]), np.array(case[1], dtype=float)
         code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
         expected = np.array([reference_sc(llr, mask) for llr in frames])
+        assert np.array_equal(reference_sc_frames(frames, mask), expected)
         assert np.array_equal(sc_decode_batch(code, frames), expected)
         assert np.array_equal(ssc_decode_batch(code, frames), expected)
 

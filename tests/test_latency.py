@@ -26,6 +26,7 @@ from sscpolar import (
     scan_ssc_tree,
     sc_latency_closed_form,
     sc_latency_tree,
+    sc_ssc_agreement,
     ssc_latency,
 )
 from sscpolar import latency
@@ -97,6 +98,65 @@ def test_integer_arguments_are_typed(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(lambda x: x)
     assert call(lambda x: np.int64(x)) == value
+
+
+def _agreement(**arg):
+    """sc_ssc_agreement of 4 trials on a small BEC code, with one argument replaced."""
+    channel = bec(0.5)
+    return sc_ssc_agreement(build_code(channel, 4, 1e-2), channel,
+                            **{"trials": 4, "seed": 0, "batch": 1024, **arg})
+
+
+# Each integer argument with a floor, through one public call that takes it
+FLOOR_CALLS = {
+    "n": lambda v: sc_latency_tree(v, 1),
+    "trials": lambda v: _agreement(trials=v),
+    "batch": lambda v: _agreement(batch=v),
+    "seed": lambda v: _agreement(seed=v),
+    "level": lambda v: decoding_weight(v, 1),
+    "N-bound": lambda v: latency_upper_bound(v, 1, 3.63, 0.0, 0.0),
+    "N-cube": cube_interval,
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    ("n", 0, "n must be >= 1, got 0"),
+    ("n", 2.5, "n must be an integer, got 2.5"),
+    ("n", True, "n must be an integer, got True"),
+    ("n", np.int64(1), None),
+    ("trials", 0, "trials must be >= 1, got 0"),
+    ("trials", 4.0, "trials must be an integer, got 4.0"),
+    ("trials", np.True_, f"trials must be an integer, got {np.True_!r}"),
+    ("trials", np.int32(1), None),
+    ("batch", -3, "batch must be >= 1, got -3"),
+    ("batch", 2.5, "batch must be an integer, got 2.5"),
+    ("batch", True, "batch must be an integer, got True"),
+    ("batch", np.uint8(1), None),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", None, "seed must be an integer, got None"),
+    ("seed", np.False_, f"seed must be an integer, got {np.False_!r}"),
+    ("seed", np.int64(0), None),
+    ("level", -1, "level must be >= 0, got -1"),
+    ("level", 2.0, "level must be an integer, got 2.0"),
+    ("level", True, "level must be an integer, got True"),
+    ("level", np.int64(0), None),
+    ("N-bound", 1, "N must be >= 2, got 1"),
+    ("N-bound", 16.0, "N must be an integer, got 16.0"),
+    ("N-bound", np.True_, f"N must be an integer, got {np.True_!r}"),
+    ("N-bound", np.int64(2), None),
+    ("N-cube", np.int64(-4), "N must be >= 2, got -4"),
+    ("N-cube", "8", "N must be an integer, got '8'"),
+    ("N-cube", True, "N must be an integer, got True"),
+    ("N-cube", np.int16(2), None),
+])
+def test_floor_rules_are_pinned(call, value, message):
+    # every message exactly, and numpy's integers pass as the int they hold
+    if message is None:
+        assert FLOOR_CALLS[call](value) == FLOOR_CALLS[call](int(value))
+    else:
+        with pytest.raises(ValueError) as err:
+            FLOOR_CALLS[call](value)
+        assert str(err.value) == message
 
 
 M, R0, R1 = NodeKind.MIXED, NodeKind.RATE0, NodeKind.RATE1
