@@ -43,13 +43,15 @@ rounds to +-1.0, so F's product is +-1 or +-0, and arctanh(+-1) = +-inf
 clamps to +-LLR_CAP; G's sum lies in {0, +-LLR_CAP, +-2*LLR_CAP}, which its
 clamp maps back into the set.  On the set F equals a0*a1/LLR_CAP bit for
 bit, the sign of zero included, since LLR_CAP^2 and LLR_CAP^2/LLR_CAP are
-exact; sc_ssc_agreement decodes BEC frames with that kernel, _f_erasure,
-in all of its F ops.  All of this holds in float32 as well, so BEC frames
-are made and decoded in float32, bit for bit: the set is exact there,
-LLR_CAP^2 = 90000 fits in float32's 24-bit significand, so _f_erasure's
-product and quotient and G's sums stay exact, and tanh(+-LLR_CAP/2) is
-+-1.0 in both widths, so the level-1 ops' signs and _tie_frames' logs (0
-or -inf) are the same.
+exact: that kernel is _f_erasure.  All of this holds in float32 as well,
+so Monte Carlo BEC frames are made and decoded in float32, bit for bit: the
+set is exact there, LLR_CAP^2 = 90000 fits in float32's 24-bit
+significand, so _f_erasure's product and quotient and G's sums stay exact,
+and tanh(+-LLR_CAP/2) is +-1.0 in both widths, so the level-1 ops' signs
+and _tie_frames' logs (0 or -inf) are the same.  The executor reads the
+choice off the dtype, as G reads its sign bit's width: it runs _f_erasure
+on float32 LLRs, which only those frames are, and _f on the float64 ones
+of the other channels and of the public decoders.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
 first, then noise, and sample_llrs's own draws-to-LLR map, channel._llrs,
@@ -69,7 +71,7 @@ integers(0, 2, k, np.uint8) draws them.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -277,10 +279,6 @@ def _f_erasure(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
     o /= LLR_CAP
 
 
-# An F kernel: _f, or _f_erasure on erasure-channel LLRs
-FKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
-
 # The unsigned integer of each float width and the shift to its sign bit
 _SIGN_BIT = {4: (np.dtype(np.uint32), 31), 8: (np.dtype(np.uint64), 63)}
 
@@ -327,9 +325,9 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(total <= _LOG_TIE_FREE)
 
 
-def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
+def _execute(ops: Iterable[Op], llr: np.ndarray,
              saved: Optional[dict[int, list]] = None) -> np.ndarray:
-    """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j, with F kernel f.
+    """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
     Returns the root's partial sums, the (N, frames) bool codeword estimate.
     Level s keeps one (2^s, frames) LLR buffer A[s], so both halves of every
@@ -339,9 +337,12 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
     level s borrows A[s-2], a Rate-1 node at level s > 1 (no children) lends
     A[s-1] to _tie_frames, and the level-1 ops borrow A[0].  All take llr's
     dtype, float64 or, for BEC frames, float32, as do the inputs of the
-    inline SC run on a Rate-1 node's tie frames.  With `saved`, every Rate-1
-    node above level 1 appends copies of its input and bits, (a, b), to saved[s].
+    inline SC run on a Rate-1 node's tie frames.  F is _f_erasure on float32
+    LLRs, which only _frame_batches' BEC frames are, and _f on float64 ones.
+    With `saved`, every Rate-1 node above level 1 appends copies of its input
+    and bits, (a, b), to saved[s].
     """
+    f = _f_erasure if llr.dtype == np.float32 else _f
     N, frames = llr.shape
     n = N.bit_length() - 1
     A = [np.empty((max(1 << s, 2), frames), llr.dtype) for s in range(n)] + [llr]
@@ -383,29 +384,28 @@ def _execute(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
                 np.less(a, 0.0, out=b)
                 ties = _tie_frames(a, A[s - 1])
                 if ties.size:
-                    b[:, ties] = _execute(_inside(s), a[:, ties], f)
+                    b[:, ties] = _execute(_inside(s), a[:, ties])
                 if saved is not None:
                     saved.setdefault(s, []).append((a.copy(), b.copy()))
             # RATE0: a frozen node's partial sums stay 0
     return B
 
 
-def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int,
-                      f: FKernel) -> np.ndarray:
-    """(nodes, frames) bool: where SC's bits, with F kernel f, differ from `bits`.
+def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int) -> np.ndarray:
+    """(nodes, frames) bool: where SC's bits differ from `bits`.
 
     x and bits hold the inputs and SSC's bits of Rate-1 nodes at level s
     side by side, `frames` columns each.
     """
-    d = _execute(_inside(s), x, f)
+    d = _execute(_inside(s), x)
     d ^= bits
     return d.any(axis=0).reshape(-1, frames)
 
 
-def _decode(ops: Iterable[Op], llr: np.ndarray, f: FKernel,
+def _decode(ops: Iterable[Op], llr: np.ndarray,
             saved: Optional[dict[int, list]] = None) -> np.ndarray:
-    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs, with F kernel f."""
-    x = _execute(ops, llr, f, saved).view(np.uint8)
+    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
+    x = _execute(ops, llr, saved).view(np.uint8)
     return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
 
 
@@ -424,7 +424,7 @@ def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
 def sc_decode_batch(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
     """SC-decode a (batch, N) LLR matrix; returns (batch, N) input-bit estimates."""
     llrs = _check_llrs(code, llrs)
-    u = _decode(sc_schedule(code.frozen), llrs, _f)
+    u = _decode(sc_schedule(code.frozen), llrs)
     return np.ascontiguousarray(u.T)
 
 
@@ -454,7 +454,7 @@ def ssc_decode_batch(code: PolarCode, llrs: np.ndarray,
     kinds of build_ssc_tree(code); another tree raises ValueError.
     """
     llrs = _check_llrs(code, llrs)
-    u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs, _f)
+    u = _decode(ssc_schedule(_ssc_tree(code, tree)), llrs)
     return np.ascontiguousarray(u.T)
 
 
@@ -663,26 +663,19 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     seed is an integer >= 0, and trial i's frame comes from stream i of
     _trial_streams(seed, trials).
 
-    On the BEC every F runs as _f_erasure, which equals _f on its LLRs, and
-    _frame_batches makes BEC frames in float32, so the shared pass, the SC
-    runs on tie frames, the saved Rate-1 inputs and the check all run in
-    float32, bit for bit as in float64 (see the module docstring).
+    _frame_batches makes BEC frames in float32, on which every F runs as
+    _f_erasure, equal to _f on their LLRs, so the shared pass, the SC runs on
+    tie frames, the saved Rate-1 inputs and the check all run in float32, bit
+    for bit as in float64 (see the module docstring).
     """
-    trials, batch = _as_int(trials, "trials"), _as_int(batch, "batch")
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    f = _f_erasure if channel.kind is ChannelKind.BEC else _f
+    trials, batch = _as_int(trials, "trials", 1), _as_int(batch, "batch", 1)
+    seed = _as_int(seed, "seed", 0)
     ops = list(ssc_schedule(build_ssc_tree(code)))
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
         frames = llr.shape[1]
         saved = {}
-        u_ssc = _decode(ops, llr, f, saved)
+        u_ssc = _decode(ops, llr, saved)
         diverged = np.zeros(frames, dtype=bool)
         for s, pairs in saved.items():  # after the pass's buffers are freed
             x = np.empty((1 << s, len(pairs) * frames), llr.dtype)
@@ -690,7 +683,7 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
             for j in range(len(pairs)):  # each copy goes once it is joined
                 x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]
                 pairs[j] = None
-            diverged |= _rate1_divergence(s, x, bits, frames, f).any(axis=0)
+            diverged |= _rate1_divergence(s, x, bits, frames).any(axis=0)
             del x, bits
         agree += frames - int(np.count_nonzero(diverged))
         errors += _frame_errors(code, msg, u_ssc)

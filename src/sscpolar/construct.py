@@ -11,6 +11,7 @@ from __future__ import annotations
 import binascii
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,25 +64,27 @@ class PolarCode:
         return self.k / self.N
 
 
-def _as_int(value, name: str) -> int:
-    """value as a Python int; rejects, naming the argument, a value that is not an integer.
+def _as_int(value, name: str, least: Optional[int] = None) -> int:
+    """value as a Python int; rejects, naming the argument, a value that is not
+    an integer, or that is below `least` when one is given.
 
     numpy's integers pass; floats, even integral ones, and booleans do not.
     """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_n(n) -> int:
     """n as a Python int; rejects an n that is not an integer >= 1 (numpy's integers pass)."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n
+    return _as_int(n, "n", 1)
 
 
 def _check_pe(pe) -> None:
@@ -175,9 +178,7 @@ def cube_interval(N: int) -> tuple[float, float]:
     Rate-1 (all information) and one with Z >= 1 - 1/N^3 is Rate-0 (all
     frozen).
     """
-    N = _as_int(N, "N")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    N = _as_int(N, "N", 2)
     return 1.0 / N ** 3, 1.0 - 1.0 / N ** 3
 
 

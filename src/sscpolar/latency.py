@@ -88,10 +88,7 @@ def _weight(s: int, P: int) -> int:
 
 def decoding_weight(s: int, P: int) -> int:
     """Time steps charged to an edge entering a node at level s: ceil(2^s / P)."""
-    s = _as_int(s, "level")
-    if s < 0:
-        raise ValueError(f"level must be >= 0, got {s}")
-    return _weight(s, _check_p(P))
+    return _weight(_as_int(s, "level", 0), _check_p(P))
 
 
 # One step of a walk: (first, s, (z, rate0, rate1), mixed), see _walk.
@@ -385,9 +382,7 @@ def latency_upper_bound(N: int, P: int, mu: float, c: float, eps: float) -> floa
     exactly zero, which covers the fully-parallel operating point.  Rejects
     non-finite c and eps and a mu that is not positive and finite.
     """
-    N, P = _as_int(N, "N"), _check_p(P)
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    N, P = _as_int(N, "N", 2), _check_p(P)
     check_mu(mu)
     if not (math.isfinite(c) and math.isfinite(eps)):
         raise ValueError(f"c and eps must be finite, got c={c}, eps={eps}")

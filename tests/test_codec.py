@@ -845,15 +845,15 @@ class TestMonteCarlo:
                 batches.append(llr)
                 yield msg, llr
 
-        def execute_spy(ops, llr, f, saved=None):
+        def execute_spy(ops, llr, saved=None):
             passes.append((llr.dtype, llr.shape[0]))
             if saved is not None:  # the shared pass
                 uncast.append(llr is batches[-1])
-            return _execute(ops, llr, f, saved)
+            return _execute(ops, llr, saved)
 
-        def divergence_spy(s, x, bits, frames, f):
+        def divergence_spy(s, x, bits, frames):
             checks.append(x.dtype)
-            return _rate1_divergence(s, x, bits, frames, f)
+            return _rate1_divergence(s, x, bits, frames)
 
         monkeypatch.setattr("sscpolar.codec._frame_batches", batches_spy)
         monkeypatch.setattr("sscpolar.codec._execute", execute_spy)
@@ -891,8 +891,8 @@ class TestMonteCarlo:
         ops = list(ssc_schedule(build_ssc_tree(code)))
         for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
             saved32, saved64 = {}, {}
-            u32 = _decode(ops, llr, _f_erasure, saved32)
-            assert np.array_equal(u32, _decode(ops, llr.astype(np.float64), _f, saved64))
+            u32 = _decode(ops, llr, saved32)
+            assert np.array_equal(u32, _decode(ops, llr.astype(np.float64), saved64))
             assert saved32.keys() == saved64.keys()
             for s, pairs in saved64.items():
                 assert len(saved32[s]) == len(pairs)
@@ -902,8 +902,8 @@ class TestMonteCarlo:
                                           x64.view(np.uint64))
                     assert np.array_equal(b32, b64)
                     assert np.array_equal(
-                        _rate1_divergence(s, x32, b32, llr.shape[1], _f_erasure),
-                        _rate1_divergence(s, x64, b64, llr.shape[1], _f))
+                        _rate1_divergence(s, x32, b32, llr.shape[1]),
+                        _rate1_divergence(s, x64, b64, llr.shape[1]))
 
     @pytest.mark.parametrize("kind, n, trials, digest", [
         (ChannelKind.BEC, 10, 2048,
@@ -952,20 +952,21 @@ class TestMonteCarlo:
             for _u, llr in _frame_batches(code, channel, trials, 5, batch):
                 batches.append(llr.shape[1])
                 levels += [(2 ** s, m * llr.shape[1]) for s, m in rate1.items()]
-                u_sc = _decode(sc_schedule(code.frozen), llr, _f)
-                u_ssc = _decode(ssc_schedule(tree), llr, _f)
+                llr = llr.astype(np.float64)
+                u_sc = _decode(sc_schedule(code.frozen), llr)
+                u_ssc = _decode(ssc_schedule(tree), llr)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
             passes, checks, nodes = [], [], []
 
-            def count_passes(ops, llr, f, check=None):
+            def count_passes(ops, llr, check=None):
                 if llr.shape[0] == code.N and check is not None:
                     passes.append(llr.shape[1])
                 else:  # SC inside one level's Rate-1 nodes, after a pass
                     checks.append(llr.shape)
-                return _execute(ops, llr, f, check)
+                return _execute(ops, llr, check)
 
-            def node_divergence(s, x, bits, frames, f):
-                d = _rate1_divergence(s, x, bits, frames, f)
+            def node_divergence(s, x, bits, frames):
+                d = _rate1_divergence(s, x, bits, frames)
                 nodes.append(d)
                 return d
 
@@ -1128,8 +1129,9 @@ def agreement_equals_decoding_alone(channel, tie_frames, n, log_block, pattern, 
         m.setattr("sscpolar.codec._tie_frames", tie_frames)
         expected = errors = 0
         for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-            u_sc = _decode(sc_schedule(code.frozen), llr, _f)
-            u_ssc = _decode(ssc_schedule(tree), llr, _f)
+            llr = llr.astype(np.float64)
+            u_sc = _decode(sc_schedule(code.frozen), llr)
+            u_ssc = _decode(ssc_schedule(tree), llr)
             expected += int((u_sc == u_ssc).all(axis=0).sum())
             errors += int((u_ssc[~code.frozen] != msg).any(axis=0).sum())
         m.setattr("sscpolar.codec._tie_frames", tie_spy)
