@@ -594,13 +594,18 @@ def _llrs(channel: BmsChannel, x: np.ndarray, noise: np.ndarray, out: np.ndarray
     sign += 1
     if channel.kind is ChannelKind.BAWGNC:
         sigma = channel.param
-        llr = np.multiply(noise, sigma, out=out)
-        llr += sign
-        llr *= 2.0
         # below sigma ~ 1.05e-154 the quotient overflows to +-inf, and below
         # ~ 1.5e-162 sigma^2 is 0 and every y is exactly +-1, so it divides
-        # by 0: either way the clip maps +-inf to +-LLR_CAP
+        # by 0: either way the clip maps +-inf to +-LLR_CAP.  Above sigma
+        # ~ 1.34e154 sigma^2 is inf, and noise*sigma or 2y may overflow to
+        # +-inf, which the division would make NaN: every LLR is then the
+        # signed zero that finite / inf gives.
         with np.errstate(divide="ignore", over="ignore"):
+            llr = np.multiply(noise, sigma, out=out)
+            llr += sign
+            llr *= 2.0
+            if math.isinf(sigma * sigma):
+                return np.copysign(0.0, llr, out=llr)
             llr /= sigma * sigma
         return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
     if channel.kind is ChannelKind.BEC:

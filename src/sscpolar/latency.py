@@ -324,6 +324,8 @@ def _coerce_profile(obj: ProfileLike) -> list[int]:
     if isinstance(obj, SscTree):
         return obj.edge_profile()
     prof = list(obj)
+    if not prof:  # a tree has n >= 1 levels of edges
+        raise ValueError("edge profile must have at least one level, got []")
     try:  # numpy's integers pass, as Python ints; booleans, as in _as_int, do not
         if bool in map(type, prof):  # operator.index rejects only numpy's
             raise TypeError

@@ -20,6 +20,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+# The plot's size in pixels, and how many ticks nice_ticks aims at an axis
+_WIDTH, _HEIGHT = 860, 560
+_TICKS = 6
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")
 
@@ -35,11 +39,11 @@ class Series:
             raise ValueError(f"series {self.label!r}: x/y length mismatch")
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] at a 1/2/5 step, about _TICKS of them."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(1, target)
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -59,7 +63,7 @@ def _fmt_tick(v: float) -> str:
 
 
 def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
-                     title: str = "", width: int = 860, height: int = 560) -> str:
+                     title: str = "") -> str:
     """Render series as one standalone SVG document (returned as a string)."""
     if not series:
         raise ValueError("nothing to plot")
@@ -81,7 +85,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
     ymin, ymax = ymin - my, ymax + my
 
     left, right, top, bottom = 72, 24, 40 if title else 24, 56
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = _WIDTH - left - right, _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - xmin) / (xmax - xmin) * pw
@@ -90,13 +94,13 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
         return top + ph - (y - ymin) / (ymax - ymin) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="12" fill="black">',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                    f'font-size="14">{_escape(title)}</text>')
 
     for t in nice_ticks(xmin, xmax):
@@ -116,7 +120,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
 
     out.append(f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="black" stroke-width="1"/>')
-    out.append(f'<text x="{left + pw / 2:.1f}" y="{height - 12}" '
+    out.append(f'<text x="{left + pw / 2:.1f}" y="{_HEIGHT - 12}" '
                f'text-anchor="middle">{_escape(x_label)}</text>')
     out.append(f'<text x="16" y="{top + ph / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {top + ph / 2:.1f})">{_escape(y_label)}</text>')

@@ -472,6 +472,19 @@ class TestSampleLlrs:
             llr = sample_llrs(ch, x, 3)
         assert np.array_equal(llr, np.where(x == 0, LLR_CAP, -LLR_CAP))
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e307, 1e308])
+    def test_bawgnc_huge_sigma_saturates_silently(self, sigma):
+        # sigma^2 is inf, so every LLR is 2y / inf, the zero with y's sign; at
+        # 1e308 noise*sigma or 2y overflow to +-inf, which divided gave NaN
+        ch = make_channel(ChannelKind.BAWGNC, sigma)
+        x = np.array([0, 1] * 512, dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            llr = sample_llrs(ch, x, 3)
+        with np.errstate(over="ignore"):
+            y = (1.0 - 2.0 * x) + sigma * np.random.default_rng(3).standard_normal(x.size)
+        assert np.array_equal(llr.view(np.uint64), np.copysign(0.0, y).view(np.uint64))
+
     @pytest.mark.parametrize("kind, param", [
         (ChannelKind.BEC, 0.0), (ChannelKind.BEC, 0.3), (ChannelKind.BEC, 1.0),
         (ChannelKind.BSC, 0.0), (ChannelKind.BSC, 0.2), (ChannelKind.BSC, 0.5),
@@ -504,7 +517,7 @@ class TestSampleLlrs:
         (ChannelKind.BSC, 0.0, np.float64), (ChannelKind.BSC, 0.2, np.float64),
         (ChannelKind.BSC, 0.5, np.float64),
         (ChannelKind.BAWGNC, 1e-170, np.float64), (ChannelKind.BAWGNC, 1e-155, np.float64),
-        (ChannelKind.BAWGNC, 0.8, np.float64),
+        (ChannelKind.BAWGNC, 0.8, np.float64), (ChannelKind.BAWGNC, 1e308, np.float64),
     ])
     def test_llrs_in_place_equal_out_of_place(self, kind, param, dtype):
         # Monte Carlo batches map a frame-interleaved buffer a tile of rows at a

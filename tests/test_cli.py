@@ -339,6 +339,13 @@ class TestSimulate:
                               "0.5", "--pe", "1e-2", "--n", "4", "--trials", "0")
         assert (rc, stdout, err) == (2, "", "error: trials must be >= 1, got 0\n")
 
+    def test_huge_bawgnc_sigma_prints_no_warning(self, capsys):
+        # sigma^2 overflows to inf here, and noise*sigma and 2y can too: the
+        # LLRs are signed zeros, where they were NaN and numpy warned
+        rc, stdout, err = run(capsys, "simulate", "--channel", "bawgnc", "--param", "1e308",
+                              "--pe", "1e-3", "--n", "4", "--trials", "64", "--seed", "1")
+        assert (rc, stdout, err) == (0, "trials=64\nagree=64/64\nfer=0\nseed=1\n", "")
+
     def test_negative_seed(self, capsys):
         rc, stdout, err = run(capsys, "simulate", "--channel", "bec", "--capacity", "0.5",
                               "--pe", "1e-2", "--n", "4", "--trials", "3", "--seed", "-1")

@@ -540,6 +540,15 @@ class TestSscLatency:
                 ssc_latency(bad, 1)
         assert ssc_latency([np.int64(1), np.int32(2)], 1) == 5
 
+    @pytest.mark.parametrize("call", [lambda p: ssc_latency(p, 1),
+                                      lambda p: min_p_within_factor(p, 1.01),
+                                      lambda p: latency_report(p, 1)],
+                             ids=["ssc_latency", "min_p_within_factor", "latency_report"])
+    def test_empty_profile_rejected(self, call):
+        # no tree has n = 0: ssc_latency gave 0 and min_p_within_factor 1
+        with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
+            call([])
+
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
