@@ -321,9 +321,7 @@ def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
 def _coerce_profile(obj: ProfileLike) -> list[int]:
     if isinstance(obj, PolarCode):
         return build_ssc_tree(obj).edge_profile()
-    if isinstance(obj, SscTree):
-        return obj.edge_profile()
-    prof = list(obj)
+    prof = obj.edge_profile() if isinstance(obj, SscTree) else list(obj)
     if not prof:  # a tree has n >= 1 levels of edges
         raise ValueError("edge profile must have at least one level, got []")
     try:  # numpy's integers pass, as Python ints; booleans, as in _as_int, do not

@@ -545,9 +545,12 @@ class TestSscLatency:
                                       lambda p: latency_report(p, 1)],
                              ids=["ssc_latency", "min_p_within_factor", "latency_report"])
     def test_empty_profile_rejected(self, call):
-        # no tree has n = 0: ssc_latency gave 0 and min_p_within_factor 1
-        with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
-            call([])
+        # no tree has n = 0: ssc_latency gave 0 and min_p_within_factor 1, for
+        # an empty list and for a hand-made tree of one leaf
+        leaf = latency.SscTree((np.array([R1], np.uint8),), (np.array([0.0]),))
+        for empty in ([], leaf):
+            with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
+                call(empty)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
