@@ -119,7 +119,7 @@ FLOOR_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call, value, message", [
+FLOOR_RULES = [
     ("n", 0, "n must be >= 1, got 0"),
     ("n", 2.5, "n must be an integer, got 2.5"),
     ("n", True, "n must be an integer, got True"),
@@ -148,7 +148,11 @@ FLOOR_CALLS = {
     ("N-cube", "8", "N must be an integer, got '8'"),
     ("N-cube", True, "N must be an integer, got True"),
     ("N-cube", np.int16(2), None),
-])
+]
+
+
+@pytest.mark.parametrize("call, value, message", FLOOR_RULES,
+                         ids=[f"{call}={value!r}" for call, value, _ in FLOOR_RULES])
 def test_floor_rules_are_pinned(call, value, message):
     # every message exactly, and numpy's integers pass as the int they hold
     if message is None:
