@@ -9,7 +9,6 @@ from .channel import (
     bhattacharyya,
     capacity,
     channel_from_capacity,
-    make_channel,
     polarize,
     sample_llrs,
     z_minus,

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,18 +50,24 @@ class BmsChannel:
 
     param is the erasure probability for the BEC, the crossover
     probability for the BSC, and the noise standard deviation (at unit
-    signal energy) for the BAWGNC.  capacity and z0 are stored redundantly
-    so downstream code never re-derives them.
+    signal energy) for the BAWGNC.  capacity and z0 are derived on first
+    read and kept, so a channel is its (kind, param), equality included.
     """
 
     kind: ChannelKind
     param: float
-    capacity: float
-    z0: float
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ChannelKind(self.kind))
         _check_param(self.kind, self.param)
+
+    @cached_property
+    def capacity(self) -> float:
+        return capacity(self.kind, self.param)
+
+    @cached_property
+    def z0(self) -> float:
+        return bhattacharyya(self.kind, self.param)
 
 
 def _check_param(kind: ChannelKind, param: float) -> None:
@@ -469,10 +476,6 @@ def capacity(kind: ChannelKind, param: float) -> float:
     return _bawgnc_capacity(param)
 
 
-def make_channel(kind: ChannelKind, param: float) -> BmsChannel:
-    return BmsChannel(kind, param, capacity(kind, param), bhattacharyya(kind, param))
-
-
 def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChannel:
     """Find the channel of the given kind whose capacity matches the target.
 
@@ -492,7 +495,7 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
         raise ValueError(f"target capacity must be in (0, 1), got {target_capacity}")
 
     if kind is ChannelKind.BEC:
-        return make_channel(kind, 1.0 - target_capacity)
+        return BmsChannel(kind, 1.0 - target_capacity)
 
     if kind is ChannelKind.BSC:
         lo, hi = 0.0, 0.5
@@ -507,7 +510,7 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
         mid = 0.5 * (lo + hi)
         c = capacity(kind, mid)
         if abs(c - target_capacity) <= _CAPACITY_TOL:
-            return BmsChannel(kind, mid, c, bhattacharyya(kind, mid))
+            return BmsChannel(kind, mid)
         if c > target_capacity:
             lo = mid
         else:

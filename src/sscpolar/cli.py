@@ -25,7 +25,6 @@ from .channel import (
     ChannelKind,
     SCALING_EXPONENT,
     channel_from_capacity,
-    make_channel,
 )
 from .codec import sc_ssc_agreement
 from .construct import PolarCode, _check_n, build_code, load_code, save_code
@@ -50,7 +49,7 @@ def _channel_from_args(args) -> BmsChannel:
         raise CliError("exactly one of --capacity or --param is required")
     if args.capacity is not None:
         return channel_from_capacity(kind, args.capacity)
-    return make_channel(kind, args.param)
+    return BmsChannel(kind, args.param)
 
 
 def _code_from_args(args) -> Optional[PolarCode]:
@@ -110,7 +109,7 @@ def cmd_latency(args) -> list[dict]:
         kind = channel.kind
         profile = scan_edge_profile(channel, n, pe)
     P = _resolve_p(args, n, kind)
-    return [asdict(latency_report(profile, P, n=n))]
+    return [asdict(latency_report(profile, P))]
 
 
 def cmd_simulate(args) -> list[dict]:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import BmsChannel, ChannelKind, h2, make_channel, polarize
+from .channel import BmsChannel, ChannelKind, h2, polarize
 
 # Materializing 2^n leaves holds the last two levels, 8 bytes a leaf: 192 MB
 # at this cap.  The latency-module scans go further: their memory is
@@ -229,7 +229,7 @@ def code_from_text(text: str) -> PolarCode:
     stored_capacity = float(fields[2])
     pe = float(fields[3])
     n = _check_n(int(fields[4]))
-    channel = make_channel(kind, param)
+    channel = BmsChannel(kind, param)
     if not abs(channel.capacity - stored_capacity) <= 1e-6:  # NaN too
         raise ValueError(
             f"stored capacity {stored_capacity} inconsistent with {kind.value}({param})"

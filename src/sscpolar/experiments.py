@@ -42,6 +42,10 @@ SC_REFERENCE = "sc"
 
 DEFAULT_CAPACITIES = (0.1, 0.5, 0.9)
 DEFAULT_ERROR_TARGETS = (1e-3, 1e-10)
+BEC_CAPACITY = 0.5
+BEC_PE = 1e-3
+# every preset runs n = MIN_SWEEP_N .. n_max, for an n_max of at most MAX_SWEEP_N
+MIN_SWEEP_N = 4
 MAX_SWEEP_N = 27
 
 _CSV_COLUMNS = ("channel", "capacity", "pe", "n", "log2N", "p_policy", "P", "latency",
@@ -107,11 +111,11 @@ def realize_policy(policy: str, n: int, mu: float = SCALING_EXPONENT[ChannelKind
     return max(1, min(int(x), N // 2))
 
 
-def _check_n_range(n_min: int, n_max: int) -> range:
-    n_min, n_max = _check_n(n_min), _as_int(n_max, "n_max")
-    if not n_min <= n_max <= MAX_SWEEP_N:
-        raise ValueError(f"need n_min <= n_max <= {MAX_SWEEP_N}, got [{n_min}, {n_max}]")
-    return range(n_min, n_max + 1)
+def _check_n_range(n_max: int) -> range:
+    n_max = _as_int(n_max, "n_max", MIN_SWEEP_N)
+    if n_max > MAX_SWEEP_N:
+        raise ValueError(f"n_max must be <= {MAX_SWEEP_N}, got {n_max}")
+    return range(MIN_SWEEP_N, n_max + 1)
 
 
 def _sort_records(records: list[SweepRecord]) -> list[SweepRecord]:
@@ -121,21 +125,20 @@ def _sort_records(records: list[SweepRecord]) -> list[SweepRecord]:
 
 
 def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
-                     capacities: Iterable[float] = DEFAULT_CAPACITIES,
-                     error_targets: Iterable[float] = DEFAULT_ERROR_TARGETS,
-                     n_max: int = 22, n_min: int = 4) -> list[SweepRecord]:
+                     n_max: int = 22) -> list[SweepRecord]:
     """Preset 6: fully-serial (P=1) pruned-decoder latency over the grid.
 
-    Emits one record per (kind, capacity, pe, n) plus, per channel kind,
-    an unpruned reference curve (p_policy='sc', capacity=pe=0) whose
+    Emits one record per (kind, capacity, pe, n), capacity in
+    DEFAULT_CAPACITIES and pe in DEFAULT_ERROR_TARGETS, plus, per channel
+    kind, an unpruned reference curve (p_policy='sc', capacity=pe=0) whose
     normalized latency is exactly n.
     """
-    ns = _check_n_range(n_min, n_max)
-    kinds, capacities, error_targets = tuple(kinds), tuple(capacities), tuple(error_targets)
-    grid = [(kind, cap) for kind in kinds for cap in capacities]
+    ns = _check_n_range(n_max)
+    kinds = tuple(kinds)
+    grid = [(kind, cap) for kind in kinds for cap in DEFAULT_CAPACITIES]
     channels = [channel_from_capacity(kind, cap) for kind, cap in grid]
     records = []
-    for pe in error_targets:
+    for pe in DEFAULT_ERROR_TARGETS:
         for n in ns:
             profiles = scan_edge_profiles(channels, n, pe)
             for (kind, cap), profile in zip(grid, profiles):
@@ -148,34 +151,31 @@ def run_serial_sweep(kinds: Iterable[ChannelKind] = tuple(ChannelKind),
     return _sort_records(records)
 
 
-def run_policy_sweep(n_max: int = MAX_SWEEP_N, n_min: int = 4,
-                     capacity: float = 0.5, pe: float = 1e-3,
-                     policies: Sequence[str] = POLICIES) -> list[SweepRecord]:
-    """Preset 7: latency ladder over PE policies, BEC at the given capacity."""
-    ns = _check_n_range(n_min, n_max)
-    channel = channel_from_capacity(ChannelKind.BEC, capacity)
+def run_policy_sweep(n_max: int = MAX_SWEEP_N) -> list[SweepRecord]:
+    """Preset 7: latency ladder over the PE policies, BEC at BEC_CAPACITY and BEC_PE."""
+    ns = _check_n_range(n_max)
+    channel = channel_from_capacity(ChannelKind.BEC, BEC_CAPACITY)
     mu = SCALING_EXPONENT[ChannelKind.BEC]
     records = []
     for n in ns:
-        profile = scan_edge_profile(channel, n, pe)
-        for policy in policies:
+        profile = scan_edge_profile(channel, n, BEC_PE)
+        for policy in POLICIES:
             P = realize_policy(policy, n, mu)
-            records.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
+            records.append(SweepRecord(ChannelKind.BEC.value, BEC_CAPACITY, BEC_PE, n,
                                        policy, P, ssc_latency(profile, P)))
     return _sort_records(records)
 
 
-def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, n_min: int = 4, factor: float = 1.01,
-                          capacity: float = 0.5, pe: float = 1e-3) -> list[SweepRecord]:
-    """Preset 8: smallest P within `factor` of the fully-parallel latency."""
+def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, factor: float = 1.01) -> list[SweepRecord]:
+    """Preset 8: smallest P within `factor` of the fully-parallel latency, BEC as preset 7."""
     check_factor(factor)
-    ns = _check_n_range(n_min, n_max)
-    channel = channel_from_capacity(ChannelKind.BEC, capacity)
+    ns = _check_n_range(n_max)
+    channel = channel_from_capacity(ChannelKind.BEC, BEC_CAPACITY)
     records = []
     for n in ns:
-        profile = scan_edge_profile(channel, n, pe)
+        profile = scan_edge_profile(channel, n, BEC_PE)
         P = min_p_within_factor(profile, factor)
-        records.append(SweepRecord(ChannelKind.BEC.value, capacity, pe, n,
+        records.append(SweepRecord(ChannelKind.BEC.value, BEC_CAPACITY, BEC_PE, n,
                                    "fixed", P, ssc_latency(profile, P)))
     return _sort_records(records)
 

@@ -58,6 +58,25 @@ class SscTree:
     kinds: tuple[np.ndarray, ...]
     z: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        """Reject levels that are not a pruned tree: every consumer trusts them."""
+        kinds = self.kinds
+        if len(kinds) != len(self.z) or any(np.shape(k) != np.shape(z)
+                                            for k, z in zip(kinds, self.z)):
+            raise ValueError("kinds and z must have equal shapes, level by level")
+        n = _check_n(len(kinds) - 1)
+        if np.shape(kinds[n]) != (1,):
+            raise ValueError(f"the root level must hold one node, got shape {np.shape(kinds[n])}")
+        if not np.isin(np.concatenate(kinds), tuple(NodeKind)).all():
+            raise ValueError("node kinds must be 0 (Rate-0), 1 (Rate-1) or 2 (MIXED)")
+        mixed = [np.count_nonzero(k == NodeKind.MIXED) for k in kinds]
+        if mixed[0]:
+            raise ValueError("level 0 holds leaves, and a leaf cannot be MIXED")
+        for s in range(n, 0, -1):
+            if np.shape(kinds[s - 1]) != (2 * mixed[s],):
+                raise ValueError(f"level {s - 1} must hold the {2 * mixed[s]} children of "
+                                 f"level {s}'s MIXED nodes, got shape {np.shape(kinds[s - 1])}")
+
     @property
     def n(self) -> int:
         return len(self.kinds) - 1
@@ -434,13 +453,11 @@ class LatencyReport:
     normalized: float
 
 
-def latency_report(code: ProfileLike, P: int, n: Optional[int] = None) -> LatencyReport:
-    """Assemble the standard latency numbers for a code (or edge profile)."""
+def latency_report(code: ProfileLike, P: int) -> LatencyReport:
+    """The standard latency numbers of a code or edge profile; n is the profile's length."""
     P = _check_p(P)
     prof = _coerce_profile(code)
-    n = len(prof) if n is None else _check_n(n)
-    if n != len(prof):
-        raise ValueError(f"profile has {len(prof)} levels, expected n={n}")
+    n = len(prof)
     N = 2 ** n
     closed = None
     if P & (P - 1) == 0 and 1 <= P <= N // 2:

@@ -63,7 +63,7 @@ def _fmt_tick(v: float) -> str:
 
 
 def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
-                     title: str = "") -> str:
+                     title: str) -> str:
     """Render series as one standalone SVG document (returned as a string)."""
     if not series:
         raise ValueError("nothing to plot")
@@ -84,7 +84,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
     xmin, xmax = xmin - mx, xmax + mx
     ymin, ymax = ymin - my, ymax + my
 
-    left, right, top, bottom = 72, 24, 40 if title else 24, 56
+    left, right, top, bottom = 72, 24, 40, 56
     pw, ph = _WIDTH - left - right, _HEIGHT - top - bottom
 
     def px(x: float) -> float:
@@ -98,10 +98,9 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="12" fill="black">',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{_escape(title)}</text>',
     ]
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-size="14">{_escape(title)}</text>')
 
     for t in nice_ticks(xmin, xmax):
         if xmin <= t <= xmax:
@@ -150,7 +149,7 @@ def render_line_plot(series: Sequence[Series], x_label: str, y_label: str,
 
 
 def render_gnuplot(series: Sequence[Series], x_label: str, y_label: str,
-                   title: str = "") -> str:
+                   title: str) -> str:
     """Emit an equivalent standalone gnuplot script with inline data blocks."""
     if not series:
         raise ValueError("nothing to plot")
@@ -158,10 +157,9 @@ def render_gnuplot(series: Sequence[Series], x_label: str, y_label: str,
         "# generated by sscpolar",
         f'set xlabel "{x_label}"',
         f'set ylabel "{y_label}"',
+        f'set title "{title}"',
+        "set key top left",
     ]
-    if title:
-        out.append(f'set title "{title}"')
-    out.append("set key top left")
     for i, s in enumerate(series):
         out.append(f"$data{i} << EOD")
         for x, y in zip(s.xs, s.ys):

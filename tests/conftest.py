@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from sscpolar import ChannelKind, channel_from_capacity, code_from_frozen, make_channel
+from sscpolar import BmsChannel, ChannelKind, channel_from_capacity, code_from_frozen
 from sscpolar.channel import LLR_CAP
 from sscpolar.latency import NodeKind
 
@@ -166,4 +166,4 @@ def tree_levels(tree):
 
 
 def random_bsc():
-    return make_channel(ChannelKind.BSC, 0.11)
+    return BmsChannel(ChannelKind.BSC, 0.11)

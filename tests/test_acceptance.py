@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from sscpolar import (
+    BmsChannel,
     ChannelKind,
     build_code,
     channel_from_capacity,
     cube_interval,
     latency_upper_bound,
-    make_channel,
     min_p_within_factor,
     realize_policy,
     scan_edge_profile,
@@ -188,7 +188,7 @@ def test_criterion_8_forced_node_kinds():
     t0 = time.perf_counter()
     scanned = 0
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
-        channel = make_channel(ChannelKind.BEC, eps)
+        channel = BmsChannel(ChannelKind.BEC, eps)
         for n in range(4, 15):
             N = 2 ** n
             lo, hi = cube_interval(N)

@@ -11,9 +11,11 @@ from sscpolar import (
     BmsChannel,
     ChannelKind,
     bhattacharyya,
+    build_code,
     capacity,
     channel_from_capacity,
-    make_channel,
+    code_from_text,
+    code_to_text,
     polarize,
     sample_llrs,
     z_minus,
@@ -93,8 +95,7 @@ class TestBhattacharyya:
         ("bec", 1.5), ("bsc", 0.75), ("bawgnc", -2.0), ("foo", 0.3),
     ])
     def test_out_of_range_param(self, kind, param):
-        for call in (bhattacharyya, capacity, make_channel,
-                     lambda kind, param: BmsChannel(kind, param, 0.5, 0.5)):
+        for call in (bhattacharyya, capacity, BmsChannel):
             with pytest.raises(ValueError):
                 call(kind, param)
         if kind == "foo":
@@ -144,13 +145,13 @@ class TestCapacity:
         assert all(a > b or a == b == 0.0 for a, b in zip(caps, caps[1:]))
         assert capacity(ChannelKind.BAWGNC, 1e5) == pytest.approx(1e-10 / (2 * math.log(2)))
         assert caps[-1] == 0.0
-        assert make_channel(ChannelKind.BAWGNC, 1e300).capacity == 0.0
+        assert BmsChannel(ChannelKind.BAWGNC, 1e300).capacity == 0.0
 
     def test_bawgnc_noiseless_channels_are_perfect(self):
         # the quadrature lost the loss from sigma ~ 1e-154 down and returned
         # 0.0; at 1e-300, 2 sigma^2 underflows to 0
         for e in range(2, 301):
-            ch = make_channel(ChannelKind.BAWGNC, 10.0 ** -e)
+            ch = BmsChannel(ChannelKind.BAWGNC, 10.0 ** -e)
             assert (ch.capacity, ch.z0) == (1.0, 0.0), e
 
     def test_bawgnc_capacity_is_pinned(self):
@@ -217,12 +218,12 @@ class TestChannelFromCapacity:
     def test_bawgnc_inversion_is_pinned(self, target):
         ch = channel_from_capacity(ChannelKind.BAWGNC, target)
         assert (ch.param.hex(), ch.capacity.hex()) == PINNED_BAWGNC_INVERSIONS[target]
-        assert ch == make_channel(ChannelKind.BAWGNC, ch.param)
+        assert ch == BmsChannel(ChannelKind.BAWGNC, ch.param)
 
     @pytest.mark.parametrize("target", [0.02, 0.5, 0.9])
     def test_bawgnc_inversion_evaluates_each_capacity_once(self, monkeypatch, target):
         # one quadrature per bracket step and per bisection step; the
-        # returned channel reuses the capacity of the step that converged
+        # returned channel computes its own capacity when it is read
         calls = []
 
         def spy(sigma):
@@ -239,6 +240,21 @@ class TestChannelFromCapacity:
         assert len(set(calls)) == len(calls)
         assert calls[-1] == ch.param
         assert ch.capacity == _bawgnc_capacity(ch.param)
+
+    @pytest.mark.parametrize("kind, target, evaluations", [
+        (ChannelKind.BSC, 0.1, 28), (ChannelKind.BSC, 0.5, 25), (ChannelKind.BSC, 0.9, 29),
+        (ChannelKind.BAWGNC, 0.1, 27), (ChannelKind.BAWGNC, 0.5, 30),
+        (ChannelKind.BAWGNC, 0.9, 29),
+    ])
+    def test_inversion_evaluates_each_step_once(self, monkeypatch, kind, target, evaluations):
+        # one capacity a bisection step, as many as when the channel stored
+        # the capacity of the step that converged; building it reads none
+        calls = []
+        monkeypatch.setattr(channel_module, "capacity",
+                            lambda kind, param: calls.append(param) or capacity(kind, param))
+        ch = channel_from_capacity(kind, target)
+        assert len(calls) == evaluations
+        assert calls[-1] == ch.param
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_target_out_of_range(self, bad):
@@ -404,11 +420,29 @@ class TestChannelInvariants:
         ("bec", 0.3), ("bsc", 0.2), ("bawgnc", 0.3),
     ])
     def test_stored_fields_consistent(self, kind, param):
-        ch = make_channel(kind, param)
+        ch = BmsChannel(kind, param)
         assert abs(ch.capacity - capacity(kind, param)) <= 1e-9
         assert abs(ch.z0 - bhattacharyya(kind, param)) <= 1e-12
         assert ch.kind is ChannelKind(kind)
-        assert ch == make_channel(ChannelKind(kind), param)
+        assert ch == BmsChannel(ChannelKind(kind), param)
+
+    @pytest.mark.parametrize("kind, param", [
+        (ChannelKind.BEC, 0.3), (ChannelKind.BSC, 0.11), (ChannelKind.BAWGNC, 0.9787),
+    ])
+    def test_figures_are_the_channels_own(self, kind, param):
+        # BmsChannel(BEC, 0.3, 0.5, 0.5) was accepted: its code had k=6 at n=6
+        # where the channel's has 16, and load_code rejected its code file
+        ch = BmsChannel(kind, param)
+        assert ch.capacity == capacity(kind, param)
+        assert ch.z0 == bhattacharyya(kind, param)
+        with pytest.raises(TypeError):
+            BmsChannel(kind, param, 0.5, 0.5)
+        code = build_code(ch, 6, 1e-3)
+        text = code_to_text(code)
+        back = code_from_text(text)
+        assert back.channel == ch and back.n == 6 and back.pe == 1e-3
+        assert np.array_equal(back.frozen, code.frozen)
+        assert code_to_text(back) == text
 
     def test_mu_lookup(self):
         assert SCALING_EXPONENT[ChannelKind.BEC] == 3.63
@@ -418,7 +452,7 @@ class TestChannelInvariants:
 
 class TestSampleLlrs:
     def test_deterministic_per_seed(self):
-        ch = make_channel(ChannelKind.BAWGNC, 1.1)
+        ch = BmsChannel(ChannelKind.BAWGNC, 1.1)
         x = np.zeros(64, dtype=np.uint8)
         a = sample_llrs(ch, x, 42)
         b = sample_llrs(ch, x, 42)
@@ -427,32 +461,32 @@ class TestSampleLlrs:
         assert not np.array_equal(a, c)
 
     def test_bec_all_erased(self):
-        ch = make_channel(ChannelKind.BEC, 1.0)
+        ch = BmsChannel(ChannelKind.BEC, 1.0)
         llr = sample_llrs(ch, np.ones(32, dtype=np.uint8), 0)
         assert np.all(llr == 0.0)
 
     def test_bec_noiseless(self):
-        ch = make_channel(ChannelKind.BEC, 0.0)
+        ch = BmsChannel(ChannelKind.BEC, 0.0)
         llr = sample_llrs(ch, np.ones(16, dtype=np.uint8), 0)
         assert np.all(llr == -LLR_CAP)
         llr = sample_llrs(ch, np.zeros(16, dtype=np.uint8), 0)
         assert np.all(llr == LLR_CAP)
 
     def test_bsc_noiseless_saturates(self):
-        ch = make_channel(ChannelKind.BSC, 0.0)
+        ch = BmsChannel(ChannelKind.BSC, 0.0)
         llr = sample_llrs(ch, np.zeros(8, dtype=np.uint8), 0)
         assert np.all(llr == LLR_CAP)
 
     def test_bsc_magnitude(self):
         p = 0.2
-        ch = make_channel(ChannelKind.BSC, p)
+        ch = BmsChannel(ChannelKind.BSC, p)
         llr = sample_llrs(ch, np.zeros(256, dtype=np.uint8), 5)
         assert set(np.round(np.abs(llr), 12)) == {round(math.log(0.8 / 0.2), 12)}
         assert bsc_llr_magnitude(0.0) == LLR_CAP
 
     def test_bawgnc_llr_scale(self):
         sigma = 0.8
-        ch = make_channel(ChannelKind.BAWGNC, sigma)
+        ch = BmsChannel(ChannelKind.BAWGNC, sigma)
         rng = np.random.default_rng(9)
         llr = sample_llrs(ch, np.zeros(20000, dtype=np.uint8), rng)
         # llr = 2y/sigma^2 with y ~ N(1, sigma^2): mean 2/sigma^2, sd 2/sigma
@@ -465,7 +499,7 @@ class TestSampleLlrs:
         # overflows to +-inf (sigma^2 is subnormal), and below ~ 1.5e-162
         # sigma^2 is 0 and it divides by 0: the clip gives +-LLR_CAP, with no
         # warning
-        ch = make_channel(ChannelKind.BAWGNC, sigma)
+        ch = BmsChannel(ChannelKind.BAWGNC, sigma)
         x = np.array([0, 1] * 32, dtype=np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -476,7 +510,7 @@ class TestSampleLlrs:
     def test_bawgnc_huge_sigma_saturates_silently(self, sigma):
         # sigma^2 is inf, so every LLR is 2y / inf, the zero with y's sign; at
         # 1e308 noise*sigma or 2y overflow to +-inf, which divided gave NaN
-        ch = make_channel(ChannelKind.BAWGNC, sigma)
+        ch = BmsChannel(ChannelKind.BAWGNC, sigma)
         x = np.array([0, 1] * 512, dtype=np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -493,7 +527,7 @@ class TestSampleLlrs:
     def test_llrs_follow_the_draws(self, kind, param):
         # Each LLR by the documented formulas from the stream's own draws, bit
         # for bit, signed zeros included; the caller's codeword is not changed.
-        ch = make_channel(kind, param)
+        ch = BmsChannel(kind, param)
         x = np.random.default_rng(1).integers(0, 2, 512, dtype=np.uint8)
         given = x.copy()
         llr = sample_llrs(ch, x, 4)
@@ -523,7 +557,7 @@ class TestSampleLlrs:
         # Monte Carlo batches map a frame-interleaved buffer a tile of rows at a
         # time, on the BAWGNC with out the noise itself: the same bits, signed
         # zeros included, as one call into a separate buffer
-        ch = make_channel(kind, param)
+        ch = BmsChannel(kind, param)
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, (96, 24), dtype=np.uint8)
         noise = _draw(ch, rng, np.empty(x.shape))
@@ -538,7 +572,7 @@ class TestSampleLlrs:
         assert np.array_equal(got.view(bits), expected.view(bits))
 
     def test_rejects_matrix_input(self):
-        ch = make_channel(ChannelKind.BEC, 0.5)
+        ch = BmsChannel(ChannelKind.BEC, 0.5)
         with pytest.raises(ValueError):
             sample_llrs(ch, np.zeros((2, 8), dtype=np.uint8), 0)
 
@@ -548,9 +582,9 @@ class TestSampleLlrs:
                                      [np.nan, 0, 0, 0]])
     def test_rejects_non_bits(self, kind, param, bad):
         with pytest.raises(ValueError, match="only 0 and 1"):
-            sample_llrs(make_channel(kind, param), bad, 0)
+            sample_llrs(BmsChannel(kind, param), bad, 0)
 
     def test_bool_and_float_bits_accepted(self):
-        ch = make_channel(ChannelKind.BEC, 0.0)
+        ch = BmsChannel(ChannelKind.BEC, 0.0)
         for x in (np.array([False, True]), [0.0, 1.0]):
             assert list(sample_llrs(ch, x, 0)) == [LLR_CAP, -LLR_CAP]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sscpolar
-from sscpolar import code_from_frozen, load_code, make_channel, save_code
+from sscpolar import BmsChannel, code_from_frozen, load_code, save_code
 from sscpolar.channel import ChannelKind
 from sscpolar.cli import main
 from sscpolar.experiments import CSV_HEADER, POLICIES
@@ -320,7 +320,7 @@ class TestSimulate:
 
     def test_noiseless_fer_zero(self, capsys, tmp_path, bec_half):
         path = tmp_path / "c.code"
-        save_code(code_from_frozen(make_channel(ChannelKind.BEC, 0.0),
+        save_code(code_from_frozen(BmsChannel(ChannelKind.BEC, 0.0),
                                    EXAMPLE8_FROZEN, pe=1e-3), path)
         rc, stdout, _ = run(capsys, "simulate", "--code", str(path),
                             "--trials", "100", "--seed", "1")
@@ -538,7 +538,7 @@ def subcommands(tmp_path):
     out = str(tmp_path / "out")
     outs = st.sampled_from([out, out, out, str(tmp_path / "missing" / "out")])
     code = tmp_path / "good.code"
-    save_code(code_from_frozen(make_channel(ChannelKind.BEC, 0.5), [1] * 6 + [0] * 10, 1e-3),
+    save_code(code_from_frozen(BmsChannel(ChannelKind.BEC, 0.5), [1] * 6 + [0] * 10, 1e-3),
               code)
     (tmp_path / "bad.code").write_text("polarcode v1\nbec 0.5\n0\n")
     codes = st.sampled_from([str(code), str(tmp_path / "bad.code"), str(tmp_path / "none")])
@@ -586,9 +586,9 @@ def loaded_at_start():
     src = str(pathlib.Path(sscpolar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys, sscpolar.cli as c; c.build_parser(); "
-             "from sscpolar import ChannelKind, channel_from_capacity, make_channel; "
+             "from sscpolar import BmsChannel, ChannelKind, channel_from_capacity; "
              "channel_from_capacity(ChannelKind.BAWGNC, 0.5); "
-             "make_channel(ChannelKind.BAWGNC, 0.9); "
+             "BmsChannel(ChannelKind.BAWGNC, 0.9).capacity; "
              f"print(sorted(set({guarded!r}) & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sscpolar import (
+    BmsChannel,
     ChannelKind,
     build_code,
     build_ssc_tree,
@@ -16,7 +17,6 @@ from sscpolar import (
     decoding_weight,
     encode,
     encode_message,
-    make_channel,
     polar_transform,
     sample_llrs,
     sc_decode,
@@ -301,7 +301,7 @@ class TestScDecode:
     def test_noiseless_identity_exhaustive(self):
         # every message of every small low-rate code decodes exactly
         for eps, n, pe in [(0.5, 3, 0.5), (0.5, 4, 1e-2), (0.5, 6, 1e-3), (0.3, 5, 1e-2)]:
-            code = build_code(make_channel(ChannelKind.BEC, eps), n, pe)
+            code = build_code(BmsChannel(ChannelKind.BEC, eps), n, pe)
             if code.k > 10:
                 continue
             for bits in itertools.product((0, 1), repeat=code.k):
@@ -313,7 +313,7 @@ class TestScDecode:
                 assert not u_hat[code.frozen].any()
 
     def test_all_frozen_code_decodes_zero(self):
-        code = build_code(make_channel(ChannelKind.BEC, 1.0), 4, 0.5)
+        code = build_code(BmsChannel(ChannelKind.BEC, 1.0), 4, 0.5)
         rng = np.random.default_rng(3)
         llr = rng.normal(size=16)
         assert not sc_decode(code, llr).any()
@@ -328,7 +328,7 @@ class TestScDecode:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         mask = rng.random(2 ** n) < rng.random()
-        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
         llr = rng.normal(scale=3.0, size=2 ** n)
         llr[rng.random(2 ** n) < 0.2] = 0.0  # erased positions
         assert np.array_equal(sc_decode(code, llr), reference_sc(llr, mask))
@@ -361,7 +361,7 @@ class TestScDecode:
 
 class TestSscEquivalence:
     def test_all_frozen_is_single_pruned_node(self):
-        code = build_code(make_channel(ChannelKind.BEC, 1.0), 4, 0.5)
+        code = build_code(BmsChannel(ChannelKind.BEC, 1.0), 4, 0.5)
         tree = build_ssc_tree(code)
         assert tree.node_count() == 1
         llr = np.random.default_rng(0).normal(size=16)
@@ -369,14 +369,14 @@ class TestSscEquivalence:
 
     def test_tree_of_other_length_rejected(self, example8_code):
         # a single Rate-1 root would hard-decide every bit, frozen ones too
-        tree = build_ssc_tree(build_code(make_channel(ChannelKind.BSC, 0.0), 4, 0.5))
+        tree = build_ssc_tree(build_code(BmsChannel(ChannelKind.BSC, 0.0), 4, 0.5))
         with pytest.raises(ValueError):
             ssc_decode_batch(example8_code, np.ones((1, 8)), tree)
 
     def test_tree_of_other_code_rejected(self):
         # a scanned tree of the same length but another code would set some
         # of this code's frozen bits: 1 of these 50 frames then differs from SC
-        channel = make_channel(ChannelKind.BAWGNC, 0.8)
+        channel = BmsChannel(ChannelKind.BAWGNC, 0.8)
         code = build_code(channel, 6, 1e-2)
         llrs = np.random.default_rng(0).normal(1.0, 1.0, size=(50, 64))
         with pytest.raises(ValueError, match="tree"):
@@ -391,7 +391,7 @@ class TestSscEquivalence:
     ])
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_matches_sc_on_random_trials(self, kind, param, n):
-        channel = make_channel(kind, param)
+        channel = BmsChannel(kind, param)
         code = build_code(channel, n, 1e-3)
         agree, trials, _ = sc_ssc_agreement(code, channel, 300, seed=17)
         assert agree == trials
@@ -407,7 +407,7 @@ class TestSscEquivalence:
     @given(st.lists(st.sampled_from([-LLR_CAP, -2.0, -1.0, 0.0, 1.0, 2.0, LLR_CAP]),
                     min_size=16, max_size=16))
     def test_matches_sc_and_reference_on_adversarial_llrs(self, values):
-        code = build_code(make_channel(ChannelKind.BEC, 0.5), 4, 1e-2)
+        code = build_code(BmsChannel(ChannelKind.BEC, 0.5), 4, 1e-2)
         llr = np.array(values, dtype=float)
         u_sc = sc_decode(code, llr)
         assert np.array_equal(u_sc, ssc_decode(code, llr))
@@ -416,7 +416,7 @@ class TestSscEquivalence:
     def test_tie_from_underflow_inside_pure_information_node(self):
         # no input is 0, but an F output on the leftmost path underflows to 0,
         # so SC meets a tie that the one-shot decision never sees
-        bsc = make_channel(ChannelKind.BSC, 0.11)
+        bsc = BmsChannel(ChannelKind.BSC, 0.11)
         llr = np.array([1.0, -5e-324])
         assert list(reference_sc(llr, [False, False])) == [0, 0]
         assert list(ssc_decode(code_from_frozen(bsc, np.zeros(2, bool), 1e-2), llr)) == [0, 0]
@@ -475,7 +475,7 @@ class TestSscEquivalence:
     def test_tie_in_pure_information_node(self):
         # size-2 all-information code with an erased first input: the one-shot
         # hard decision alone would disagree with sequential decoding here
-        code = code_from_frozen(make_channel(ChannelKind.BEC, 0.5),
+        code = code_from_frozen(BmsChannel(ChannelKind.BEC, 0.5),
                                 np.array([False, False]), 1e-2)
         llr = np.array([0.0, -3.0])
         u_sc = sc_decode(code, llr)
@@ -491,7 +491,7 @@ class TestSchedule:
                  min_size=1, max_size=3))))
     def test_both_decoders_equal_reference(self, case):
         mask, frames = np.array(case[0]), np.array(case[1], dtype=float)
-        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
         expected = np.array([reference_sc(llr, mask) for llr in frames])
         assert np.array_equal(reference_sc_frames(frames, mask), expected)
         assert np.array_equal(sc_decode_batch(code, frames), expected)
@@ -505,7 +505,7 @@ class TestSchedule:
         mask = np.zeros(16, dtype=bool)
         mask[2] = True
         llr = np.array([0.0, -36, -36, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 37, -36, 0])
-        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
         expected = reference_sc(llr, mask)
         assert np.array_equal(sc_decode(code, llr), expected)
         assert np.array_equal(ssc_decode(code, llr), expected)
@@ -574,7 +574,7 @@ class TestSchedule:
             with pytest.raises(ValueError, match=message):
                 schedule_profile(ops, n)
 
-    @pytest.mark.parametrize("shape", [(0,), (6,), (2, 4)])
+    @pytest.mark.parametrize("shape", [(0,), (6,), (2, 4), (1,)])
     def test_sc_schedule_rejects_bad_masks(self, shape):
         with pytest.raises(ValueError):
             sc_schedule(np.zeros(shape, dtype=bool))
@@ -582,7 +582,7 @@ class TestSchedule:
     def test_pure_roots(self):
         # a Rate-0 root compiles to nothing, a Rate-1 root to one decision
         assert list(sc_schedule(np.ones(8, bool))) == []
-        bec = make_channel(ChannelKind.BEC, 0.5)
+        bec = BmsChannel(ChannelKind.BEC, 0.5)
         assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.ones(8, bool), 1e-2)))) \
             == []
         assert list(ssc_schedule(build_ssc_tree(code_from_frozen(bec, np.zeros(8, bool), 1e-2)))) \
@@ -605,7 +605,7 @@ class TestSchedule:
             frames = np.array([frame for p, q in pairs for frame in (
                 [p, q, p, q], [p, q, q, p], [p, p, q, q], [p, q, LLR_CAP, LLR_CAP])])
         mask = np.array(mask, dtype=bool)
-        code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+        code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
         expected = np.array([reference_sc(llr, mask) for llr in frames])
         assert np.array_equal(sc_decode_batch(code, frames), expected)
         assert np.array_equal(ssc_decode_batch(code, frames), expected)
@@ -648,11 +648,11 @@ class TestMonteCarlo:
 
     def test_noiseless_channel_never_errs(self, bec_half):
         code = build_code(bec_half, 6, 1e-2)
-        clean = make_channel(ChannelKind.BEC, 0.0)
+        clean = BmsChannel(ChannelKind.BEC, 0.0)
         assert sc_ssc_agreement(code, clean, 300, seed=1)[2] == 0.0
 
     def test_all_frozen_never_errs(self):
-        channel = make_channel(ChannelKind.BEC, 1.0)
+        channel = BmsChannel(ChannelKind.BEC, 1.0)
         code = build_code(channel, 5, 0.5)
         assert sc_ssc_agreement(code, channel, 300, seed=2)[2] == 0.0
 
@@ -685,7 +685,7 @@ class TestMonteCarlo:
     def test_message_bits_are_integers_draws(self, k):
         # k = 0 draws no raw word; an odd count of 32-bit halves leaves one
         # buffered in the per-frame path, which its noise draws never read
-        channel = make_channel(ChannelKind.BSC, 0.2)
+        channel = BmsChannel(ChannelKind.BSC, 0.2)
         code = code_from_frozen(channel, np.arange(64) < 64 - k, 1e-2)
         assert code.k == k
         seed, trials = 2 ** 130 + 5, 9
@@ -755,7 +755,7 @@ class TestMonteCarlo:
         # Channels that capacities in (0, 1) never reach: no erasure or every
         # one, LLR_CAP as the BSC's magnitude, and all LLRs +-0.0 at p = 1/2.
         # Half the leaves carry information, so codewords hold ones.
-        channel = make_channel(kind, param)
+        channel = BmsChannel(kind, param)
         code = code_from_frozen(channel, np.arange(2 ** n) % 2 == 0, 1e-3)
         seed = 2 ** 33 + n
         frames = [(msg[:, j].copy(), llr[:, j].copy())
@@ -794,7 +794,7 @@ class TestMonteCarlo:
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_bec_frames_hold_only_erasure_llrs(self, cap, n, batch, trials, seed):
         # _f_erasure's premise: BEC frames hold -LLR_CAP, +0.0 and +LLR_CAP only
-        channel = make_channel(ChannelKind.BEC, 1.0 - cap)
+        channel = BmsChannel(ChannelKind.BEC, 1.0 - cap)
         code = build_code(channel, n, 1e-3)
         allowed = np.array([-LLR_CAP, 0.0, LLR_CAP]).view(np.uint64)
         for _msg, llr in _frame_batches(code, channel, trials, seed, batch):
@@ -886,7 +886,7 @@ class TestMonteCarlo:
         # sc_ssc_agreement's BEC batches: the float32 pass with _f_erasure
         # decodes, saves and checks what the float64 pass with _f does, bit
         # for bit, signed zeros included; ties occur at any erasure probability
-        channel = make_channel(ChannelKind.BEC, erasure)
+        channel = BmsChannel(ChannelKind.BEC, erasure)
         code = code_from_frozen(channel, block_mask(n, log_block, pattern), 1e-2)
         ops = list(ssc_schedule(build_ssc_tree(code)))
         for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
@@ -938,7 +938,7 @@ class TestMonteCarlo:
         # must count once.
         monkeypatch.setattr("sscpolar.codec._tie_frames", lambda a, t: np.empty(0, np.intp))
         noisy = channel_from_capacity(ChannelKind.BAWGNC, 0.2)
-        bec = make_channel(ChannelKind.BEC, 0.5)
+        bec = BmsChannel(ChannelKind.BEC, 0.5)
         info = code_from_frozen(noisy, np.zeros(1024, bool), 1e-2)
         blocks = code_from_frozen(noisy, np.arange(2 ** 14) // 2 ** 12 % 2 == 0, 1e-2)
         cases = [(info, noisy, 8, 1024), (info, noisy, 10, 3),
@@ -1018,14 +1018,14 @@ class TestMonteCarlo:
     def test_bec_agreement_equals_decoding_alone(self, n, log_block, pattern, batch,
                                                  trials, seed):
         # _tie_frames is live: a Rate-1 node with an erased input runs SC inline
-        agreement_equals_decoding_alone(make_channel(ChannelKind.BEC, 0.5), _tie_frames,
+        agreement_equals_decoding_alone(BmsChannel(ChannelKind.BEC, 0.5), _tie_frames,
                                         n, log_block, pattern, batch, trials, seed)
 
     def test_bec_agreement_runs_sc_in_tie_nodes(self):
         # No frame of a code that build_code makes at BEC I = 0.5 holds a tie
         # in a Rate-1 node, so the property's block-structured example pins
         # the inline path.
-        assert agreement_equals_decoding_alone(make_channel(ChannelKind.BEC, 0.5), _tie_frames,
+        assert agreement_equals_decoding_alone(BmsChannel(ChannelKind.BEC, 0.5), _tie_frames,
                                                10, 2, 3893328472462677366, 7, 24,
                                                3855495969) > 0
 

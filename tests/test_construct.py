@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sscpolar import (
+    BmsChannel,
     ChannelKind,
     PolarCode,
     build_code,
@@ -16,7 +17,6 @@ from sscpolar import (
     cube_interval,
     h2_inv,
     leaf_reliabilities,
-    make_channel,
     midzone_interval,
 )
 from sscpolar.channel import h2, z_minus, z_plus
@@ -24,7 +24,7 @@ from sscpolar.construct import MAX_MATERIALIZED_N
 
 
 def bec(eps):
-    return make_channel(ChannelKind.BEC, eps)
+    return BmsChannel(ChannelKind.BEC, eps)
 
 
 class TestLeafEvolution:
@@ -36,7 +36,7 @@ class TestLeafEvolution:
         assert got == [0.9375, 0.5625, 0.4375, 0.0625]
 
     def test_perfect_channel_stays_perfect(self):
-        z = leaf_reliabilities(make_channel(ChannelKind.BSC, 0.0), 3)
+        z = leaf_reliabilities(BmsChannel(ChannelKind.BSC, 0.0), 3)
         assert np.all(z == 0.0)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -82,7 +82,7 @@ class TestBuildCode:
         assert code.k == 1
 
     def test_perfect_channel_full_rate(self):
-        code = build_code(make_channel(ChannelKind.BSC, 0.0), 3, 1e-3)
+        code = build_code(BmsChannel(ChannelKind.BSC, 0.0), 3, 1e-3)
         assert code.rate == 1.0
 
     def test_useless_channel_zero_rate(self):
@@ -186,7 +186,7 @@ class TestCodeFile:
         rng = np.random.default_rng(11)
         for n in (1, 2, 4, 6):
             mask = rng.random(2 ** n) < 0.5
-            code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+            code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
             back = code_from_text(code_to_text(code))
             assert np.array_equal(back.frozen, mask)
 

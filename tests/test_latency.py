@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sscpolar import (
+    BmsChannel,
     ChannelKind,
     NodeKind,
     build_code,
@@ -19,7 +20,6 @@ from sscpolar import (
     decoding_weight,
     latency_report,
     latency_upper_bound,
-    make_channel,
     min_p_within_factor,
     scan_edge_profile,
     scan_edge_profiles,
@@ -28,6 +28,7 @@ from sscpolar import (
     sc_latency_tree,
     sc_ssc_agreement,
     ssc_latency,
+    ssc_schedule,
 )
 from sscpolar import latency
 from sscpolar.channel import z_minus, z_plus
@@ -37,7 +38,7 @@ from conftest import reference_pruned_levels, tree_levels
 
 
 def bec(eps):
-    return make_channel(ChannelKind.BEC, eps)
+    return BmsChannel(ChannelKind.BEC, eps)
 
 
 class TestDecodingWeight:
@@ -88,12 +89,11 @@ class TestDecodingWeight:
     (lambda i: realize_policy("sqrt", i(2.5)), "n", 2),
     (lambda i: sc_latency_tree(i(2.0), 1), "n", 8),
     (lambda i: sc_latency_closed_form(i(16.0), 1), "N", 64),
-    (lambda i: latency_report([2, 2], 1, n=i(2.0)).ssc, "n", 6),
     (lambda i: len(run_policy_sweep(n_max=i(5.0))), "n_max", 10),
     (lambda i: latency_upper_bound(i(16.0), 1, 3.63, 0.0, 0.0), "N", 64.0),
     (lambda i: cube_interval(i(2.0))[0], "N", 0.125),
 ], ids=["decoding_weight", "realize_policy", "sc_latency_tree", "sc_latency_closed_form",
-        "latency_report", "run_policy_sweep", "latency_upper_bound", "cube_interval"])
+        "run_policy_sweep", "latency_upper_bound", "cube_interval"])
 def test_integer_arguments_are_typed(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(lambda x: x)
@@ -116,6 +116,7 @@ FLOOR_CALLS = {
     "level": lambda v: decoding_weight(v, 1),
     "N-bound": lambda v: latency_upper_bound(v, 1, 3.63, 0.0, 0.0),
     "N-cube": cube_interval,
+    "n_max": lambda v: run_policy_sweep(n_max=v),
 }
 
 
@@ -148,6 +149,11 @@ FLOOR_RULES = [
     ("N-cube", "8", "N must be an integer, got '8'"),
     ("N-cube", True, "N must be an integer, got True"),
     ("N-cube", np.int16(2), None),
+    ("n_max", 3, "n_max must be >= 4, got 3"),
+    ("n_max", 28, "n_max must be <= 27, got 28"),
+    ("n_max", 4.0, "n_max must be an integer, got 4.0"),
+    ("n_max", True, "n_max must be an integer, got True"),
+    ("n_max", np.int64(4), None),
 ]
 
 
@@ -170,7 +176,38 @@ def kinds_by_level(tree):
     return [k.tolist() for k in tree.kinds]
 
 
+# Level arrays, leaves first, that are no pruned tree; the z of each level are
+# zeros of the given lengths, or of the kinds' lengths
+MALFORMED_TREES = [
+    ([[R1, R1, R1], [M]], None, r"level 0 must hold the 2 children of level 1's MIXED nodes, "
+                                r"got shape \(3,\)"),
+    ([[R1], [M]], None, r"level 0 must hold the 2 children"),
+    ([[], [R1, R0, R1], [M, M], [M]], None, r"level 1 must hold the 4 children"),
+    ([[M, M], [M]], None, r"level 0 holds leaves, and a leaf cannot be MIXED"),
+    ([[R1, R0], [M, M]], None, r"the root level must hold one node, got shape \(2,\)"),
+    ([[R1]], None, r"n must be >= 1, got 0"),
+    ([[R1, R0], [3]], None, r"node kinds must be 0 \(Rate-0\), 1 \(Rate-1\) or 2 \(MIXED\)"),
+    ([[R1, -1], [M]], None, r"node kinds must be"),
+    ([[R1, R0], [M]], [1], r"kinds and z must have equal shapes"),
+    ([[R1, R0], [M]], [2, 2], r"kinds and z must have equal shapes"),
+]
+
+
 class TestSscTree:
+    @pytest.mark.parametrize("kinds, z, message", MALFORMED_TREES,
+                             ids=[f"{[list(map(int, k)) for k in kinds]}"
+                                  + ("" if z is None else f" z{z}")
+                                  for kinds, z, _ in MALFORMED_TREES])
+    def test_malformed_levels_rejected(self, kinds, z, message):
+        # each was taken as given: three leaves under one MIXED root cost 2 at
+        # P=1, one child raised StopIteration from ssc_schedule, and MIXED
+        # leaves compiled to an op code that does not exist
+        levels = tuple(np.array(k, dtype=np.int8) for k in kinds)
+        zs = tuple(np.zeros(size) for size in (z or map(len, kinds)))
+        for use in (lambda tree: ssc_latency(tree, 1), lambda tree: list(ssc_schedule(tree))):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                use(latency.SscTree(levels, zs))
+
     def test_arrays_are_read_only(self, example8_code):
         ch = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
         for tree in (build_ssc_tree(example8_code), scan_ssc_tree(ch, 10, 1e-3)):
@@ -198,7 +235,7 @@ class TestSscTree:
         assert kinds_by_level(tree) == [[], [], [], [], [R0]]
 
     def test_all_info_single_rate1_root(self):
-        code = build_code(make_channel(ChannelKind.BSC, 0.0), 4, 0.5)
+        code = build_code(BmsChannel(ChannelKind.BSC, 0.0), 4, 0.5)
         tree = build_ssc_tree(code)
         assert tree.node_count() == 1
         assert kinds_by_level(tree) == [[], [], [], [], [R1]]
@@ -224,7 +261,7 @@ class TestSscTree:
                   leaves != rng.integers(leaves.size)]
         for mask in masks:
             n = mask.size.bit_length() - 1
-            code = code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+            code = code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
             tree = build_ssc_tree(code)
             offsets = [0]
             for s in range(n, -1, -1):
@@ -550,11 +587,11 @@ class TestSscLatency:
                              ids=["ssc_latency", "min_p_within_factor", "latency_report"])
     def test_empty_profile_rejected(self, call):
         # no tree has n = 0: ssc_latency gave 0 and min_p_within_factor 1, for
-        # an empty list and for a hand-made tree of one leaf
-        leaf = latency.SscTree((np.array([R1], np.uint8),), (np.array([0.0]),))
-        for empty in ([], leaf):
-            with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
-                call(empty)
+        # an empty list and for a hand-made tree of one leaf, which SscTree rejects
+        with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
+            call([])
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0"):
+            call(latency.SscTree((np.array([R1], np.uint8),), (np.array([0.0]),)))
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
@@ -562,7 +599,7 @@ class TestSscLatency:
             n = int(rng.integers(2, 10))
             mask = rng.random(2 ** n) < rng.random()
             profile = build_ssc_tree(
-                code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+                code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
             ).edge_profile()
             lats = [ssc_latency(profile, P) for P in range(1, 2 ** n + 2)]
             assert all(a >= b for a, b in zip(lats, lats[1:]))
@@ -684,7 +721,7 @@ class TestMinP:
         n = int(rng.integers(2, 10))
         mask = rng.random(2 ** n) < rng.random()
         profile = build_ssc_tree(
-            code_from_frozen(make_channel(ChannelKind.BSC, 0.11), mask, 1e-2)
+            code_from_frozen(BmsChannel(ChannelKind.BSC, 0.11), mask, 1e-2)
         ).edge_profile()
         factor = float(rng.uniform(1.0, 1.5))
         target = factor * ssc_latency(profile, 2 ** n // 2)
@@ -710,17 +747,13 @@ class TestLatencyReport:
         assert rep.sc_closed == 14
         assert rep.ssc == 10
         assert rep.normalized == pytest.approx(10 / 8)
+        profile = build_ssc_tree(example8_code).edge_profile()
+        assert latency_report(profile, 4).ssc == 10
 
     def test_closed_form_absent_for_odd_p(self, example8_code):
         rep = latency_report(example8_code, 3)
         assert rep.sc_closed is None
         assert rep.ssc <= rep.sc_tree
-
-    def test_profile_length_must_match_n(self, example8_code):
-        profile = build_ssc_tree(example8_code).edge_profile()
-        assert latency_report(profile, 4, n=3).ssc == 10
-        with pytest.raises(ValueError):
-            latency_report([2, 2, 2], 4, n=10)
 
     def test_invariants_across_p(self, bec_half):
         code = build_code(bec_half, 8, 1e-3)

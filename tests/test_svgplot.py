@@ -21,26 +21,26 @@ class TestSvg:
         assert len(svg.encode()) < 1 << 20
 
     def test_one_polyline_per_series(self):
-        svg = render_line_plot(sample_series(), "x", "y")
+        svg = render_line_plot(sample_series(), "x", "y", title="demo")
         assert svg.count("<polyline") == 2
 
     def test_labels_escaped(self):
-        svg = render_line_plot([Series("a<b&c>d", [0, 1], [0, 1])], "x<1", "y&z")
+        svg = render_line_plot([Series("a<b&c>d", [0, 1], [0, 1])], "x<1", "y&z", title="demo")
         assert "a&lt;b&amp;c&gt;d" in svg
         ET.fromstring(svg)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            render_line_plot([], "x", "y")
+            render_line_plot([], "x", "y", title="demo")
         with pytest.raises(ValueError):
-            render_line_plot([Series("nan", [0.0], [float("nan")])], "x", "y")
+            render_line_plot([Series("nan", [0.0], [float("nan")])], "x", "y", title="demo")
 
     def test_mismatched_series(self):
         with pytest.raises(ValueError):
             Series("bad", [1, 2], [1])
 
     def test_constant_series_plots(self):
-        svg = render_line_plot([Series("flat", [0, 1, 2], [5, 5, 5])], "x", "y")
+        svg = render_line_plot([Series("flat", [0, 1, 2], [5, 5, 5])], "x", "y", title="demo")
         ET.fromstring(svg)
 
 
@@ -69,4 +69,4 @@ class TestGnuplot:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            render_gnuplot([], "x", "y")
+            render_gnuplot([], "x", "y", title="demo")
