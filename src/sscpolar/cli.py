@@ -124,8 +124,7 @@ def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], s
         curves: dict[tuple, list[SweepRecord]] = {}
         for r in records:
             curves.setdefault((r.channel, r.capacity, r.pe, r.p_policy), []).append(r)
-        for (kind, cap, pe, policy), recs in sorted(curves.items()):
-            recs = sorted(recs, key=lambda r: r.n)
+        for (kind, cap, pe, policy), recs in curves.items():
             label = (f"{kind} SC reference" if policy == experiments.SC_REFERENCE
                      else f"{kind} I={cap:g} pe={pe:g}")
             series.append(Series(label, [r.log2log2N for r in recs],
@@ -134,13 +133,12 @@ def _sweep_series(fig: int, records: list[SweepRecord]) -> tuple[list[Series], s
     if fig == 7:
         series = []
         for policy in experiments.POLICIES:
-            recs = sorted([r for r in records if r.p_policy == policy], key=lambda r: r.n)
+            recs = [r for r in records if r.p_policy == policy]
             series.append(Series(f"P policy {policy}", [r.n for r in recs],
                                  [r.log2_latency for r in recs]))
         return series, "log2 N", "log2 latency"
-    recs = sorted(records, key=lambda r: r.n)
-    return ([Series("min P within factor", [r.n for r in recs], [r.log2P for r in recs])],
-            "log2 N", "log2 P")
+    series = Series("min P within factor", [r.n for r in records], [r.log2P for r in records])
+    return [series], "log2 N", "log2 P"
 
 
 def cmd_sweep(args) -> list[dict]:

@@ -204,8 +204,7 @@ def sc_schedule(frozen: np.ndarray) -> Iterator[Op]:
             else:
                 yield op, s, lo
 
-    # the compiler reads only the kinds, so the z need not be a channel's
-    return expand(ssc_schedule(_mask_tree(_check_mask(frozen), 1.0)))
+    return expand(ssc_schedule(_mask_tree(_check_mask(frozen))))
 
 
 def ssc_schedule(tree: SscTree) -> Iterator[Op]:

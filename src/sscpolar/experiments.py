@@ -12,8 +12,9 @@ Three presets mirror the package's standard latency-scaling plots:
 All sweeps are deterministic; rerunning a grid reproduces the CSV byte
 for byte.  Preset 6 scans all its channels at each (n, pe) in one walk
 (latency.scan_edge_profiles), since at a fixed (n, pe) the scans differ only
-in each channel's z0.  Records are sorted before they are written, so the
-CSV's row order does not depend on the order of the scans.
+in each channel's z0.  Its records are sorted before they are written, so
+the CSV's row order does not depend on the order of the scans; presets 7
+and 8 emit theirs in order.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def run_policy_sweep(n_max: int = MAX_SWEEP_N) -> list[SweepRecord]:
             P = realize_policy(policy, n, mu)
             records.append(SweepRecord(ChannelKind.BEC.value, BEC_CAPACITY, BEC_PE, n,
                                        policy, P, ssc_latency(profile, P)))
-    return _sort_records(records)
+    return records
 
 
 def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, factor: float = 1.01) -> list[SweepRecord]:
@@ -177,7 +178,7 @@ def run_parallelism_sweep(n_max: int = MAX_SWEEP_N, factor: float = 1.01) -> lis
         P = min_p_within_factor(profile, factor)
         records.append(SweepRecord(ChannelKind.BEC.value, BEC_CAPACITY, BEC_PE, n,
                                    "fixed", P, ssc_latency(profile, P)))
-    return _sort_records(records)
+    return records
 
 
 # ---------------------------------------------------------------------------

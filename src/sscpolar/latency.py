@@ -6,19 +6,19 @@ latency is the sum of edge costs over its (possibly pruned) decoding tree.
 Everything in this module is exact integer arithmetic; no floating point
 touches the latency path.
 
-A frozen mask's pruned tree is read off the mask bottom-up (_mask_tree):
-a node is Rate-0 or Rate-1 exactly when its leaves are all frozen or all
-information (Alamdar-Yazdi and Kschischang's rule).  The channel scan and
-the edge profiles walk the tree top-down a level at a time with one walker
-(_walk), and classify a node by its all-plus and all-minus reliability
-paths instead.  In IEEE doubles both polarization maps are non-decreasing,
-so whether a path of s steps ends on one side of the threshold is a
-threshold on its start.  The walker builds the two tables of these
-per-level thresholds itself (_thresholds) and decides every node with one
-comparison for each kind; it has no classifier parameter.
-scan_edge_profile counts each level's frontier and drops it.  At one
-(n, pe) the scan depends on a channel only through its z0, so
-scan_edge_profiles walks the roots of several channels together, one
+An SscTree holds node kinds alone, and works out each node's z on request.
+A frozen mask's tree is read off the mask bottom-up (_mask_tree): a node is
+Rate-0 or Rate-1 exactly when its leaves are all frozen or all information
+(Alamdar-Yazdi and Kschischang's rule).  The channel scan and the edge
+profiles walk the tree top-down a level at a time with one walker (_walk),
+and classify a node by its all-plus and all-minus reliability paths instead.
+In IEEE doubles both polarization maps are non-decreasing, so whether a path
+of s steps ends on one side of the threshold is a threshold on its start.
+The walker builds the two tables of these per-level thresholds itself
+(_thresholds) and decides every node with one comparison for each kind; it
+has no classifier parameter.  scan_edge_profile counts each level's frontier
+and drops it.  At one (n, pe) the scan depends on a channel only through its
+z0, so scan_edge_profiles walks the roots of several channels together, one
 segment of each level a root, and goes on one root at a time once a level
 outgrows a fixed bound; preset 6's sweep scans its channels this way.
 """
@@ -48,23 +48,20 @@ class NodeKind(IntEnum):
 class SscTree:
     """The pruned decoding tree, stored level by level.
 
-    kinds[s] and z[s] hold one entry per node of the pruned tree at level s
-    (leaves are level 0, the root is level n), in leaf order.  Rate-0 and
-    Rate-1 nodes are pruned, so the nodes at level s-1 are exactly the
-    children of the MIXED nodes at level s, left child first.  z is each
-    node's synthetic-channel reliability.  Every array is read-only.
+    kinds[s] is an int8 array of one NodeKind per node of the pruned tree at
+    level s (leaves are level 0, the root is level n), in leaf order.
+    Rate-0 and Rate-1 nodes are pruned, so the nodes at level s-1 are
+    exactly the children of the MIXED nodes at level s, left child first.
     """
 
     kinds: tuple[np.ndarray, ...]
-    z: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         """Reject levels that are not a pruned tree: every consumer trusts them."""
         kinds = self.kinds
-        if len(kinds) != len(self.z) or any(np.shape(k) != np.shape(z)
-                                            for k, z in zip(kinds, self.z)):
-            raise ValueError("kinds and z must have equal shapes, level by level")
         n = _check_n(len(kinds) - 1)
+        if not all(isinstance(k, np.ndarray) and k.dtype == np.int8 for k in kinds):
+            raise ValueError("every level's node kinds must be an int8 array")
         if np.shape(kinds[n]) != (1,):
             raise ValueError(f"the root level must hold one node, got shape {np.shape(kinds[n])}")
         if not np.isin(np.concatenate(kinds), tuple(NodeKind)).all():
@@ -88,6 +85,13 @@ class SscTree:
         """Count of tree edges entering each level s = 0 .. n-1."""
         return [2 * int(np.count_nonzero(self.kinds[s + 1] == NodeKind.MIXED))
                 for s in range(self.n)]
+
+    def reliabilities(self, z0: float) -> tuple[np.ndarray, ...]:
+        """Each node's reliability by level: [z0] at the root, then polarize of each MIXED z."""
+        zs = [np.array([z0], dtype=np.float64)]
+        for kinds in self.kinds[:0:-1]:
+            zs.append(polarize(zs[-1][kinds == NodeKind.MIXED]))
+        return tuple(zs[::-1])
 
 
 ProfileLike = Union[Sequence[int], SscTree, PolarCode]
@@ -175,15 +179,14 @@ def _walk(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]
 
 def _tree(steps: Iterator[Step]) -> SscTree:
     """The SscTree of a one-root walk down to the leaves."""
-    kinds, zs = [], []
+    kinds = []
     for _first, _s, (z, rate0, rate1), _mixed in steps:
         kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
         kind[rate0] = NodeKind.RATE0
         kind[rate1] = NodeKind.RATE1
-        kind.flags.writeable = z.flags.writeable = False  # the walk only reads z after yielding it
+        kind.flags.writeable = False
         kinds.append(kind)
-        zs.append(z)
-    return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
+    return SscTree(tuple(kinds[::-1]))
 
 
 # Bit patterns of the doubles in [0, 1] are ordered as their values.
@@ -264,8 +267,8 @@ def _thresholds(threshold: float, n: int) -> tuple[list[float], list[float]]:
     return plus, minus
 
 
-def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
-    """The pruned tree of a power-of-two frozen mask, its z from z0 at the root.
+def _mask_tree(frozen: np.ndarray) -> SscTree:
+    """The pruned tree of a power-of-two frozen mask.
 
     A node is Rate-0 or Rate-1 iff its leaves are all frozen or all
     information, so the full tree's kinds are read bottom-up in one O(N)
@@ -277,29 +280,26 @@ def _mask_tree(frozen: np.ndarray, z0: float) -> SscTree:
     while full[-1].size > 1:
         left, right = full[-1][0::2], full[-1][1::2]
         full.append(np.where(left == right, left, np.int8(NodeKind.MIXED)))
-    kinds, zs = [], []
-    keep, z = np.ones(1, dtype=bool), np.array([z0], dtype=np.float64)
+    kinds, keep = [], np.ones(1, dtype=bool)
     while full:
         level = full.pop()
         kind = level[keep]
-        kind.flags.writeable = z.flags.writeable = False
+        kind.flags.writeable = False
         kinds.append(kind)
-        zs.append(z)
         if full:
             keep = np.repeat(keep & (level == NodeKind.MIXED), 2)
-            z = polarize(z[kind == NodeKind.MIXED])
-    return SscTree(tuple(kinds[::-1]), tuple(zs[::-1]))
+    return SscTree(tuple(kinds[::-1]))
 
 
 def build_ssc_tree(code: PolarCode) -> SscTree:
     """Classify the code's decoding tree from its frozen mask and prune pure subtrees."""
-    return _mask_tree(code.frozen, code.channel.z0)
+    return _mask_tree(code.frozen)
 
 
 def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
 
-    Equal, kinds and z, to build_ssc_tree(build_code(channel, n, pe)) but
+    Equal, kind for kind, to build_ssc_tree(build_code(channel, n, pe)) but
     never materializes the 2^n leaves, so it reaches n = 27.  Memory and
     time are O(pruned nodes), one comparison a node against a table of
     per-level thresholds built in O(n); scan_edge_profile needs only the

@@ -159,10 +159,10 @@ def reference_pruned_levels(channel, n, pe):
     return levels
 
 
-def tree_levels(tree):
-    """An SscTree's level arrays as the lists reference_pruned_levels returns."""
+def tree_levels(tree, z0):
+    """An SscTree's levels, z from z0 at the root, as the lists reference_pruned_levels returns."""
     return [list(zip(z.tolist(), map(NodeKind, kinds.tolist())))
-            for z, kinds in zip(tree.z, tree.kinds)]
+            for z, kinds in zip(tree.reliabilities(z0), tree.kinds)]
 
 
 def random_bsc():

@@ -196,7 +196,7 @@ def test_criterion_8_forced_node_kinds():
                 if pe < 1.0 / N ** 2:
                     continue
                 tree = scan_ssc_tree(channel, n, pe)
-                for zs, kinds in zip(tree.z, tree.kinds):
+                for zs, kinds in zip(tree.reliabilities(channel.z0), tree.kinds):
                     for z, kind in zip(zs.tolist(), kinds.tolist()):
                         scanned += 1
                         if z <= lo:

@@ -9,7 +9,7 @@ SIGNATURES = {
     "BmsChannel": ("kind", "param"),
     "LatencyReport": ("n", "N", "P", "sc_tree", "sc_closed", "ssc", "normalized"),
     "PolarCode": ("channel", "n", "pe", "frozen"),
-    "SscTree": ("kinds", "z"),
+    "SscTree": ("kinds",),
     "SweepRecord": ("channel", "capacity", "pe", "n", "p_policy", "P", "latency"),
     "bhattacharyya": ("kind", "param"),
     "build_code": ("channel", "n", "pe"),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import stat
@@ -385,6 +386,26 @@ class TestSweep:
         ET.fromstring(svg.read_text())
         assert svg.stat().st_size < 1 << 20
         assert "plot $data0" in gp.read_text()
+
+    # sha256 of each preset's SVG and gnuplot files to n = 12, recorded when
+    # the CLI sorted each curve's records before plotting them
+    PLOT_DIGESTS = {
+        "6": ("fcc2b977b4c628b514666348bff8808c1bfbfa729ca0343da0e0ae499bbd3dea",
+              "070683d20b21d7990b97729cff1828f7b307878c9be4ad13b326c3a1316759e3"),
+        "7": ("b7cb7213b9b5da25a0efd2a8170e312636ddc64a56312fd46d3fe2f2c15d4490",
+              "66f42306d8e44ecc4da0c87f201e9225e4180467be145a5b95df8b1dcd049863"),
+        "8": ("dc176f3cd2a14c80c78695944a7aa76eba82a83977f056aacd13411deb7c281f",
+              "b8f15da812f0d4fbbd0f6463c40b101ee533f417b69143cbacaaf0ed39e02d67"),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(PLOT_DIGESTS))
+    def test_plot_files_are_pinned(self, capsys, tmp_path, figure):
+        svg, gp = tmp_path / "x.svg", tmp_path / "x.gp"
+        rc, _, _ = run(capsys, "sweep", "--figure", figure, "--nmax", "12",
+                       "--out", str(tmp_path / "x.csv"), "--svg", str(svg), "--gnuplot", str(gp))
+        assert rc == 0
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (svg, gp)) == \
+            self.PLOT_DIGESTS[figure]
 
     @pytest.mark.parametrize("figure", ["7", "8"])
     def test_channel_only_for_figure_6(self, capsys, tmp_path, figure):

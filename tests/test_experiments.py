@@ -145,6 +145,13 @@ class TestPolicySweep:
             ordered = [lats[p] for p in sorted(rank, key=rank.get)]
             assert all(a <= b for a, b in zip(ordered, ordered[1:]))
 
+    def test_csv_is_pinned(self):
+        # sha256 of preset 7's CSV to n = 27, recorded when its records were
+        # sorted after the sweep
+        csv = records_to_csv(run_policy_sweep(n_max=27))
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "c52df1953366f4e596f53aab60f52ff5a4164f5fe96f177b490bd24b0a7593cc"
+
 
 class TestReferenceValues:
     """Frozen expected values for the BEC constructions.
@@ -256,6 +263,13 @@ class TestParallelismSweep:
     def test_factor_validated(self):
         with pytest.raises(ValueError):
             run_parallelism_sweep(n_max=6, factor=0.5)
+
+    def test_csv_is_pinned(self):
+        # sha256 of preset 8's CSV to n = 27, recorded when its records were
+        # sorted after the sweep
+        csv = records_to_csv(run_parallelism_sweep(n_max=27))
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "532cee30a89ffdfce982516f39d008d61a20115faceab77502044e1b660f70b8"
 
 
 class TestCsv:

@@ -25,8 +25,10 @@ from sscpolar import (
     scan_edge_profiles,
     scan_ssc_tree,
     sc_latency_closed_form,
+    sc_decode_batch,
     sc_latency_tree,
     sc_ssc_agreement,
+    ssc_decode_batch,
     ssc_latency,
     ssc_schedule,
 )
@@ -176,44 +178,55 @@ def kinds_by_level(tree):
     return [k.tolist() for k in tree.kinds]
 
 
-# Level arrays, leaves first, that are no pruned tree; the z of each level are
-# zeros of the given lengths, or of the kinds' lengths
+# Levels, leaves first, that are no pruned tree, each made an array of the
+# given dtype (int8 unless named), or left a list when the dtype is list
 MALFORMED_TREES = [
-    ([[R1, R1, R1], [M]], None, r"level 0 must hold the 2 children of level 1's MIXED nodes, "
-                                r"got shape \(3,\)"),
-    ([[R1], [M]], None, r"level 0 must hold the 2 children"),
-    ([[], [R1, R0, R1], [M, M], [M]], None, r"level 1 must hold the 4 children"),
-    ([[M, M], [M]], None, r"level 0 holds leaves, and a leaf cannot be MIXED"),
-    ([[R1, R0], [M, M]], None, r"the root level must hold one node, got shape \(2,\)"),
-    ([[R1]], None, r"n must be >= 1, got 0"),
-    ([[R1, R0], [3]], None, r"node kinds must be 0 \(Rate-0\), 1 \(Rate-1\) or 2 \(MIXED\)"),
-    ([[R1, -1], [M]], None, r"node kinds must be"),
-    ([[R1, R0], [M]], [1], r"kinds and z must have equal shapes"),
-    ([[R1, R0], [M]], [2, 2], r"kinds and z must have equal shapes"),
+    ([[R1, R1, R1], [M]], np.int8, r"level 0 must hold the 2 children of level 1's MIXED nodes, "
+                                   r"got shape \(3,\)"),
+    ([[R1], [M]], np.int8, r"level 0 must hold the 2 children"),
+    ([[], [R1, R0, R1], [M, M], [M]], np.int8, r"level 1 must hold the 4 children"),
+    ([[M, M], [M]], np.int8, r"level 0 holds leaves, and a leaf cannot be MIXED"),
+    ([[R1, R0], [M, M]], np.int8, r"the root level must hold one node, got shape \(2,\)"),
+    ([[R1]], np.int8, r"n must be >= 1, got 0"),
+    ([[R1, R0], [3]], np.int8, r"node kinds must be 0 \(Rate-0\), 1 \(Rate-1\) or 2 \(MIXED\)"),
+    ([[R1, -1], [M]], np.int8, r"node kinds must be"),
+    ([[R0, R1], [M]], np.int64, r"every level's node kinds must be an int8 array"),
+    ([[R0, R1], [M]], list, r"every level's node kinds must be an int8 array"),
 ]
 
 
 class TestSscTree:
-    @pytest.mark.parametrize("kinds, z, message", MALFORMED_TREES,
+    @pytest.mark.parametrize("kinds, dtype, message", MALFORMED_TREES,
                              ids=[f"{[list(map(int, k)) for k in kinds]}"
-                                  + ("" if z is None else f" z{z}")
-                                  for kinds, z, _ in MALFORMED_TREES])
-    def test_malformed_levels_rejected(self, kinds, z, message):
+                                  + ("" if dtype is np.int8 else f" {dtype.__name__}")
+                                  for kinds, dtype, _ in MALFORMED_TREES])
+    def test_malformed_levels_rejected(self, kinds, dtype, message):
         # each was taken as given: three leaves under one MIXED root cost 2 at
-        # P=1, one child raised StopIteration from ssc_schedule, and MIXED
-        # leaves compiled to an op code that does not exist
-        levels = tuple(np.array(k, dtype=np.int8) for k in kinds)
-        zs = tuple(np.zeros(size) for size in (z or map(len, kinds)))
+        # P=1, one child raised StopIteration from ssc_schedule, MIXED leaves
+        # compiled to an op code that does not exist, and int64 kinds compiled
+        # byte by byte, a Rate-0 op where int8 gives a FROZEN_INFO one
+        levels = tuple(k if dtype is list else np.array(k, dtype=dtype) for k in kinds)
         for use in (lambda tree: ssc_latency(tree, 1), lambda tree: list(ssc_schedule(tree))):
             with pytest.raises(ValueError, match=f"^{message}"):
-                use(latency.SscTree(levels, zs))
+                use(latency.SscTree(levels))
 
     def test_arrays_are_read_only(self, example8_code):
         ch = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
         for tree in (build_ssc_tree(example8_code), scan_ssc_tree(ch, 10, 1e-3)):
-            for array in tree.kinds + tree.z:
+            for array in tree.kinds:
                 with pytest.raises(ValueError):
                     array[:1] = 0
+
+    def test_decode_path_computes_no_reliability(self, bec_half):
+        # the decoders and the tree behind them read only node kinds
+        code = build_code(bec_half, 10, 1e-3)
+        llrs = np.random.default_rng(5).normal(2.0, 2.0, (8, code.N))
+        with mock.patch.object(latency, "polarize", wraps=latency.polarize) as spy:
+            build_ssc_tree(code)
+            sc_decode_batch(code, llrs)
+            ssc_decode_batch(code, llrs)
+            sc_ssc_agreement(code, bec_half, 64, 1)
+        assert spy.call_count == 0
 
     def test_example8_shape(self, example8_code):
         tree = build_ssc_tree(example8_code)
@@ -223,10 +236,10 @@ class TestSscTree:
 
     def test_example8_reliabilities(self, example8_code):
         # root z0 = 1/2, children 2z - z^2 and z^2, left first
-        tree = build_ssc_tree(example8_code)
-        assert tree.z[3].tolist() == [0.5]
-        assert tree.z[2].tolist() == [0.75, 0.25]
-        assert tree.z[1].tolist() == [0.9375, 0.5625, 0.4375, 0.0625]
+        z = build_ssc_tree(example8_code).reliabilities(example8_code.channel.z0)
+        assert z[3].tolist() == [0.5]
+        assert z[2].tolist() == [0.75, 0.25]
+        assert z[1].tolist() == [0.9375, 0.5625, 0.4375, 0.0625]
 
     def test_all_frozen_single_rate0_root(self):
         code = build_code(bec(1.0), 4, 0.5)
@@ -327,9 +340,10 @@ class TestStreamingScan:
         for kind in ChannelKind:
             channel = cached_channel(kind, 0.5)
             for n in (9, 14):
-                scanned = tree_levels(scan_ssc_tree(channel, n, 1e-3))
+                scanned = tree_levels(scan_ssc_tree(channel, n, 1e-3), channel.z0)
                 assert scanned == reference_pruned_levels(channel, n, 1e-3), (kind, n)
-                assert tree_levels(build_ssc_tree(build_code(channel, n, 1e-3))) == scanned
+                built = build_ssc_tree(build_code(channel, n, 1e-3))
+                assert tree_levels(built, channel.z0) == scanned
 
     def test_scan_is_pinned(self, bec_half):
         # sha256 of every scanned tree's kinds and z bytes on the family grid,
@@ -341,7 +355,7 @@ class TestStreamingScan:
             for pe in (1e-3, 1e-10):
                 for n in range(1, 21):
                     tree = scan_ssc_tree(channel, n, pe)
-                    for kinds, z in zip(tree.kinds, tree.z):
+                    for kinds, z in zip(tree.kinds, tree.reliabilities(channel.z0)):
                         trees.update(kinds.tobytes())
                         trees.update(z.tobytes())
         profiles = hashlib.sha256(repr([scan_edge_profile(bec_half, n, 1e-3)
@@ -371,8 +385,8 @@ class TestStreamingScan:
     def test_scan_equals_mask_build_and_reference(self, kind, cap, log_pe, n):
         channel = cached_channel(kind, cap)
         pe = 10.0 ** log_pe
-        scanned = tree_levels(scan_ssc_tree(channel, n, pe))
-        assert tree_levels(build_ssc_tree(build_code(channel, n, pe))) == scanned
+        scanned = tree_levels(scan_ssc_tree(channel, n, pe), channel.z0)
+        assert tree_levels(build_ssc_tree(build_code(channel, n, pe)), channel.z0) == scanned
         assert reference_pruned_levels(channel, n, pe) == scanned
 
     @settings(max_examples=60, deadline=None)
@@ -393,7 +407,7 @@ class TestStreamingScan:
         # non-decreasing (test_channel.py::TestZTransforms::test_maps_are_monotone).
         channel = bec(z0)
         tree = scan_ssc_tree(channel, n, pe)
-        assert tree_levels(tree) == reference_pruned_levels(channel, n, pe)
+        assert tree_levels(tree, channel.z0) == reference_pruned_levels(channel, n, pe)
         assert scan_edge_profile(channel, n, pe) == tree.edge_profile()
 
 
@@ -591,7 +605,7 @@ class TestSscLatency:
         with pytest.raises(ValueError, match=r"^edge profile must have at least one level"):
             call([])
         with pytest.raises(ValueError, match=r"^n must be >= 1, got 0"):
-            call(latency.SscTree((np.array([R1], np.uint8),), (np.array([0.0]),)))
+            call(latency.SscTree((np.array([R1], np.uint8),)))
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(4)
