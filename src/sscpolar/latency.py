@@ -64,9 +64,11 @@ class SscTree:
             raise ValueError("every level's node kinds must be an int8 array")
         if np.shape(kinds[n]) != (1,):
             raise ValueError(f"the root level must hold one node, got shape {np.shape(kinds[n])}")
-        if not np.isin(np.concatenate(kinds), tuple(NodeKind)).all():
+        # as uint8 a negative kind counts past index 2, as a kind above 2 does
+        counts = [np.bincount(k.view(np.uint8).ravel(), minlength=3) for k in kinds]
+        if any(len(c) > 3 for c in counts):
             raise ValueError("node kinds must be 0 (Rate-0), 1 (Rate-1) or 2 (MIXED)")
-        mixed = [np.count_nonzero(k == NodeKind.MIXED) for k in kinds]
+        mixed = [int(c[NodeKind.MIXED]) for c in counts]
         if mixed[0]:
             raise ValueError("level 0 holds leaves, and a leaf cannot be MIXED")
         for s in range(n, 0, -1):

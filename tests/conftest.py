@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sscpolar import BmsChannel, ChannelKind, channel_from_capacity, code_from_frozen
+from sscpolar import channel as channel_module
 from sscpolar.channel import LLR_CAP
 from sscpolar.latency import NodeKind
 
@@ -167,3 +168,33 @@ def tree_levels(tree, z0):
 
 def random_bsc():
     return BmsChannel(ChannelKind.BSC, 0.11)
+
+
+def reference_inversion(kind, target):
+    """channel_from_capacity as a plain bisection that runs the exact capacity at every step.
+
+    The loop with no estimate, step for step: channel_from_capacity must
+    return the same channel, bit for bit.  The capacities are looked up on
+    the channel module at each call, so a test's spy on them sees every step.
+    """
+    kind = ChannelKind(kind)
+    if kind is ChannelKind.BEC:
+        return BmsChannel(kind, 1.0 - target)
+    if kind is ChannelKind.BSC:
+        lo, hi = 0.0, 0.5
+    else:
+        lo, hi = 1e-6, 2.0
+        while channel_module._bawgnc_capacity(hi) > target:
+            hi *= 2.0
+            if hi > 1e6:
+                raise ArithmeticError("BAWGNC capacity bisection failed to bracket target")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        c = channel_module.capacity(kind, mid)
+        if abs(c - target) <= 1e-9:
+            return BmsChannel(kind, mid)
+        if c > target:
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError(f"capacity bisection did not converge for {kind.value} target {target}")

@@ -23,9 +23,12 @@ from sscpolar import (
 )
 from sscpolar import channel as channel_module
 from sscpolar.channel import (
+    _HIGH_SNR_SIGMA,
     _LOW_SNR_SIGMA,
+    _SKIP_MARGIN,
     LLR_CAP,
     _bawgnc_capacity,
+    _bawgnc_capacity_estimate,
     _decide,
     _draw,
     _llrs,
@@ -35,6 +38,8 @@ from sscpolar.channel import (
     bsc_llr_magnitude,
 )
 from sscpolar.experiments import DEFAULT_CAPACITIES
+
+from conftest import reference_inversion
 
 # float.hex of (sigma, _bawgnc_capacity(sigma)) on np.geomspace(1e-3, 400, 20,
 # endpoint=False), recorded with np.logaddexp(0.0, v) as the integrand's
@@ -222,33 +227,33 @@ class TestChannelFromCapacity:
 
     @pytest.mark.parametrize("target", [0.02, 0.5, 0.9])
     def test_bawgnc_inversion_evaluates_each_capacity_once(self, monkeypatch, target):
-        # one quadrature per bracket step and per bisection step; the
-        # returned channel computes its own capacity when it is read
-        calls = []
-
-        def spy(sigma):
-            calls.append(sigma)
-            return _bawgnc_capacity(sigma)
-
-        monkeypatch.setattr(channel_module, "_bawgnc_capacity", spy)
-        ch = channel_from_capacity(ChannelKind.BAWGNC, target)
-        bracket = [2.0]
-        while _bawgnc_capacity(bracket[-1]) > target:
-            bracket.append(2.0 * bracket[-1])
-        assert calls[:len(bracket)] == bracket
-        assert all(1e-6 < sigma < bracket[-1] for sigma in calls[len(bracket):])
+        # the quadratures run at distinct sigmas, each a bracket point or
+        # midpoint that the plain bisection visits too, in its order, and the
+        # last is the answer; the returned channel computes its own capacity
+        # when it is read
+        (ch,), calls = _quadratures(monkeypatch, channel_from_capacity, [target])
+        _, visited = _quadratures(monkeypatch, reference_inversion, [target])
         assert len(set(calls)) == len(calls)
+        steps = iter(visited)
+        assert all(sigma in steps for sigma in calls)
         assert calls[-1] == ch.param
         assert ch.capacity == _bawgnc_capacity(ch.param)
 
+    def test_fig6_inversions_run_few_quadratures(self, monkeypatch):
+        # 13 of the plain bisection's 90: a fall back to a quadrature at every
+        # step fails here
+        _, calls = _quadratures(monkeypatch, channel_from_capacity, DEFAULT_CAPACITIES)
+        assert len(calls) <= 15
+
     @pytest.mark.parametrize("kind, target, evaluations", [
         (ChannelKind.BSC, 0.1, 28), (ChannelKind.BSC, 0.5, 25), (ChannelKind.BSC, 0.9, 29),
-        (ChannelKind.BAWGNC, 0.1, 27), (ChannelKind.BAWGNC, 0.5, 30),
-        (ChannelKind.BAWGNC, 0.9, 29),
+        (ChannelKind.BAWGNC, 0.1, 4), (ChannelKind.BAWGNC, 0.5, 5),
+        (ChannelKind.BAWGNC, 0.9, 4),
     ])
     def test_inversion_evaluates_each_step_once(self, monkeypatch, kind, target, evaluations):
-        # one capacity a bisection step, as many as when the channel stored
-        # the capacity of the step that converged; building it reads none
+        # one capacity a BSC bisection step, and one a BAWGNC step that the
+        # estimate cannot decide, as many as when the channel stored the
+        # capacity of the step that converged; building it reads none
         calls = []
         monkeypatch.setattr(channel_module, "capacity",
                             lambda kind, param: calls.append(param) or capacity(kind, param))
@@ -260,6 +265,52 @@ class TestChannelFromCapacity:
     def test_target_out_of_range(self, bad):
         with pytest.raises(ValueError):
             channel_from_capacity(ChannelKind.BEC, bad)
+
+    def test_bawgnc_inversion_equals_the_plain_bisection(self):
+        # the estimate only skips quadratures: every sigma is the same double
+        targets = np.linspace(0.001, 0.999, 200).tolist() + [1e-4, 0.02, 0.9999]
+        assert _inversion_mismatches(targets) == []
+
+    @pytest.mark.parametrize("shift", [1e-7, -1e-7])
+    def test_equality_gate_sees_a_wrong_estimate(self, monkeypatch, shift):
+        # an estimate 1e-7 off turns steps near the target the wrong way
+        monkeypatch.setattr(channel_module, "_bawgnc_capacity_estimate",
+                            lambda sigma: _bawgnc_capacity_estimate(sigma) + shift)
+        assert _inversion_mismatches(DEFAULT_CAPACITIES) != []
+
+    def test_estimate_is_far_inside_the_margin(self):
+        # a skipped step decides as the quadrature would while the estimate is
+        # within _SKIP_MARGIN - 1e-9 of it; measured, it is within 1.5e-15
+        sigmas = np.geomspace(_HIGH_SNR_SIGMA, _LOW_SNR_SIGMA, 1002)[1:-1].tolist()
+        worst = max(abs(_bawgnc_capacity_estimate(s) - _bawgnc_capacity(s)) for s in sigmas)
+        assert worst <= 1e-12 <= _SKIP_MARGIN / 1e3
+
+
+def _quadratures(monkeypatch, invert, targets):
+    """invert(BAWGNC, t) for each target, and the sigmas of the _bawgnc_capacity calls they ran."""
+    seen = []
+
+    def spy(sigma):
+        seen.append(sigma)
+        return _bawgnc_capacity(sigma)
+
+    with monkeypatch.context() as m:
+        m.setattr(channel_module, "_bawgnc_capacity", spy)
+        channels = [invert(ChannelKind.BAWGNC, target) for target in targets]
+    return channels, seen
+
+
+def _inversion_mismatches(targets):
+    """The targets whose BAWGNC sigma differs from reference_inversion's, or whose inversion fails."""
+    bad = []
+    for target in targets:
+        try:
+            got = channel_from_capacity(ChannelKind.BAWGNC, target).param.hex()
+        except ArithmeticError:
+            got = None
+        if got != reference_inversion(ChannelKind.BAWGNC, target).param.hex():
+            bad.append(target)
+    return bad
 
 
 def _quad_steps(f):
@@ -292,16 +343,8 @@ class TestQuadraturePort:
     """_qagi_loss against scipy's QUADPACK, step for step and bit for bit."""
 
     def fig6_sigmas(self, monkeypatch):
-        seen = []
-
-        def spy(sigma):
-            seen.append(sigma)
-            return _bawgnc_capacity(sigma)
-
-        with monkeypatch.context() as m:
-            m.setattr(channel_module, "_bawgnc_capacity", spy)
-            for target in DEFAULT_CAPACITIES:
-                channel_from_capacity(ChannelKind.BAWGNC, target)
+        # every step of fig 6's inversions, as the plain bisection runs them
+        _, seen = _quadratures(monkeypatch, reference_inversion, DEFAULT_CAPACITIES)
         assert len(seen) == 90
         return seen
 
