@@ -14,13 +14,20 @@ profiles walk the tree top-down a level at a time with one walker (_walk),
 and classify a node by its all-plus and all-minus reliability paths instead.
 In IEEE doubles both polarization maps are non-decreasing, so whether a path
 of s steps ends on one side of the threshold is a threshold on its start.
-The walker builds the two tables of these per-level thresholds itself
-(_thresholds) and decides every node with one comparison for each kind; it
-has no classifier parameter.  scan_edge_profile counts each level's frontier
-and drops it.  At one (n, pe) the scan depends on a channel only through its
-z0, so scan_edge_profiles walks the roots of several channels together, one
-segment of each level a root, and goes on one root at a time once a level
-outgrows a fixed bound; preset 6's sweep scans its channels this way.
+The walker decides every node against the two tables of these per-level
+thresholds (_thresholds) with one comparison for each kind; it has no
+classifier parameter.  scan_ssc_tree keeps every level whole.  At one
+(n, pe) the scan depends on a channel only through its z0, so
+scan_edge_profiles walks the roots of several channels together, one
+segment of each level a root; preset 6's sweep scans its channels this way.
+A profile counts each level and drops it, and classifies levels only while
+the next would hold at most _FRONTIER_BOUND nodes.  The levels below are
+counted, not built: a node is MIXED at level t exactly when its z lies in
+[minus[t], plus[t]), and then so are its ancestors, so a level's count is
+the number of paths from the last classified level that land in that
+window.  Each path's preimage of the window is an interval of doubles,
+found by exact searches (_preimages), so a root's count is a difference of
+searchsorted positions in its sorted z (_tail_counts).
 """
 
 from __future__ import annotations
@@ -116,16 +123,18 @@ def decoding_weight(s: int, P: int) -> int:
     return _weight(_as_int(s, "level", 0), _check_p(P))
 
 
-# One step of a walk: (first, s, (z, rate0, rate1), mixed), see _walk.
-Step = tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# One step of a walk: (s, (z, rate0, rate1), mixed), see _walk.
+Step = tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# Largest level a walk of several roots classifies in one array.  Past it the
-# walk goes on one root at a time, so a deep sweep holds one root's frontier
-# at a time, as a walk of that root alone does.  Shallow levels, where
-# per-call overhead dominates, stay batched.  Preset 6 at n = 27 alone, in a
-# fresh process on a 2-vCPU Xeon, peaked at 329 MB RSS and took 2.1 s with
-# no bound, and 122 MB and 1.1-1.5 s with this one.
-_FRONTIER_BOUND = 1 << 16
+# Largest level a profile walk classifies.  The levels below the last one it
+# classifies, s, are counted from that level (_tail_counts), with a table of
+# up to 2^s intervals.  On a 2-vCPU Xeon, 2^14 was the fastest of 2^13 to
+# 2^16 for preset 7 to n_max = 23 and 27, preset 8 to 27 and preset 6 to 18,
+# and within 3 % of 2^15 for preset 6 to its default n_max = 22.  Preset 6
+# to n_max = 27, whose nine roots stop high, ran fastest at 2^16.  Preset 6
+# at n = 27 alone, in a fresh process, took 0.10 s and peaked at 33 MB RSS,
+# where classifying every level took 0.48 s and 65 MB.
+_FRONTIER_BOUND = 1 << 14
 
 
 def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -139,50 +148,45 @@ def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _walk(z0: Sequence[float], n: int, pe: float, bottom: int) -> Iterator[Step]:
-    """Walk the pruned trees for (each z0, 2^n, pe) top-down, from level n to level bottom.
-
-    Rejects n < 1 and pe outside (0, 1) when called, as build_code does.
-    The walker builds the per-level tables of _thresholds once and decides
-    each level against them, one comparison a node for each kind.  Each
-    step (first, s, (z, rate0, rate1), mixed) is level s of roots first,
-    first + 1, ...: z holds each root's nodes as one contiguous segment, in
-    root order, and mixed[r] counts root first + r's MIXED nodes.  The
-    segments stay contiguous because filtering by a mask and polarize keep
-    order.  A level of more than _FRONTIER_BOUND nodes is not classified
-    whole: the walk goes on depth-first one root at a time, yielding each
-    root's remaining levels in turn and skipping roots with no nodes left.
-    A single root never splits, so its levels come whole, as _tree needs.
-    """
-    def walk(z, sizes, s, first):
-        while True:
-            if sizes.size > 1 and z.size > _FRONTIER_BOUND:
-                ends = np.cumsum(sizes)
-                for r, (lo, hi) in enumerate(zip(ends - sizes, ends)):
-                    if hi > lo:
-                        yield from walk(z[lo:hi], sizes[r:r + 1], s, first + r)
-                return
-            rate0, rate1 = z >= plus[s], z < minus[s]
-            mixed = ~(rate0 | rate1)
-            counts = _segment_counts(mixed, sizes)
-            yield first, s, (z, rate0, rate1), counts
-            if s == bottom:
-                return
-            z = polarize(z[mixed])
-            sizes = 2 * counts
-            s -= 1
-
+def _tables(n: int, pe: float) -> tuple[list[float], list[float]]:
+    """_thresholds for the code of 2^n leaves at pe; rejects n < 1 and pe outside
+    (0, 1), as build_code does."""
     n = _check_n(n)
     _check_pe(pe)
-    plus, minus = _thresholds(pe / 2 ** n, n)
-    z0 = np.asarray(z0, dtype=np.float64)
-    return walk(z0, np.ones(z0.size, dtype=np.int64), n, 0)
+    return _thresholds(pe / 2 ** n, n)
+
+
+def _walk(z0: Sequence[float], plus: list[float], minus: list[float],
+          bottom: int) -> Iterator[Step]:
+    """Walk the pruned trees of the roots z0 top-down, from level n to level bottom.
+
+    plus and minus are the tables of _tables(n, pe), and each level is
+    decided against them, one comparison a node for each kind.  Each step
+    (s, (z, rate0, rate1), mixed) is level s of all the roots: z holds each
+    root's nodes as one contiguous segment, in root order, and mixed[r]
+    counts root r's MIXED nodes.  The segments stay contiguous because
+    filtering by a mask and polarize keep order.  The next level is built
+    only when the walk resumes, so a caller that stops never builds it.
+    """
+    z = np.asarray(z0, dtype=np.float64)
+    sizes = np.ones(z.size, dtype=np.int64)
+    s = len(plus) - 1
+    while True:
+        rate0, rate1 = z >= plus[s], z < minus[s]
+        mixed = ~(rate0 | rate1)
+        counts = _segment_counts(mixed, sizes)
+        yield s, (z, rate0, rate1), counts
+        if s == bottom:
+            return
+        z = polarize(z[mixed])
+        sizes = 2 * counts
+        s -= 1
 
 
 def _tree(steps: Iterator[Step]) -> SscTree:
     """The SscTree of a one-root walk down to the leaves."""
     kinds = []
-    for _first, _s, (z, rate0, rate1), _mixed in steps:
+    for _s, (z, rate0, rate1), _mixed in steps:
         kind = np.full(z.size, NodeKind.MIXED, dtype=np.int8)
         kind[rate0] = NodeKind.RATE0
         kind[rate1] = NodeKind.RATE1
@@ -231,8 +235,34 @@ def _least_reaching(step: Callable[[float], float], guess: Callable[[float], flo
     return _double(hi)
 
 
-def _minus_guess(t: float) -> float:
-    return t / (1.0 + math.sqrt(1.0 - t))  # 1 - sqrt(1 - t), without its cancellation
+def _least_reaching_all(step: Callable[[np.ndarray], np.ndarray],
+                        guess: Callable[[np.ndarray], np.ndarray],
+                        target: np.ndarray) -> np.ndarray:
+    """_least_reaching(step, guess, t) for each t of the array target.
+
+    guess takes arrays.  Each end is nudged from its guess as the scalar
+    search nudges it, and an end still moving after _NUDGES rounds is taken
+    from the scalar search, so every end is the double that search returns.
+    """
+    top = step(1.0)
+    t = np.minimum(target, top)  # a target past step(1.0) is searched as step(1.0), then dropped
+    found = guess(t)
+    for _ in range(_NUDGES):
+        short = step(found) < t
+        below = np.nextafter(found, 0.0)
+        over = ~short & (found > 0.0) & (step(below) >= t)
+        moving = short | over
+        if not moving.any():
+            break
+        found = np.where(short, np.nextafter(found, 1.0), np.where(over, below, found))
+    else:
+        for i in np.flatnonzero(moving):
+            found[i] = _least_reaching(step, guess, float(t[i]))
+    return np.where(top >= target, found, math.inf)
+
+
+def _minus_guess(t: float, sqrt: Callable[[float], float] = math.sqrt) -> float:
+    return t / (1.0 + sqrt(1.0 - t))  # 1 - sqrt(1 - t), without its cancellation
 
 
 def _thresholds(threshold: float, n: int) -> tuple[list[float], list[float]]:
@@ -269,6 +299,48 @@ def _thresholds(threshold: float, n: int) -> tuple[list[float], list[float]]:
     return plus, minus
 
 
+# The two maps, each with a guess that takes arrays, in polarize's order.
+_ARRAY_STEPS = ((z_minus, lambda t: _minus_guess(t, np.sqrt)), (z_plus, np.sqrt))
+
+
+def _preimages(plus: list[float], minus: list[float],
+               s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table (lo, hi, level) of the levels below s, for the tables of _tables.
+
+    For each level t in 1 .. s-1 and each path of s - t steps, [lo, hi) is
+    the interval of the z at level s that the path maps into the window
+    [minus[t], plus[t]), and level = t - 1; empty intervals are left out,
+    so there are at most 2^s - 2.  Both maps are non-decreasing, so each
+    end is a chain of least-reaching searches, one a level from t up.
+    """
+    lo = hi = np.empty(0)
+    level = np.empty(0, dtype=np.int64)
+    for t in range(1, s):
+        k = lo.size + 1
+        ends = np.concatenate((lo, (minus[t],), hi, (plus[t],)))
+        worse, better = (_least_reaching_all(step, guess, ends) for step, guess in _ARRAY_STEPS)
+        lo = np.concatenate((worse[:k], better[:k]))
+        hi = np.concatenate((worse[k:], better[k:]))
+        level = np.concatenate((level, (t - 1,), level, (t - 1,)))
+        keep = lo < hi
+        lo, hi, level = lo[keep], hi[keep], level[keep]
+    return lo, hi, level
+
+
+def _tail_counts(z: np.ndarray, sizes: np.ndarray, plus: list[float], minus: list[float],
+                 s: int) -> np.ndarray:
+    """counts[r, t - 1]: root r's MIXED nodes at each level t below s, where
+    z holds each root's MIXED nodes at level s as a segment of the given size."""
+    lo, hi, level = _preimages(plus, minus, s)
+    counts = np.empty((sizes.size, s - 1), dtype=np.int64)
+    ends = np.cumsum(sizes)
+    for r, (first, last) in enumerate(zip(ends - sizes, ends)):
+        zr = np.sort(z[first:last])
+        inside = np.searchsorted(zr, hi) - np.searchsorted(zr, lo)
+        counts[r] = np.bincount(level, weights=inside, minlength=s - 1)
+    return counts
+
+
 def _mask_tree(frozen: np.ndarray) -> SscTree:
     """The pruned tree of a power-of-two frozen mask.
 
@@ -302,13 +374,12 @@ def scan_ssc_tree(channel: BmsChannel, n: int, pe: float) -> SscTree:
     """The pruned tree of the code for (channel, 2^n, pe), built from the channel alone.
 
     Equal, kind for kind, to build_ssc_tree(build_code(channel, n, pe)) but
-    never materializes the 2^n leaves, so it reaches n = 27.  Memory and
-    time are O(pruned nodes), one comparison a node against a table of
-    per-level thresholds built in O(n); scan_edge_profile needs only the
-    frontier.
+    never materializes the 2^n leaves, so it reaches n = 27.  It holds every
+    level whole: memory and time are O(pruned nodes), one comparison a node
+    against a table of per-level thresholds built in O(n).
     Rejects n < 1 and pe outside (0, 1), as build_code does.
     """
-    return _tree(_walk([channel.z0], n, pe, 0))
+    return _tree(_walk([channel.z0], *_tables(n, pe), 0))
 
 
 def scan_edge_profiles(channels: Sequence[BmsChannel], n: int, pe: float) -> list[list[int]]:
@@ -316,25 +387,33 @@ def scan_edge_profiles(channels: Sequence[BmsChannel], n: int, pe: float) -> lis
 
     At a fixed (n, pe) the scan depends on a channel only through its z0,
     so the roots of all the channels are classified together, a level at a
-    time, until a level outgrows _FRONTIER_BOUND nodes; from there each root
-    goes on alone.  This saves per-call overhead on shallow trees and keeps
-    the memory of deep ones at that of one root's frontier.
+    time, while the next level would hold at most _FRONTIER_BOUND nodes.
+    Each root's levels below the last one classified are counted from that
+    level's z (_tail_counts) and never built.
     """
-    steps = _walk([ch.z0 for ch in channels], n, pe, 1)
+    plus, minus = _tables(n, pe)
     profiles = [[0] * n for _ in channels]
-    for first, s, _level, mixed in steps:
-        for profile, m in zip(profiles[first:], mixed.tolist()):
+    for s, (z, rate0, rate1), mixed in _walk([ch.z0 for ch in channels], plus, minus, 1):
+        counts = mixed.tolist()
+        for profile, m in zip(profiles, counts):
             profile[s - 1] = 2 * m
+        if s > 1 and 2 * sum(counts) > _FRONTIER_BOUND:
+            tail = _tail_counts(z[~(rate0 | rate1)], mixed, plus, minus, s)
+            for profile, below in zip(profiles, tail.tolist()):
+                profile[:s - 1] = [2 * m for m in below]
+            break
     return profiles
 
 
 def scan_edge_profile(channel: BmsChannel, n: int, pe: float) -> list[int]:
     """Edge profile of the pruned tree for (channel, 2^n, pe), scanned from the channel.
 
-    Equal to scan_ssc_tree(...).edge_profile(), but keeps only the frontier:
-    each level is counted and dropped, so memory is O(largest level) and
-    time O(pruned nodes) plus an O(n) threshold table, not O(2^n).  The
-    leaves are never classified.
+    Equal to scan_ssc_tree(...).edge_profile().  Levels are classified top
+    down, counted and dropped while the next would hold at most
+    _FRONTIER_BOUND nodes, and the levels below the last one classified, s,
+    are counted from a table of at most 2^s intervals.  So memory is
+    O(_FRONTIER_BOUND + 2^s) and time O(n _FRONTIER_BOUND + 2^s) up to a log
+    factor, not O(2^n) nor O(pruned nodes).
     """
     return scan_edge_profiles([channel], n, pe)[0]
 

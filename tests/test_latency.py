@@ -454,25 +454,75 @@ class TestMultiRootScan:
         assert counts.dtype == expected.dtype
         assert np.array_equal(counts, expected)
 
-    def test_split_past_the_bound(self, monkeypatch):
-        # preset 6's nine roots outgrow the bound at level 1 for n = 18 and
-        # pe = 1e-10: no level of several roots is classified past the bound,
-        # and after the split each root goes on alone
-        channels = [cached_channel(kind, cap) for kind, cap in FAMILY_CAPACITIES]
-        seen = []
+    @settings(max_examples=80, deadline=None)
+    @given(z0s=st.lists(st.one_of(st.sampled_from(EDGE_Z0),
+                                  st.floats(min_value=0.0, max_value=1.0)), max_size=12),
+           log2_pe=st.floats(min_value=-1074.0, max_value=-1e-3),
+           n=st.integers(min_value=1, max_value=16),
+           bound=st.sampled_from((1, 7, 64, latency._FRONTIER_BOUND)))
+    @example(z0s=[0.5] * 12, log2_pe=-10.0, n=16, bound=latency._FRONTIER_BOUND)
+    @example(z0s=[5e-324, 0.5, 1.0], log2_pe=-1074.0, n=16, bound=1)
+    @example(z0s=[0.5, 0.0, math.nextafter(1.0, 0.0)], log2_pe=-1060.0, n=16, bound=7)
+    @example(z0s=[0.25, 0.75], log2_pe=-1e-3, n=16, bound=64)
+    def test_tail_equals_the_full_walk(self, z0s, log2_pe, n, bound):
+        # log-uniform pe, down to thresholds pe / 2^n in the subnormal range
+        # (and 0.0): the levels the tail counts equal those the full walk of
+        # scan_ssc_tree classifies, root by root, whichever level it starts at
+        channels = [bec(z0) for z0 in z0s]
+        pe = 2.0 ** log2_pe
+        expected = [scan_ssc_tree(ch, n, pe).edge_profile() for ch in channels]
+        with mock.patch.object(latency, "_FRONTIER_BOUND", bound):
+            assert scan_edge_profiles(channels, n, pe) == expected
+
+    @pytest.mark.parametrize("pe", [1e-3, 1e-10])
+    @pytest.mark.parametrize("kind,cap", FAMILY_CAPACITIES)
+    def test_tail_equals_the_full_walk_at_larger_n(self, kind, cap, pe):
+        channel = cached_channel(kind, cap)
+        for n in (20, 24):
+            assert scan_edge_profile(channel, n, pe) == \
+                scan_ssc_tree(channel, n, pe).edge_profile(), n
+
+    @pytest.mark.parametrize("n,pe,s", [(20, 1e-3, 7), (27, 1e-10, 9), (12, 1e-310, 6)])
+    def test_tail_counts_at_the_table_ends(self, n, pe, s):
+        # roots placed on every end of the table and one double below it,
+        # where an end one ulp off would count a node more or less: their
+        # counts below level s equal those of walking them down from level s
+        plus, minus = latency._tables(n, pe)
+        lo, hi, _level = latency._preimages(plus, minus, s)
+        ends = np.concatenate((lo, hi))
+        z = np.unique(np.concatenate((ends, np.nextafter(ends, 0.0))))
+        z = z[z <= 1.0]
+        assert z.size > 2
+        tail = latency._tail_counts(z, np.ones(z.size, dtype=np.int64), plus, minus, s)
+        walked = np.zeros_like(tail)
+        for t, _level, mixed in latency._walk(z, plus[:s + 1], minus[:s + 1], 1):
+            if t < s:
+                walked[:, t - 1] = mixed
+        assert np.array_equal(tail, walked)
+
+    def test_no_level_classified_past_the_bound(self, monkeypatch):
+        # preset 6's nine roots at n = 18, pe = 1e-10 and one BEC root at
+        # n = 27 outgrow the bound above level 1: the walk classifies no level
+        # of more than _FRONTIER_BOUND nodes, all roots together, and counts
+        # the levels below it from the tail
+        cases = [([cached_channel(kind, cap) for kind, cap in FAMILY_CAPACITIES], 18, 1e-10),
+                 ([bec(0.5)], 27, 1e-3)]
         count = latency._segment_counts
+        for channels, n, pe in cases:
+            seen = []
 
-        def spy(mask, sizes):
-            seen.append((sizes.size, mask.size))
-            return count(mask, sizes)
+            def spy(mask, sizes):
+                seen.append((sizes.size, mask.size))
+                return count(mask, sizes)
 
-        monkeypatch.setattr(latency, "_segment_counts", spy)
-        profiles = scan_edge_profiles(channels, 18, 1e-10)
-        assert all(size <= latency._FRONTIER_BOUND for roots, size in seen if roots > 1)
-        split = [i for i, (roots, _size) in enumerate(seen) if roots == 1]
-        assert split and seen[split[0] - 1][0] == len(channels)
-        monkeypatch.undo()
-        assert profiles == [scan_edge_profile(ch, 18, 1e-10) for ch in channels]
+            monkeypatch.setattr(latency, "_segment_counts", spy)
+            profiles = scan_edge_profiles(channels, n, pe)
+            monkeypatch.undo()
+            assert all(roots == len(channels) for roots, _size in seen)
+            assert all(size <= latency._FRONTIER_BOUND for _roots, size in seen)
+            assert 1 < len(seen) < n  # levels n .. n - len(seen) + 1 > 1 classified
+            assert profiles == [scan_edge_profile(ch, n, pe) for ch in channels]
+            assert profiles == [scan_ssc_tree(ch, n, pe).edge_profile() for ch in channels]
 
 
 def bisect_least(step, target):
@@ -529,6 +579,38 @@ class TestThresholdTables:
         assert len(calls) > 1 + 2 * latency._NUDGES
         assert z == bisect_least(step, t)
         assert step(z) >= t > step(math.nextafter(z, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log2_t=st.lists(st.floats(min_value=-1074.0, max_value=0.0), max_size=40))
+    @example(log2_t=[-1074.0, -1022.0, 0.0])
+    def test_array_search_equals_scalar(self, log2_t):
+        # log-uniform targets in [5e-324, 1], 0.0, the targets of
+        # test_fallback, and targets that no double reaches, in one array
+        targets = np.array([2.0 ** x for x in log2_t]
+                           + [0.0, 5e-324, 1e-320, 1.0, math.nextafter(1.0, 2.0), math.inf])
+        for (step, guess), (array_step, array_guess) in zip(STEPS[::-1], latency._ARRAY_STEPS):
+            assert array_step is step
+            found = latency._least_reaching_all(step, array_guess, targets)
+            assert found.dtype == np.float64 and found.shape == targets.shape
+            assert found.tolist() == [latency._least_reaching(step, guess, t) for t in targets]
+            assert found.tolist() == [bisect_least(step, t) for t in targets]
+
+    def test_array_search_falls_back(self, monkeypatch):
+        # the targets of test_fallback do not settle in _NUDGES rounds, so
+        # they, and only they, go to the scalar search
+        fallbacks = []
+        scalar = latency._least_reaching
+
+        def spy(step, guess, t):
+            fallbacks.append((step, t))
+            return scalar(step, guess, t)
+
+        monkeypatch.setattr(latency, "_least_reaching", spy)
+        targets = np.array([5e-324, 1e-320, 1.0, 1e-3, 0.5])
+        for step, guess in latency._ARRAY_STEPS:
+            latency._least_reaching_all(step, guess, targets)
+        assert {(z_plus, 5e-324), (z_plus, 1e-320), (z_minus, 1.0)} <= set(fallbacks)
+        assert {t for _step, t in fallbacks} <= {5e-324, 1e-320, 1.0}
 
     @settings(max_examples=100, deadline=None)
     @given(zs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
