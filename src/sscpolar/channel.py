@@ -18,8 +18,8 @@ import numpy as np
 
 # LLR magnitudes are clamped here so that arithmetic stays total:
 # tanh(LLR_CAP / 2) rounds to 1.0 in float64 without producing NaN downstream.
-# The same rounding makes F on the BEC's LLRs, +-LLR_CAP and +-0 only,
-# exactly a0*a1/LLR_CAP, the kernel codec._f_erasure computes.
+# The same rounding keeps F on the BEC's LLRs, +-LLR_CAP and +-0 only, in
+# that set, so codec decodes BEC frames as erasure and sign bits.
 LLR_CAP = 300.0
 
 _BISECTION_ITERS = 200

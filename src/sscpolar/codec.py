@@ -22,7 +22,9 @@ frame diverges where SC's bits differ from the saved ones.  The executor
 runs a schedule over frame-interleaved buffers: the channel LLRs, one
 (2^s, frames) LLR array a level s >= 1, so a node's halves are contiguous
 row blocks, a 2-row block at level 0, and one (N, frames) array of partial
-sums, in place.  Its kernels' scratch is a level buffer no later op reads.
+sums, in place; on the BEC's bit-planes (below) each LLR buffer is two
+planes of those rows and the partial sums are packed, 8 frames a byte.  Its
+kernels' scratch is a level buffer no later op reads.
 
 Ops skip the LLRs that the node kinds show no decision reads.  A MIXED
 node above level 1 runs F, G and COMBINE, except that the F or G into a
@@ -41,17 +43,22 @@ On the BEC every LLR is -LLR_CAP, +-0 or +LLR_CAP, and that set is closed
 under both ops: the channel gives only these values; F's tanh(+-LLR_CAP/2)
 rounds to +-1.0, so F's product is +-1 or +-0, and arctanh(+-1) = +-inf
 clamps to +-LLR_CAP; G's sum lies in {0, +-LLR_CAP, +-2*LLR_CAP}, which its
-clamp maps back into the set.  On the set F equals a0*a1/LLR_CAP bit for
-bit, the sign of zero included, since LLR_CAP^2 and LLR_CAP^2/LLR_CAP are
-exact: that kernel is _f_erasure.  All of this holds in float32 as well,
-so Monte Carlo BEC frames are made and decoded in float32, bit for bit: the
-set is exact there, LLR_CAP^2 = 90000 fits in float32's 24-bit
-significand, so _f_erasure's product and quotient and G's sums stay exact,
-and tanh(+-LLR_CAP/2) is +-1.0 in both widths, so the level-1 ops' signs
-and _tie_frames' logs (0 or -inf) are the same.  The executor reads the
-choice off the dtype, as G reads its sign bit's width: it runs _f_erasure
-on float32 LLRs, which only those frames are, and _f on the float64 ones
-of the other channels and of the public decoders.
+clamp maps back into the set.  So an LLR there is two bits, whether it is 0
+(erased) and whether it is negative, and SC is erasure propagation: F is
+erased where either input is, with the XOR of their signs; G is erased
+where both inputs are, and where both are known and a1's sign differs from
+a0's flipped by c, and otherwise takes a1's sign, or a0's flipped one where
+a1 is erased.  A leaf's bit is 1 where its LLR is known and negative, and a
+frame ties in a Rate-1 node exactly where one of the node's inputs is
+erased, which is where _tie_frames' log is -inf.  Monte Carlo BEC frames
+are made in float32, which holds the set exactly, and the executor packs
+float32 LLRs, which only those frames are, into an erasure plane and a sign
+plane, 8 frames a byte, and decodes them with bitwise kernels: the pass,
+the SC runs on tie frames and the check, bit for bit as the float64 kernels
+decide, and with no tanh, arctanh or log, so with no dependence on numpy's
+SIMD dispatch.  The executor reads its kernel set off its LLRs' dtype: the
+planes' on float32 and uint8 planes, and the float64 kernels for the other
+channels and the public decoders.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
 first, then noise, and sample_llrs's own draws-to-LLR map, channel._llrs,
@@ -267,34 +274,149 @@ def _f(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
     _clamp(o)
 
 
-def _f_erasure(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
-    """F into o for a's halves a0, a1 whose entries are all -LLR_CAP, +-0 or +LLR_CAP.
-
-    There _f's result is a0*a1/LLR_CAP bit for bit (see the module docstring),
-    which costs two ufunc passes and no scratch: t is unused.
-    """
-    h = o.shape[0]
-    np.multiply(a[:h], a[h:], out=o)
-    o /= LLR_CAP
-
-
-# The unsigned integer of each float width and the shift to its sign bit
-_SIGN_BIT = {4: (np.dtype(np.uint32), 31), 8: (np.dtype(np.uint64), 63)}
-
-
 def _g(a: np.ndarray, c: np.ndarray, o: np.ndarray) -> None:
     """G into o, unclamped: a1 + (1-2c)*a0 for a's halves a0, a1 and the left child's bits c.
 
-    a and o are float64, or float32 on the BEC.  Multiplying by -1.0 flips
-    exactly the sign bit, so o, viewed as the unsigned integers of its width,
-    is scratch for (1-2c)*a0.
+    a and o are float64.  Multiplying by -1.0 flips exactly the sign bit, so
+    o, viewed as uint64, is scratch for (1-2c)*a0.
     """
     h = o.shape[0]
-    uint, shift = _SIGN_BIT[o.itemsize]
-    u = o.view(uint)
-    np.left_shift(c, shift, out=u, dtype=uint)
-    np.bitwise_xor(a[:h].view(uint), u, out=u)
+    u = o.view(np.uint64)
+    np.left_shift(c, 63, out=u, dtype=np.uint64)
+    np.bitwise_xor(a[:h].view(np.uint64), u, out=u)
     np.add(a[h:], o, out=o)
+
+
+def _g_clamped(a: np.ndarray, c: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
+    """The executor's G on LLRs: _g, then the clamp; t is unused."""
+    _g(a, c, o)
+    _clamp(o)
+
+
+def _level1(op: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """A level-1 op on LLRs: a holds the node's 2 input rows, b its 2 partial
+    sums, and t is scratch shaped like a.
+
+    A leaf's bit is the sign of its LLR, which F keeps without its arctanh,
+    x2 and clamp and G without its clamp; a frozen left leaf's bit is 0.
+    This is SC's own computation, so a Rate-1 node here needs no tie check.
+    """
+    if op == FROZEN_INFO:
+        np.add(a[1], a[0], out=t[0])
+        np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
+    else:
+        np.multiply(a, 0.5, out=t)
+        np.tanh(t, out=t)
+        np.multiply(t[0], t[1], out=t[0])
+        np.less(t[0], 0.0, out=b[0])
+        if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
+            _g(a, b[:1], t[1:])
+            np.less(t[1], 0.0, out=b[1])
+            b[0] ^= b[1]
+
+
+def _rate1(s: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """A Rate-1 node above level 1 on LLRs: the hard decision, or SC's bits on tie frames."""
+    np.less(a, 0.0, out=b)
+    ties = _tie_frames(a, t)
+    if ties.size:
+        b[:, ties] = _execute(_inside(s), a[:, ties])
+
+
+# ---------------------------------------------------------------------------
+# erasure/sign bit-planes: the BEC's LLRs, 8 frames a byte
+# ---------------------------------------------------------------------------
+
+def _planes(llr: np.ndarray) -> np.ndarray:
+    """BEC LLRs (rows, frames) as planes (2, rows, W) uint8, W = ceil(frames/8).
+
+    Plane 0 marks the erased LLRs (+-0) and plane 1 the negative ones, each
+    packed along frames, frame j in bit 7 - j % 8 of byte j // 8.  Padding
+    bits are 0, a known positive LLR, and no frame reads another's bits.
+    Each plane is one contiguous block: on the halves of a node, bitwise
+    ufuncs ran 3-6 times faster than on planes interleaved row by row.
+    """
+    p = np.empty((2, llr.shape[0], -(-llr.shape[1] // 8)), np.uint8)
+    p[0] = np.packbits(llr == 0.0, axis=-1)
+    p[1] = np.packbits(llr < 0.0, axis=-1)
+    return p
+
+
+def _f_planes(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
+    """F into o on planes: erased where a0 or a1 is, with the XOR of their signs; t is unused."""
+    h = o.shape[1]
+    np.bitwise_or(a[0, :h], a[0, h:], out=o[0])
+    np.bitwise_xor(a[1, :h], a[1, h:], out=o[1])
+
+
+def _g_planes(a: np.ndarray, c: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
+    """G into o on planes, for a's halves a0, a1 and the left child's packed bits c.
+
+    a1 + (1-2c)*a0, clamped, is erased where both are, and where both are
+    known and a1's sign differs from a0's flipped one (their sum is 0); it
+    takes a1's sign, or a0's flipped one where a1 is erased.  Where both are
+    erased the sign plane holds any bit.  t is scratch with at least o's
+    rows of one plane.
+    """
+    h = o.shape[1]
+    e0, s0, e1, s1 = a[0, :h], a[1, :h], a[0, h:], a[1, h:]
+    e, s = o
+    d = t.reshape(-1, t.shape[-1])[:h]
+    np.bitwise_xor(s0, s1, out=d)
+    d ^= c  # where a1's sign differs from a0's flipped one
+    np.bitwise_and(e1, d, out=s)
+    s ^= s1
+    d |= e0
+    np.bitwise_xor(e0, e1, out=e)
+    e &= d
+    e ^= d  # (e0 | d) & ~(e0 ^ e1)
+
+
+def _decided(p: np.ndarray, b: np.ndarray) -> None:
+    """b = the bits of the planes p: 1 where an LLR is known and negative."""
+    np.bitwise_or(p[1], p[0], out=b)
+    b ^= p[0]
+
+
+def _level1_planes(op: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """A level-1 op on planes, deciding as _level1 does; t is scratch shaped like a.
+
+    Of the inputs a0 and a1, let E0, E1 be their erasure planes and N0, N1
+    their bits (_decided).  u0, F's bit, is 1 where both are known with
+    different signs.  G's bit u1 is N1 | E1 & N0 after u0, and after a
+    frozen left leaf (c = 0), where two known inputs of different signs sum
+    to 0, N1 & (N0 | E0) | E1 & N0.
+    """
+    (e0, e1), (s0, s1), n = a[0], a[1], t[0]
+    if op == FROZEN_INFO:
+        _decided(a, n)
+        np.bitwise_or(n[0], e0, out=b[0])
+        b[0] &= n[1]
+        np.bitwise_and(e1, n[0], out=b[1])
+        b[0] |= b[1]
+        b[1] = b[0]  # u1, and u0 ^ u1 = u1
+        return
+    np.bitwise_xor(s0, s1, out=b[0])
+    np.bitwise_or(e0, e1, out=t[1, 0])
+    b[0] |= t[1, 0]
+    b[0] ^= t[1, 0]
+    if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
+        _decided(a, n)
+        np.bitwise_and(e1, n[0], out=b[1])
+        b[1] |= n[1]
+        b[0] ^= b[1]
+
+
+def _rate1_planes(s: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """A Rate-1 node above level 1 on planes: the decided inputs, or, on tie
+    frames, the bits of _inside run on the node's planes."""
+    _decided(a, b)
+    ties = _tie_frames(a, t)
+    if ties.size:
+        sc = _execute(_inside(s), a)
+        sc ^= b
+        sc &= ties
+        b ^= sc
 
 
 # log of 1e-250: far above the subnormal range, so rounding cannot reach 0
@@ -309,10 +431,16 @@ def _tie_frames(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     Every LLR SC computes there has tanh(|llr|/2) >= the product of
     tanh(|a|/2) over the node's inputs, and the leftmost leaf attains it, so
     a frame is tie-free when the log of that product stays above
-    _LOG_TIE_FREE.  An exact 0 in the input (a BEC erasure) gives -inf.
-    t is scratch shaped like one half of a, untiled: numpy sums a column row
-    by row over 2+ frames but pairwise over 1, so tiles could move a tie.
+    _LOG_TIE_FREE; it is -inf exactly where an input is 0.  On LLRs this
+    returns the tie frames' indices.  t is scratch shaped like one half of
+    a, untiled: numpy sums a column row by row over 2+ frames but pairwise
+    over 1, so tiles could move a tie.  On planes a frame ties where an
+    input is erased, and this returns the packed mask of those frames, or
+    an empty array if there is none.
     """
+    if a.dtype == np.uint8:
+        ties = np.bitwise_or.reduce(a[0], axis=0)
+        return ties if ties.any() else ties[:0]
     h = a.shape[0] // 2
     total = np.zeros(a.shape[1])
     for half in (a[:h], a[h:]):
@@ -328,62 +456,47 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
              saved: Optional[dict[int, list]] = None) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
-    Returns the root's partial sums, the (N, frames) bool codeword estimate.
-    Level s keeps one (2^s, frames) LLR buffer A[s], so both halves of every
-    node are contiguous blocks, and node (s, lo) owns rows lo .. lo + 2^s - 1
+    The LLRs' dtype picks the kernels.  float64 LLRs run the float kernels,
+    and the result is the root's partial sums, the (N, frames) bool codeword
+    estimate.  float32 LLRs, which only _frame_batches' BEC frames are, are
+    packed into planes (_planes), and uint8 LLRs are planes already, as the
+    inline SC runs on a Rate-1 node's tie frames pass them; on planes the
+    bitwise kernels run, and the partial sums are packed along frames,
+    (N, W) uint8.  Level s keeps one LLR buffer A[s] of 2^s rows, (2^s,
+    frames) or planes (2, 2^s, W), so both halves of every node are
+    contiguous blocks of rows, and node (s, lo) owns rows lo .. lo + 2^s - 1
     of the partial sums; no op writes leaf LLRs, so A[0] is 2 rows.  Each
-    kernel's scratch is a buffer below its node that no later op reads: F at
-    level s borrows A[s-2], a Rate-1 node at level s > 1 (no children) lends
-    A[s-1] to _tie_frames, and the level-1 ops borrow A[0].  All take llr's
-    dtype, float64 or, for BEC frames, float32, as do the inputs of the
-    inline SC run on a Rate-1 node's tie frames.  F is _f_erasure on float32
-    LLRs, which only _frame_batches' BEC frames are, and _f on float64 ones.
-    With `saved`, every Rate-1 node above level 1 appends copies of its input
-    and bits, (a, b), to saved[s].
+    kernel's scratch is a buffer below its node that no later op reads: F,
+    and G on planes, at level s borrow A[s-2], a Rate-1 node at level s > 1 (no
+    children) lends A[s-1] to _tie_frames, and the level-1 ops borrow A[0].
+    With `saved`, every Rate-1 node above level 1 appends copies of its
+    input and bits, (a, b), to saved[s].
     """
-    f = _f_erasure if llr.dtype == np.float32 else _f
-    N, frames = llr.shape
+    if llr.dtype == np.float32:
+        llr = _planes(llr)
+    if llr.dtype == np.uint8:
+        f, g, level1, rate1 = _f_planes, _g_planes, _level1_planes, _rate1_planes
+    else:
+        f, g, level1, rate1 = _f, _g_clamped, _level1, _rate1
+    *planes, N, W = llr.shape
     n = N.bit_length() - 1
-    A = [np.empty((max(1 << s, 2), frames), llr.dtype) for s in range(n)] + [llr]
-    B = np.zeros((N, frames), dtype=bool)
+    A = [np.empty((*planes, max(1 << s, 2), W), llr.dtype) for s in range(n)] + [llr]
+    B = np.zeros((N, W), dtype=np.uint8 if planes else bool)
     # arctanh(+-1) is +-inf, which the clamp saturates; log(0) is -inf
     with np.errstate(divide="ignore"):
         for op, s, lo in ops:
             if op == F:
                 f(A[s], A[s - 1], A[s - 2])
             elif op == G:
-                h = 1 << (s - 1)
-                o = A[s - 1]
-                _g(A[s], B[lo:lo + h], o)
-                _clamp(o)
+                g(A[s], B[lo:lo + (1 << (s - 1))], A[s - 1], A[s - 2])
             elif op == COMBINE:
                 h = 1 << (s - 1)
                 B[lo:lo + h] ^= B[lo + h:lo + 2 * h]
-            elif op > RATE0 or op == RATE1 and s == 1:
-                # A level-1 node with an information leaf.  A leaf's bit is
-                # the sign of its LLR, which F keeps without its arctanh, x2
-                # and clamp and G without its clamp; a frozen left leaf's bit
-                # is 0.  This is SC's own computation, so a Rate-1 node here
-                # needs no tie check.
-                a, b, t = A[1], B[lo:lo + 2], A[0]
-                if op == FROZEN_INFO:
-                    np.add(a[1], a[0], out=t[0])
-                    np.less(t[0], 0.0, out=b)  # u1, and u0 ^ u1 = u1
-                else:
-                    np.multiply(a, 0.5, out=t)
-                    np.tanh(t, out=t)
-                    np.multiply(t[0], t[1], out=t[0])
-                    np.less(t[0], 0.0, out=b[0])
-                    if op != INFO_FROZEN:  # INFO_INFO or RATE1: two information leaves
-                        _g(a, b[:1], t[1:])
-                        np.less(t[1], 0.0, out=b[1])
-                        b[0] ^= b[1]
-            elif op == RATE1:  # above level 1: the hard decision, or SC's bits on tie frames
+            elif op > RATE0 or op == RATE1 and s == 1:  # a level-1 node with an information leaf
+                level1(op, A[1], B[lo:lo + 2], A[0])
+            elif op == RATE1:
                 a, b = A[s], B[lo:lo + (1 << s)]
-                np.less(a, 0.0, out=b)
-                ties = _tie_frames(a, A[s - 1])
-                if ties.size:
-                    b[:, ties] = _execute(_inside(s), a[:, ties])
+                rate1(s, a, b, A[s - 1])
                 if saved is not None:
                     saved.setdefault(s, []).append((a.copy(), b.copy()))
             # RATE0: a frozen node's partial sums stay 0
@@ -397,15 +510,18 @@ def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int) -> n
     side by side, `frames` columns each.
     """
     d = _execute(_inside(s), x)
+    if x.dtype == np.float32:  # decided on planes, packed along x's columns
+        d = np.unpackbits(d, axis=1, count=x.shape[1]).view(bool)
     d ^= bits
     return d.any(axis=0).reshape(-1, frames)
 
 
 def _decode(ops: Iterable[Op], llr: np.ndarray,
             saved: Optional[dict[int, list]] = None) -> np.ndarray:
-    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs."""
+    """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs;
+    packed along frames, (N, W), for float32 ones, which decode on planes."""
     x = _execute(ops, llr, saved).view(np.uint8)
-    return _butterflies(x, llr.shape[0], llr.shape[1])  # the transform is an involution
+    return _butterflies(x, x.shape[0], x.shape[1])  # the transform is an involution
 
 
 def _check_llrs(code: PolarCode, llrs: np.ndarray) -> np.ndarray:
@@ -612,8 +728,8 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 # which grow with the share of leaves under Rate-1 nodes), so a batch stays
 # near 80-115 MB: 1024 frames up to n = 12, 256 at n = 14, 64 at n = 16 and
 # 4 at n = 20.  At n = 16, 256 trials took 10 % longer in 64-frame batches
-# than in 128-frame ones, at half the peak.  BEC batches are made and decoded
-# in float32 and peak near half that: 10.9, 10.7 and 11.0 bytes a frame-bit
+# than in 128-frame ones, at half the peak.  BEC batches are made in float32
+# and decoded on bit-planes, and peak at 7.5, 7.0 and 7.4 bytes a frame-bit
 # at n = 10, 12 and 14 (I = 0.5, pe = 1e-3).
 _BATCH_FRAME_BITS = 1 << 22
 
@@ -635,8 +751,28 @@ def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
         yield _random_frames(code, channel, block, flat[:N * len(block)].reshape(N, len(block)))
 
 
-def _frame_errors(code: PolarCode, msg: np.ndarray, u_hat: np.ndarray) -> int:
-    return int((u_hat[~code.frozen] != msg).any(axis=0).sum())
+def _joined(pairs: list, frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """One level's saved Rate-1 inputs and bits, (a, b) a node, side by side:
+    (2^s, nodes * frames) LLRs and bool bits, `frames` columns a node.
+
+    Planes come back as float32 LLRs, (1 - 2*sign) * LLR_CAP where known and
+    +-0 where erased, which the check packs again, and packed bits are
+    unpacked; padding bits are dropped.
+    """
+    rows = pairs[0][1].shape[0]
+    if pairs[0][0].dtype == np.uint8:
+        e, s = np.unpackbits(np.stack([a for a, _b in pairs], axis=2), axis=-1, count=frames)
+        x = np.multiply(s.reshape(rows, -1), np.float32(-2 * LLR_CAP), dtype=np.float32)
+        x += np.float32(LLR_CAP)
+        x *= 1 - e.reshape(rows, -1)
+        b = np.unpackbits(np.stack([b for _a, b in pairs], axis=1), axis=-1, count=frames)
+        return x, b.reshape(rows, -1).view(bool)
+    x = np.empty((rows, len(pairs) * frames), pairs[0][0].dtype)
+    bits = np.empty(x.shape, dtype=bool)
+    for j in range(len(pairs)):  # each copy goes once it is joined
+        x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]
+        pairs[j] = None
+    return x, bits
 
 
 def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
@@ -662,10 +798,12 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     seed is an integer >= 0, and trial i's frame comes from stream i of
     _trial_streams(seed, trials).
 
-    _frame_batches makes BEC frames in float32, on which every F runs as
-    _f_erasure, equal to _f on their LLRs, so the shared pass, the SC runs on
-    tie frames, the saved Rate-1 inputs and the check all run in float32, bit
-    for bit as in float64 (see the module docstring).
+    _frame_batches makes BEC frames in float32, and _execute decodes those
+    on erasure/sign planes, 8 frames a byte: the shared pass, the SC runs on
+    tie frames and the check, which gets each level's saved planes back as
+    float32 LLRs.  The decisions, which stay packed through the pass and the
+    polar transform, are unpacked only to count frame errors and
+    divergences, `frames` bits a row, so padding bits never count.
     """
     trials, batch = _as_int(trials, "trials", 1), _as_int(batch, "batch", 1)
     seed = _as_int(seed, "seed", 0)
@@ -674,17 +812,13 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
         frames = llr.shape[1]
         saved = {}
-        u_ssc = _decode(ops, llr, saved)
+        u_ssc = _decode(ops, llr, saved)[~code.frozen]
+        if llr.dtype == np.float32:  # decided on planes
+            u_ssc = np.unpackbits(u_ssc, axis=1, count=frames)
         diverged = np.zeros(frames, dtype=bool)
         for s, pairs in saved.items():  # after the pass's buffers are freed
-            x = np.empty((1 << s, len(pairs) * frames), llr.dtype)
-            bits = np.empty(x.shape, dtype=bool)
-            for j in range(len(pairs)):  # each copy goes once it is joined
-                x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]
-                pairs[j] = None
-            diverged |= _rate1_divergence(s, x, bits, frames).any(axis=0)
-            del x, bits
+            diverged |= _rate1_divergence(s, *_joined(pairs, frames), frames).any(axis=0)
         agree += frames - int(np.count_nonzero(diverged))
-        errors += _frame_errors(code, msg, u_ssc)
+        errors += int((u_ssc != msg).any(axis=0).sum())
         del u_ssc  # before the next batch's pass
     return agree, trials, errors / trials

@@ -196,12 +196,15 @@ def _tree(steps: Iterator[Step]) -> SscTree:
 
 
 # Bit patterns of the doubles in [0, 1] are ordered as their values.
-_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+def _bits(z: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", z))[0]
 
 
 def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
+
+_ONE_BITS = _bits(1.0)
 
 # Steps of math.nextafter from a closed-form guess before bisecting instead.
 _NUDGES = 4
@@ -213,7 +216,11 @@ def _least_reaching(step: Callable[[float], float], guess: Callable[[float], flo
 
     step must be non-decreasing on [0, 1].  guess(target) is a start a few
     ulps from the answer; when _NUDGES steps of nextafter do not settle it,
-    a bisection over the bit patterns of [0, 1] does.
+    steps of 1, 16, 256, ... bit patterns away from the last z bracket the
+    answer, and a bisection of the bracket settles it.  An answer a few
+    patterns away then costs a few evaluations where a bisection over all
+    of [0, 1] costs 62, and the growth of 16 keeps one 2^50 patterns away,
+    as subnormal targets of z_plus are, near that bisection's cost.
     """
     if not step(1.0) >= target:
         return math.inf
@@ -225,7 +232,17 @@ def _least_reaching(step: Callable[[float], float], guess: Callable[[float], flo
             z = below
         else:
             return z
-    lo, hi = -1, _ONE_BITS  # step fails at lo (or below 0.0) and holds at hi
+    # step fails at lo (or lo is -1, below 0.0) and holds at hi
+    lo = hi = _bits(z)
+    gap = 1
+    if step(z) >= target:
+        while (lo := hi - gap) >= 0 and step(_double(lo)) >= target:
+            hi, gap = lo, 16 * gap
+        lo = max(lo, -1)
+    else:
+        while (hi := lo + gap) < _ONE_BITS and step(_double(hi)) < target:
+            lo, gap = hi, 16 * gap
+        hi = min(hi, _ONE_BITS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if step(_double(mid)) >= target:

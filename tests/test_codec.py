@@ -44,9 +44,14 @@ from sscpolar.codec import (
     _decode,
     _execute,
     _f,
-    _f_erasure,
+    _f_planes,
     _frame_batches,
     _g,
+    _g_planes,
+    _joined,
+    _level1,
+    _level1_planes,
+    _planes,
     _rate1_divergence,
     _tie_frames,
     _trial_streams,
@@ -163,42 +168,92 @@ class TestFKernel:
 ERASURE_LLRS = np.array([-LLR_CAP, -0.0, 0.0, LLR_CAP])
 
 
-def f_block(kernel, a):
-    """A kernel's F of the (2h, frames) block a, as an (h, frames) array."""
+def f_block(a):
+    """The executor's F on LLRs of the (2h, frames) block a, as an (h, frames) array."""
     o, t = np.empty((a.shape[0] // 2, a.shape[1])), np.empty((a.shape[0] // 2, a.shape[1]))
     with np.errstate(divide="ignore"):
-        kernel(a, o, t)
+        _f(a, o, t)
     return o
 
 
-class TestFErasureKernel:
-    """_f_erasure is _f bit for bit on the BEC's LLRs."""
+def plane_bits(p, frames):
+    """(erased, negative): planes (2, rows, W) unpacked to two (rows, frames) bool arrays."""
+    u = np.unpackbits(p, axis=-1, count=frames).view(bool)
+    return u[0], u[1] & ~u[0]
 
-    def test_premises(self):
-        # _f's tanh of a saturated LLR is exactly +-1, and its arctanh of 1 is
-        # inf, which the clamp takes to LLR_CAP: a numpy that changes either
-        # breaks _f_erasure's equality with _f
-        assert np.tanh(LLR_CAP / 2) == 1.0
-        assert np.tanh(-LLR_CAP / 2) == -1.0
-        with np.errstate(divide="ignore"):
-            assert np.arctanh(1.0) == np.inf
 
-    def test_all_sixteen_pairs_bitwise(self):
-        a = np.array(list(itertools.product(ERASURE_LLRS, repeat=2))).T  # (2, 16)
-        expected = f_block(_f, a)
-        assert np.array_equal(f_block(_f_erasure, a).view(np.uint64), expected.view(np.uint64))
-        # both signs of zero come out, so the comparison sees the sign bit
-        assert {str(x) for x in expected[0]} == {"-300.0", "-0.0", "0.0", "300.0"}
+def assert_planes_hold(p, llr):
+    """The planes p are the LLRs llr: erased where llr is +-0, negative where llr < 0."""
+    erased, negative = plane_bits(p, llr.shape[1])
+    assert np.array_equal(erased, llr == 0) and np.array_equal(negative, llr < 0)
+
+
+def as_planes(a, erased_signs=0):
+    """The planes of the LLR block a, with the sign bits of its erased LLRs,
+    which no kernel reads, set where the packed erased_signs has ones."""
+    p = _planes(a.astype(np.float32))
+    p[1] |= p[0] & erased_signs
+    return p
+
+
+def plane_f_g(p, c):
+    """The planes' F and G of the planes p of 2h rows, c the (h, frames) left bits."""
+    f = np.empty((2, p.shape[1] // 2, p.shape[2]), np.uint8)
+    g = np.empty_like(f)
+    _f_planes(p, f, None)
+    _g_planes(p, np.packbits(c, axis=-1), g, np.empty_like(f[0]))
+    return f, g
+
+
+def g_block(a, c):
+    """The executor's G on LLRs, clamped, of the block a and the left bits c."""
+    o = np.empty(c.shape)
+    _g(a, c, o)
+    _clamp(o)
+    return o
+
+
+class TestPlaneKernels:
+    """On the BEC's LLRs the planes' kernels are _f's and _g's, clamped, and
+    the level-1 ops decide as on LLRs, whatever an erased LLR's sign bit."""
+
+    @pytest.mark.parametrize("erased_signs", [0, 255])
+    def test_every_case(self, erased_signs):
+        # {+-LLR_CAP, +-0}^2 x {c = 0, 1}: _f and _g stay in the set, both
+        # signs of zero come out, and the planes hold each result
+        a = np.tile(np.array(list(itertools.product(ERASURE_LLRS, repeat=2))).T, 2)  # (2, 32)
+        c = np.repeat([False, True], 16)[None]
+        f, g = f_block(a), g_block(a, c)
+        for out in (f, g):
+            assert {str(x) for x in out[0]} == {"-300.0", "-0.0", "0.0", "300.0"}
+        f_planes, g_planes = plane_f_g(as_planes(a, erased_signs), c)
+        assert_planes_hold(f_planes, f)
+        assert_planes_hold(g_planes, g)
 
     @settings(max_examples=50, deadline=None)
     @given(log_h=st.integers(min_value=0, max_value=7),
            frames=st.integers(min_value=1, max_value=40),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_random_blocks_bitwise(self, log_h, frames, seed):
+    def test_random_blocks(self, log_h, frames, seed):
+        # frames that are not a multiple of 8 leave padding bits in each row
         rng = np.random.default_rng(seed)
         a = ERASURE_LLRS[rng.integers(0, 4, (2 << log_h, frames))]
-        assert np.array_equal(f_block(_f_erasure, a).view(np.uint64),
-                              f_block(_f, a).view(np.uint64))
+        c = rng.random((1 << log_h, frames)) < 0.5
+        p = as_planes(a, rng.integers(0, 256, (2 << log_h, -(-frames // 8)), dtype=np.uint8))
+        f_planes, g_planes = plane_f_g(p, c)
+        assert_planes_hold(f_planes, f_block(a))
+        assert_planes_hold(g_planes, g_block(a, c))
+
+    @pytest.mark.parametrize("erased_signs", [0, 255])
+    @pytest.mark.parametrize("op", [FROZEN_INFO, INFO_FROZEN, INFO_INFO])
+    def test_level1_ops_on_every_case(self, op, erased_signs):
+        a = np.array(list(itertools.product(ERASURE_LLRS, repeat=2))).T  # (2, 16)
+        b, t = np.zeros((2, 16), bool), np.empty((2, 16))
+        _level1(op, a, b, t)
+        p = as_planes(a, erased_signs)
+        bits = np.zeros((2, 2), np.uint8)
+        _level1_planes(op, p, bits, np.empty_like(p))
+        assert np.array_equal(np.unpackbits(bits, axis=-1).view(bool), b)
 
 
 class TestGKernel:
@@ -800,33 +855,19 @@ class TestMonteCarlo:
         for _msg, llr in _frame_batches(code, channel, trials, seed, batch):
             assert np.isin(llr.astype(np.float64).view(np.uint64), allowed).all()
 
-    @pytest.mark.parametrize("kind, used, unused", [
-        (ChannelKind.BEC, "_f_erasure", "_f"),
-        (ChannelKind.BAWGNC, "_f", "_f_erasure"),
-    ])
-    def test_channel_picks_the_f_kernel(self, monkeypatch, kind, used, unused):
-        # The code's frozen and information blocks of 4 make Rate-1 nodes with
-        # and without tie frames on the BEC, so its F ops run in the shared
-        # pass, inline in tie nodes and after the pass.
-        calls, ties = Counter(), Counter()
-        for name, kernel in (("_f", _f), ("_f_erasure", _f_erasure)):
+    def test_channel_picks_the_f_kernel(self, monkeypatch):
+        # BAWGNC batches run _f, in the shared pass and in the check, and
+        # never the planes' F
+        calls = Counter()
+        for name, kernel in (("_f", _f), ("_f_planes", _f_planes)):
             def spy(a, o, t, name=name, kernel=kernel):
                 calls[name] += 1
                 kernel(a, o, t)
             monkeypatch.setattr(f"sscpolar.codec.{name}", spy)
-
-        def tie_spy(a, t):
-            frames = _tie_frames(a, t)
-            ties[bool(frames.size)] += 1
-            return frames
-
-        monkeypatch.setattr("sscpolar.codec._tie_frames", tie_spy)
-        channel = channel_from_capacity(kind, 0.5)
+        channel = channel_from_capacity(ChannelKind.BAWGNC, 0.5)
         code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
         sc_ssc_agreement(code, channel, 24, 5, 7)
-        assert calls[used] > 0 and calls[unused] == 0
-        if kind is ChannelKind.BEC:
-            assert ties[True] > 0 and ties[False] > 0
+        assert calls["_f"] > 0 and calls["_f_planes"] == 0
 
     @pytest.mark.parametrize("kind, dtype", [
         (ChannelKind.BEC, np.float32),
@@ -834,11 +875,13 @@ class TestMonteCarlo:
         (ChannelKind.BAWGNC, np.float64),
     ])
     def test_channel_picks_the_llr_dtype(self, monkeypatch, kind, dtype):
-        # Only BEC batches are made and decoded in float32: the frames, the
-        # shared pass, which reads each batch's buffer itself, the inline SC
-        # runs on tie frames and the check over each level's joined Rate-1
-        # block.  The code is test_channel_picks_the_f_kernel's.
-        batches, passes, checks, uncast = [], [], [], []
+        # Only BEC batches are made in float32, and only they decode on uint8
+        # planes: the shared pass, which reads each batch's buffer itself,
+        # and the check over each level's joined Rate-1 block pack their
+        # float32 LLRs into planes once each, and the inline SC runs on tie
+        # frames take a node's planes.  The code's frozen and information
+        # blocks of 4 make Rate-1 nodes with and without tie frames on the BEC.
+        batches, passes, checks, uncast, packed = [], [], [], [], []
 
         def batches_spy(*args):
             for msg, llr in _frame_batches(*args):
@@ -855,22 +898,52 @@ class TestMonteCarlo:
             checks.append(x.dtype)
             return _rate1_divergence(s, x, bits, frames)
 
+        def planes_spy(llr):
+            p = _planes(llr)
+            packed.append((llr.dtype, p.dtype))
+            return p
+
         monkeypatch.setattr("sscpolar.codec._frame_batches", batches_spy)
         monkeypatch.setattr("sscpolar.codec._execute", execute_spy)
         monkeypatch.setattr("sscpolar.codec._rate1_divergence", divergence_spy)
+        monkeypatch.setattr("sscpolar.codec._planes", planes_spy)
         channel = channel_from_capacity(kind, 0.5)
         code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
         sc_ssc_agreement(code, channel, 24, 5, 7)
         assert {llr.dtype for llr in batches} == {np.dtype(dtype)}
         assert uncast == [True] * 4
-        assert {d for d, _rows in passes} == {np.dtype(dtype)}
         assert set(checks) == {np.dtype(dtype)}
         # passes over whole frames, and SC inside Rate-1 nodes of 4 leaves
         assert {rows for _d, rows in passes} >= {256, 4}
         if kind is ChannelKind.BEC:
-            # beyond the 4 batches' passes and one SC run a check, SC ran
-            # inline on tie frames
-            assert len(passes) > 4 + len(checks)
+            # beyond the 4 batches' passes and one SC run a check, each
+            # packed once, SC ran inline on tie frames' planes
+            float32 = [rows for d, rows in passes if d == np.float32]
+            assert len(float32) == 4 + len(checks)
+            assert packed == [(np.float32, np.uint8)] * len(float32)
+            assert {d for d, _rows in passes} == {np.dtype(np.float32), np.dtype(np.uint8)}
+        else:
+            assert {d for d, _rows in passes} == {np.dtype(dtype)}
+            assert packed == []
+
+    def test_bec_agreement_calls_no_transcendental_function(self, monkeypatch):
+        # BEC batches decode with bitwise ops only, so their bits cannot
+        # depend on which SIMD kernels numpy dispatches to; the code of
+        # test_channel_picks_the_llr_dtype runs SC inline on tie frames, and
+        # the same spies see the BAWGNC's kernels call all three
+        calls = Counter()
+        for name in ("tanh", "arctanh", "log"):
+            def spy(*args, name=name, ufunc=getattr(np, name), **kwargs):
+                calls[name] += 1
+                return ufunc(*args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        for kind in (ChannelKind.BEC, ChannelKind.BAWGNC):
+            channel = channel_from_capacity(kind, 0.5)
+            code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
+            sc_ssc_agreement(code, channel, 24, 5, 7)
+            if kind is ChannelKind.BEC:
+                assert calls == Counter()
+        assert set(calls) == {"tanh", "arctanh", "log"}
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=1, max_value=10),
@@ -883,27 +956,45 @@ class TestMonteCarlo:
              seed=3855495969)
     def test_float32_pass_is_exact_on_the_bec(self, n, log_block, pattern, erasure, trials,
                                               seed):
-        # sc_ssc_agreement's BEC batches: the float32 pass with _f_erasure
-        # decodes, saves and checks what the float64 pass with _f does, bit
-        # for bit, signed zeros included; ties occur at any erasure probability
+        # sc_ssc_agreement's BEC batches: the pass on the planes of the
+        # float32 frames decides, finds tie frames, saves and checks what the
+        # float64 pass with _f does; ties occur at any erasure probability
         channel = BmsChannel(ChannelKind.BEC, erasure)
         code = code_from_frozen(channel, block_mask(n, log_block, pattern), 1e-2)
         ops = list(ssc_schedule(build_ssc_tree(code)))
-        for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
-            saved32, saved64 = {}, {}
-            u32 = _decode(ops, llr, saved32)
-            assert np.array_equal(u32, _decode(ops, llr.astype(np.float64), saved64))
-            assert saved32.keys() == saved64.keys()
-            for s, pairs in saved64.items():
-                assert len(saved32[s]) == len(pairs)
-                for (x32, b32), (x64, b64) in zip(saved32[s], pairs):
-                    assert x32.dtype == np.float32
-                    assert np.array_equal(x32.astype(np.float64).view(np.uint64),
-                                          x64.view(np.uint64))
-                    assert np.array_equal(b32, b64)
-                    assert np.array_equal(
-                        _rate1_divergence(s, x32, b32, llr.shape[1]),
-                        _rate1_divergence(s, x64, b64, llr.shape[1]))
+        ties = {np.uint8: [], np.float64: []}
+
+        def tie_spy(a, t):  # each Rate-1 node's tie frames, as a bool mask
+            found = _tie_frames(a, t)
+            mask = np.zeros(frames, bool)
+            if a.dtype != np.uint8:
+                mask[found] = True
+            elif found.size:  # a packed mask on planes, empty if no frame ties
+                mask = np.unpackbits(found, count=frames).view(bool)
+            ties[a.dtype.type].append(mask)
+            return found
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr("sscpolar.codec._tie_frames", tie_spy)
+            for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
+                frames = llr.shape[1]
+                saved_planes, saved64 = {}, {}
+                u = _decode(ops, llr, saved_planes)
+                assert np.array_equal(np.unpackbits(u, axis=1, count=frames),
+                                      _decode(ops, llr.astype(np.float64), saved64))
+                assert len(ties[np.uint8]) == len(ties[np.float64])
+                assert all(map(np.array_equal, ties[np.uint8], ties[np.float64]))
+                ties = {np.uint8: [], np.float64: []}
+                assert saved_planes.keys() == saved64.keys()
+                for s, pairs in saved64.items():
+                    assert len(saved_planes[s]) == len(pairs)
+                    assert all(a.dtype == np.uint8 for a, _b in saved_planes[s])
+                    x, bits = _joined(saved_planes[s], frames)
+                    x64, bits64 = _joined(pairs, frames)
+                    assert np.array_equal(x == 0, x64 == 0) and np.array_equal(x < 0, x64 < 0)
+                    assert np.array_equal(bits, bits64)
+                    assert np.array_equal(_rate1_divergence(s, x, bits, frames),
+                                          _rate1_divergence(s, x64, bits64, frames))
 
     @pytest.mark.parametrize("kind, n, trials, digest", [
         (ChannelKind.BEC, 10, 2048,

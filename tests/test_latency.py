@@ -580,6 +580,22 @@ class TestThresholdTables:
         assert z == bisect_least(step, t)
         assert step(z) >= t > step(math.nextafter(z, 0.0))
 
+    @pytest.mark.parametrize("t", [0.99688, 0.99844])
+    def test_plateau_targets_take_few_steps(self, t):
+        # z_minus is flat near 1, about 9 doubles a value, so its guess lands
+        # mid-plateau and the nudges do not settle; the bracket around the
+        # last nudge takes 16 steps where a bisection over [0, 1] took 71.
+        # z_plus settles within its nudges.
+        for (step, guess), most in zip(STEPS, (1 + 2 * latency._NUDGES, 16)):
+            calls = []
+
+            def counted(z):
+                calls.append(z)
+                return step(z)
+
+            assert latency._least_reaching(counted, guess, t) == bisect_least(step, t)
+            assert len(calls) <= most
+
     @settings(max_examples=60, deadline=None)
     @given(log2_t=st.lists(st.floats(min_value=-1074.0, max_value=0.0), max_size=40))
     @example(log2_t=[-1074.0, -1022.0, 0.0])
