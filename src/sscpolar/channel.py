@@ -637,8 +637,8 @@ def _llrs(channel: BmsChannel, x: np.ndarray, noise: np.ndarray, out: np.ndarray
     out may be noise.  Overwrites x with the int8 sign 1 - 2x.  On the
     BAWGNC y = noise*sigma + sign, which is the symbol plus the scaled noise
     bit for bit, as the sign is exactly +-1 and IEEE addition commutes.  On
-    the BEC and BSC the LLR is an int8 sign times the magnitude, in out's
-    dtype: kept*(1-2x) * LLR_CAP, where int8 0 gives +0.0 if erased, and
+    the BEC and BSC the LLR is an int8 sign times the magnitude:
+    kept*(1-2x) * LLR_CAP, where int8 0 gives +0.0 if erased, and
     (1-2*(x^flipped)) * mag, where -1 * 0.0 is -0.0 at p = 1/2, as the
     BSC's LLRs are +-0.0 there.
     """
@@ -668,7 +668,7 @@ def _llrs(channel: BmsChannel, x: np.ndarray, noise: np.ndarray, out: np.ndarray
         mag = LLR_CAP
     else:
         mag = bsc_llr_magnitude(channel.param)
-    return np.multiply(sign, mag, out=out, dtype=out.dtype)
+    return np.multiply(sign, mag, out=out)
 
 
 def sample_llrs(channel: BmsChannel, codeword: np.ndarray, seed) -> np.ndarray:

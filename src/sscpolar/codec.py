@@ -51,24 +51,26 @@ a0's flipped by c, and otherwise takes a1's sign, or a0's flipped one where
 a1 is erased.  A leaf's bit is 1 where its LLR is known and negative, and a
 frame ties in a Rate-1 node exactly where one of the node's inputs is
 erased, which is where _tie_frames' log is -inf.  Monte Carlo BEC frames
-are made in float32, which holds the set exactly, and the executor packs
-float32 LLRs, which only those frames are, into an erasure plane and a sign
-plane, 8 frames a byte, and decodes them with bitwise kernels: the pass,
-the SC runs on tie frames and the check, bit for bit as the float64 kernels
-decide, and with no tanh, arctanh or log, so with no dependence on numpy's
-SIMD dispatch.  The executor reads its kernel set off its LLRs' dtype: the
-planes' on float32 and uint8 planes, and the float64 kernels for the other
+are made as an erasure plane and a sign plane, 8 frames a byte, and the
+executor decodes uint8 planes with bitwise kernels: the pass, the SC runs
+on tie frames and the check, bit for bit as the float64 kernels decide,
+and with no tanh, arctanh or log, so with no dependence on numpy's SIMD
+dispatch.  The executor reads its kernel set off its input's dtype: the
+planes' on uint8 planes, and the float64 kernels on the LLRs of the other
 channels and the public decoders.
 
 Monte Carlo frames come from one seeded stream per trial, message bits
-first, then noise, and sample_llrs's own draws-to-LLR map, channel._llrs,
-makes their LLRs, so every frame, read as float64, equals the per-frame
-path bit for bit.  Each block of 16 streams' noise is drawn frame-major and
-written transposed into the decoder's (N, frames) orientation: on the
-BAWGNC the draws go straight into the batch's LLR buffer, and on the BEC
-and BSC the bit each uniform draw decides whatever the codeword, kept or
-flipped, goes into one byte array.  The map then writes the batch's LLRs
-into its buffer in place, a tile of rows at a time.  Trial i's stream is
+first, then noise.  On the BAWGNC and BSC sample_llrs's own draws-to-LLR
+map, channel._llrs, makes their LLRs, so every frame equals the per-frame
+path bit for bit; on the BEC the planes are what that map's LLRs give,
+erased where they are +0.0 and negative where they are -LLR_CAP.  Each
+block of 16 streams' noise is drawn frame-major and written transposed
+into the decoder's (N, frames) orientation: on the BAWGNC the draws go
+straight into the batch's LLR buffer, and on the BEC and BSC the bit each
+uniform draw decides whatever the codeword, kept or flipped, goes into one
+byte array.  The map then writes the batch's LLRs into its buffer in
+place, a tile of rows at a time; on the BEC the kept bits and the
+codeword are packed into the planes instead.  Trial i's stream is
 PCG64 seeded by SeedSequence(seed).spawn(trials)[i], each batch's streams
 built for it with the seed words of all its children computed at once
 (_spawn_words), and its message bits are read off its raw words, as
@@ -325,22 +327,14 @@ def _rate1(s: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # erasure/sign bit-planes: the BEC's LLRs, 8 frames a byte
+#
+# Planes (2, rows, W) uint8, W = ceil(frames/8), hold LLRs (rows, frames):
+# plane 0 marks the erased ones (+-0) and plane 1 the negative ones, each
+# packed along frames, frame j in bit 7 - j % 8 of byte j // 8.  Padding bits
+# are 0, a known positive LLR, and no frame reads another's bits.  Each plane
+# is one contiguous block: on the halves of a node, bitwise ufuncs ran 3-6
+# times faster than on planes interleaved row by row.
 # ---------------------------------------------------------------------------
-
-def _planes(llr: np.ndarray) -> np.ndarray:
-    """BEC LLRs (rows, frames) as planes (2, rows, W) uint8, W = ceil(frames/8).
-
-    Plane 0 marks the erased LLRs (+-0) and plane 1 the negative ones, each
-    packed along frames, frame j in bit 7 - j % 8 of byte j // 8.  Padding
-    bits are 0, a known positive LLR, and no frame reads another's bits.
-    Each plane is one contiguous block: on the halves of a node, bitwise
-    ufuncs ran 3-6 times faster than on planes interleaved row by row.
-    """
-    p = np.empty((2, llr.shape[0], -(-llr.shape[1] // 8)), np.uint8)
-    p[0] = np.packbits(llr == 0.0, axis=-1)
-    p[1] = np.packbits(llr < 0.0, axis=-1)
-    return p
-
 
 def _f_planes(a: np.ndarray, o: np.ndarray, t: np.ndarray) -> None:
     """F into o on planes: erased where a0 or a1 is, with the XOR of their signs; t is unused."""
@@ -456,24 +450,20 @@ def _execute(ops: Iterable[Op], llr: np.ndarray,
              saved: Optional[dict[int, list]] = None) -> np.ndarray:
     """Run a schedule over frame-interleaved LLRs, llr[:, j] being frame j.
 
-    The LLRs' dtype picks the kernels.  float64 LLRs run the float kernels,
-    and the result is the root's partial sums, the (N, frames) bool codeword
-    estimate.  float32 LLRs, which only _frame_batches' BEC frames are, are
-    packed into planes (_planes), and uint8 LLRs are planes already, as the
-    inline SC runs on a Rate-1 node's tie frames pass them; on planes the
-    bitwise kernels run, and the partial sums are packed along frames,
-    (N, W) uint8.  Level s keeps one LLR buffer A[s] of 2^s rows, (2^s,
-    frames) or planes (2, 2^s, W), so both halves of every node are
-    contiguous blocks of rows, and node (s, lo) owns rows lo .. lo + 2^s - 1
-    of the partial sums; no op writes leaf LLRs, so A[0] is 2 rows.  Each
-    kernel's scratch is a buffer below its node that no later op reads: F,
-    and G on planes, at level s borrow A[s-2], a Rate-1 node at level s > 1 (no
-    children) lends A[s-1] to _tie_frames, and the level-1 ops borrow A[0].
+    The input's dtype picks the kernels.  float64 LLRs run the float
+    kernels, and the result is the root's partial sums, the (N, frames) bool
+    codeword estimate.  uint8 input is planes, (2, N, W), as _frame_batches
+    makes BEC frames: the bitwise kernels run, and the partial sums are
+    packed along frames, (N, W) uint8.  Level s keeps one LLR buffer A[s] of
+    2^s rows, (2^s, frames) or planes (2, 2^s, W), so both halves of every
+    node are contiguous blocks of rows, and node (s, lo) owns rows lo .. lo +
+    2^s - 1 of the partial sums; no op writes leaf LLRs, so A[0] is 2 rows.
+    Each kernel's scratch is a buffer below its node that no later op reads:
+    F, and G on planes, at level s borrow A[s-2], a Rate-1 node at level s > 1
+    (no children) lends A[s-1] to _tie_frames, and the level-1 ops borrow A[0].
     With `saved`, every Rate-1 node above level 1 appends copies of its
     input and bits, (a, b), to saved[s].
     """
-    if llr.dtype == np.float32:
-        llr = _planes(llr)
     if llr.dtype == np.uint8:
         f, g, level1, rate1 = _f_planes, _g_planes, _level1_planes, _rate1_planes
     else:
@@ -507,19 +497,21 @@ def _rate1_divergence(s: int, x: np.ndarray, bits: np.ndarray, frames: int) -> n
     """(nodes, frames) bool: where SC's bits differ from `bits`.
 
     x and bits hold the inputs and SSC's bits of Rate-1 nodes at level s
-    side by side, `frames` columns each.
+    side by side, as _joined lays them: `frames` columns a node, or on
+    planes ceil(frames/8) bytes, whose padding bits are dropped.
     """
     d = _execute(_inside(s), x)
-    if x.dtype == np.float32:  # decided on planes, packed along x's columns
-        d = np.unpackbits(d, axis=1, count=x.shape[1]).view(bool)
     d ^= bits
-    return d.any(axis=0).reshape(-1, frames)
+    planes = d.dtype == np.uint8
+    width = -(-frames // 8) if planes else frames
+    d = np.bitwise_or.reduce(d.reshape(d.shape[0], -1, width))
+    return np.unpackbits(d, axis=-1, count=frames).view(bool) if planes else d
 
 
 def _decode(ops: Iterable[Op], llr: np.ndarray,
             saved: Optional[dict[int, list]] = None) -> np.ndarray:
     """Input-bit estimates, (N, frames) uint8, for frame-interleaved LLRs;
-    packed along frames, (N, W), for float32 ones, which decode on planes."""
+    packed along frames, (N, W), for planes."""
     x = _execute(ops, llr, saved).view(np.uint8)
     return _butterflies(x, x.shape[0], x.shape[1])  # the transform is an involution
 
@@ -678,10 +670,10 @@ def _codewords(code: PolarCode, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Generator],
-                   llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Message bits (k, trials) and the LLRs, written into llr (N, trials),
-    frame-interleaved and in llr's dtype; each stream draws its message
-    bits, then its noise, as for sample_llrs, and the LLRs are _llrs's.
+                   out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Message bits (k, trials) and the frames, written into out, frame-interleaved:
+    the LLRs (N, trials), or on the BEC planes (2, N, ceil(trials/8)).  Each
+    stream draws its message bits, then its noise, as for sample_llrs.
 
     The message bits are rng.integers(0, 2, k, dtype=np.uint8), read off the
     stream's next ceil(k/8) raw words: that call draws each bit as a byte b
@@ -694,16 +686,17 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 
     Each stream of a block draws its message words and its noise row, and
     the block is written transposed into one (N, trials) target: on the
-    BAWGNC the draws themselves, into llr, which must then be float64; on
-    the BEC and BSC the bits _decide reads off them, into a bool array.
-    After the last block _codewords encodes the messages, and _llrs maps
-    the target into llr a tile of rows at a time.
+    BAWGNC the draws themselves, into out; on the BEC and BSC the bits
+    _decide reads off them, into a bool array.  After the last block
+    _codewords encodes the messages.  On the BEC, whose LLR is kept*(1-2x) *
+    LLR_CAP, plane 0 packs ~kept and plane 1 the codeword bits x & kept; on
+    the others _llrs maps the target into out a tile of rows at a time.
     """
     trials, N = len(rngs), code.N
     raw = np.empty((trials, -(-code.k // 8)), dtype="<u8")
     d = np.empty((min(trials, _FRAME_BLOCK), N))
     awgn = channel.kind is ChannelKind.BAWGNC
-    noise = llr if awgn else np.empty((N, trials), dtype=bool)
+    noise = out if awgn else np.empty((N, trials), dtype=bool)
     bits = d if awgn else np.empty(d.shape, dtype=bool)
     for start in range(0, trials, _FRAME_BLOCK):
         block = rngs[start:start + _FRAME_BLOCK]
@@ -714,11 +707,16 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
             _decide(channel, d[:len(block)], bits[:len(block)])
         noise[:, start:start + len(block)] = bits[:len(block)].T
     msg, x = _codewords(code, raw)
-    rows = max(1, (1 << 19) // (trials * llr.itemsize))  # 512 KiB tiles stay in cache
+    if channel.kind is ChannelKind.BEC:
+        x &= noise
+        out[1] = np.packbits(x, axis=-1)
+        out[0] = np.packbits(np.logical_not(noise, out=noise), axis=-1)
+        return msg, out
+    rows = max(1, (1 << 19) // (trials * out.itemsize))  # 512 KiB tiles stay in cache
     for lo in range(0, N, rows):
         tile = slice(lo, lo + rows)
-        _llrs(channel, x[tile], noise[tile], llr[tile])
-    return msg, llr
+        _llrs(channel, x[tile], noise[tile], out[tile])
+    return msg, out
 
 
 # Frame-bits (frames x N) in one Monte Carlo batch.  sc_ssc_agreement peaks at
@@ -728,49 +726,43 @@ def _random_frames(code: PolarCode, channel: BmsChannel, rngs: list[np.random.Ge
 # which grow with the share of leaves under Rate-1 nodes), so a batch stays
 # near 80-115 MB: 1024 frames up to n = 12, 256 at n = 14, 64 at n = 16 and
 # 4 at n = 20.  At n = 16, 256 trials took 10 % longer in 64-frame batches
-# than in 128-frame ones, at half the peak.  BEC batches are made in float32
-# and decoded on bit-planes, and peak at 7.5, 7.0 and 7.4 bytes a frame-bit
-# at n = 10, 12 and 14 (I = 0.5, pe = 1e-3).
+# than in 128-frame ones, at half the peak.  BEC batches are made and decoded
+# as bit-planes, and peak at 3.8, 3.4 and 3.8 bytes a frame-bit at n = 10, 12
+# and 14 (I = 0.5, pe = 1e-3), in making the frames.
 _BATCH_FRAME_BITS = 1 << 22
 
 
 def _frame_batches(code: PolarCode, channel: BmsChannel, trials: int, seed: int,
                    batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield interleaved (message bits, LLRs) for the seeded trials, `batch` frames at a time.
+    """Yield interleaved (message bits, frames) for the seeded trials, `batch` at a time.
 
     Batches hold at most _BATCH_FRAME_BITS // N frames.  Every batch's
-    streams are built for it, and its LLRs are written into one buffer, so
-    both hold only until the next batch is generated.  The buffer is float32
-    on the BEC, which holds its LLRs exactly, and float64 on the others.
+    streams are built for it, and its frames are written into one buffer,
+    so both hold only until the next batch is generated.  The buffer holds
+    uint8 planes (2, N, ceil(frames/8)) on the BEC and float64 LLRs
+    (N, frames) on the others.
     """
     N = code.N
     batch = min(batch, max(1, _BATCH_FRAME_BITS // N), trials)
-    flat = np.empty(N * batch, np.float32 if channel.kind is ChannelKind.BEC else np.float64)
+    bec = channel.kind is ChannelKind.BEC
+    flat = np.empty(2 * N * -(-batch // 8), np.uint8) if bec else np.empty(N * batch)
     for start in range(0, trials, batch):
-        block = _trial_streams(seed, min(batch, trials - start), start)
-        yield _random_frames(code, channel, block, flat[:N * len(block)].reshape(N, len(block)))
+        frames = min(batch, trials - start)
+        shape = (2, N, -(-frames // 8)) if bec else (N, frames)
+        block = _trial_streams(seed, frames, start)
+        yield _random_frames(code, channel, block, flat[:math.prod(shape)].reshape(shape))
 
 
-def _joined(pairs: list, frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """One level's saved Rate-1 inputs and bits, (a, b) a node, side by side:
-    (2^s, nodes * frames) LLRs and bool bits, `frames` columns a node.
-
-    Planes come back as float32 LLRs, (1 - 2*sign) * LLR_CAP where known and
-    +-0 where erased, which the check packs again, and packed bits are
-    unpacked; padding bits are dropped.
-    """
-    rows = pairs[0][1].shape[0]
-    if pairs[0][0].dtype == np.uint8:
-        e, s = np.unpackbits(np.stack([a for a, _b in pairs], axis=2), axis=-1, count=frames)
-        x = np.multiply(s.reshape(rows, -1), np.float32(-2 * LLR_CAP), dtype=np.float32)
-        x += np.float32(LLR_CAP)
-        x *= 1 - e.reshape(rows, -1)
-        b = np.unpackbits(np.stack([b for _a, b in pairs], axis=1), axis=-1, count=frames)
-        return x, b.reshape(rows, -1).view(bool)
-    x = np.empty((rows, len(pairs) * frames), pairs[0][0].dtype)
-    bits = np.empty(x.shape, dtype=bool)
+def _joined(pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """One level's saved Rate-1 inputs and bits, (a, b) a node, side by side
+    along their last axis: (2^s, nodes * frames) LLRs and bool bits, or
+    planes (2, 2^s, nodes * W) and packed bits (2^s, nodes * W)."""
+    a, b = pairs[0]
+    w = b.shape[-1]
+    x = np.empty(a.shape[:-1] + (len(pairs) * w,), a.dtype)
+    bits = np.empty(b.shape[:-1] + (len(pairs) * w,), b.dtype)
     for j in range(len(pairs)):  # each copy goes once it is joined
-        x[:, j * frames:(j + 1) * frames], bits[:, j * frames:(j + 1) * frames] = pairs[j]
+        x[..., j * w:(j + 1) * w], bits[..., j * w:(j + 1) * w] = pairs[j]
         pairs[j] = None
     return x, bits
 
@@ -798,26 +790,26 @@ def sc_ssc_agreement(code: PolarCode, channel: BmsChannel, trials: int, seed: in
     seed is an integer >= 0, and trial i's frame comes from stream i of
     _trial_streams(seed, trials).
 
-    _frame_batches makes BEC frames in float32, and _execute decodes those
-    on erasure/sign planes, 8 frames a byte: the shared pass, the SC runs on
-    tie frames and the check, which gets each level's saved planes back as
-    float32 LLRs.  The decisions, which stay packed through the pass and the
-    polar transform, are unpacked only to count frame errors and
-    divergences, `frames` bits a row, so padding bits never count.
+    _frame_batches makes BEC frames as erasure/sign planes, 8 frames a
+    byte, and _execute decodes them as planes: the shared pass, the SC runs
+    on tie frames and the check, which joins each level's saved planes as
+    planes.  The decisions, which stay packed through the pass and the polar
+    transform, are unpacked only to count frame errors and divergences,
+    `frames` bits a row, so padding bits never count.
     """
     trials, batch = _as_int(trials, "trials", 1), _as_int(batch, "batch", 1)
     seed = _as_int(seed, "seed", 0)
     ops = list(ssc_schedule(build_ssc_tree(code)))
     agree = errors = 0
     for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-        frames = llr.shape[1]
+        frames = msg.shape[1]
         saved = {}
         u_ssc = _decode(ops, llr, saved)[~code.frozen]
-        if llr.dtype == np.float32:  # decided on planes
+        if llr.dtype == np.uint8:  # decided on planes
             u_ssc = np.unpackbits(u_ssc, axis=1, count=frames)
         diverged = np.zeros(frames, dtype=bool)
         for s, pairs in saved.items():  # after the pass's buffers are freed
-            diverged |= _rate1_divergence(s, *_joined(pairs, frames), frames).any(axis=0)
+            diverged |= _rate1_divergence(s, *_joined(pairs), frames).any(axis=0)
         agree += frames - int(np.count_nonzero(diverged))
         errors += int((u_ssc != msg).any(axis=0).sum())
         del u_ssc  # before the next batch's pass

@@ -115,6 +115,31 @@ def reference_sc_frames(llrs, frozen):
     return u.astype(np.uint8)
 
 
+def reference_planes(llr):
+    """BEC LLRs (rows, frames) as erasure/sign planes (2, rows, ceil(frames/8)) uint8.
+
+    Plane 0 marks the erased LLRs (+-0) and plane 1 the negative ones, each
+    packed along frames by np.packbits, so padding bits are 0.
+    """
+    p = np.empty((2, llr.shape[0], -(-llr.shape[1] // 8)), np.uint8)
+    p[0] = np.packbits(llr == 0.0, axis=-1)
+    p[1] = np.packbits(llr < 0.0, axis=-1)
+    return p
+
+
+def batch_llrs(llr, frames):
+    """A Monte Carlo batch's float64 LLRs (N, frames).
+
+    BEC planes are rebuilt: +0.0 where erased, -LLR_CAP where the sign bit
+    is set and +LLR_CAP elsewhere, as sample_llrs gives them.  Float64 LLRs
+    of the other channels are returned as they are.
+    """
+    if llr.dtype != np.uint8:
+        return llr
+    erased, negative = np.unpackbits(llr, axis=-1, count=frames).view(bool)
+    return np.where(erased, 0.0, np.where(negative, -LLR_CAP, LLR_CAP))
+
+
 def _reference_kind(z, s, threshold):
     # Rate-1 iff the worst leaf below, reached by the all-minus path, stays
     # under the freezing threshold; Rate-0 iff the best leaf, reached by the

@@ -589,8 +589,7 @@ class TestSampleLlrs:
 
     @pytest.mark.parametrize("kind, param, dtype", [
         (ChannelKind.BEC, 0.0, np.float64), (ChannelKind.BEC, 0.3, np.float64),
-        (ChannelKind.BEC, 1.0, np.float64), (ChannelKind.BEC, 0.0, np.float32),
-        (ChannelKind.BEC, 0.3, np.float32), (ChannelKind.BEC, 1.0, np.float32),
+        (ChannelKind.BEC, 1.0, np.float64),
         (ChannelKind.BSC, 0.0, np.float64), (ChannelKind.BSC, 0.2, np.float64),
         (ChannelKind.BSC, 0.5, np.float64),
         (ChannelKind.BAWGNC, 1e-170, np.float64), (ChannelKind.BAWGNC, 1e-155, np.float64),
@@ -611,8 +610,7 @@ class TestSampleLlrs:
         for lo in range(0, x.shape[0], 40):
             tile = slice(lo, lo + 40)
             _llrs(ch, x[tile], noise[tile], got[tile])
-        bits = np.uint64 if dtype is np.float64 else np.uint32
-        assert np.array_equal(got.view(bits), expected.view(bits))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_rejects_matrix_input(self):
         ch = BmsChannel(ChannelKind.BEC, 0.5)

@@ -51,13 +51,18 @@ from sscpolar.codec import (
     _joined,
     _level1,
     _level1_planes,
-    _planes,
     _rate1_divergence,
     _tie_frames,
     _trial_streams,
 )
 
-from conftest import EXAMPLE8_FROZEN, reference_sc, reference_sc_frames
+from conftest import (
+    EXAMPLE8_FROZEN,
+    batch_llrs,
+    reference_planes,
+    reference_sc,
+    reference_sc_frames,
+)
 
 finite_llr = st.floats(min_value=-LLR_CAP, max_value=LLR_CAP,
                        allow_nan=False, allow_infinity=False)
@@ -191,7 +196,7 @@ def assert_planes_hold(p, llr):
 def as_planes(a, erased_signs=0):
     """The planes of the LLR block a, with the sign bits of its erased LLRs,
     which no kernel reads, set where the packed erased_signs has ones."""
-    p = _planes(a.astype(np.float32))
+    p = reference_planes(a)
     p[1] |= p[0] & erased_signs
     return p
 
@@ -511,13 +516,13 @@ class TestSscEquivalence:
         # The code is built at I = 0.5, pe = 1e-3 and its frames come from a
         # worse channel, so 4 to 32 frames a case are decoded wrong, and
         # Rate-1 nodes meet ties: 1 210 node-frames at BEC n=12, 6 at BSC
-        # n=12.  sc_ssc_agreement decodes BEC frames in float32 with
-        # _f_erasure; its error rate must be the reference's on float64 frames.
+        # n=12.  sc_ssc_agreement decodes BEC frames on bit-planes; its error
+        # rate must be the reference's on the frames' float64 LLRs.
         code = build_code(channel_from_capacity(kind, 0.5), n, 1e-3)
         channel = channel_from_capacity(kind, worse)
         h, errors = hashlib.sha256(), 0
         for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
-            frames = llr.T.astype(np.float64)
+            frames = batch_llrs(llr, msg.shape[1]).T
             u = reference_sc_frames(frames, code.frozen)
             assert np.array_equal(sc_decode_batch(code, frames), u)
             assert np.array_equal(ssc_decode_batch(code, frames), u)
@@ -786,20 +791,20 @@ class TestMonteCarlo:
         # its message bits, then sample_llrs of their codeword.
         channel = channel_from_capacity(kind, cap)
         code = build_code(channel, n, 1e-3)
-        frames = [(msg[:, j].copy(), llr[:, j].copy())  # the batches share one LLR buffer
-                  for msg, llr in _frame_batches(code, channel, trials, seed, batch)
-                  for j in range(llr.shape[1])]
-        assert len(frames) == trials
-        for (msg, llr), stream in zip(frames, np.random.SeedSequence(seed).spawn(trials)):
-            rng = np.random.default_rng(stream)
-            bits = rng.integers(0, 2, code.k, dtype=np.uint8)
-            u = np.zeros(code.N, dtype=np.uint8)
-            u[~code.frozen] = bits
-            expected = sample_llrs(channel, polar_transform(u), rng)
-            assert np.array_equal(msg, bits)
-            # BEC frames are float32, which holds their LLRs exactly; signed zeros too
-            assert np.array_equal(llr.astype(np.float64).view(np.uint64),
-                                  expected.view(np.uint64))
+        streams = iter(np.random.SeedSequence(seed).spawn(trials))
+        count = 0
+        for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+            expected = []
+            for j in range(msg.shape[1]):
+                rng = np.random.default_rng(next(streams))
+                bits = rng.integers(0, 2, code.k, dtype=np.uint8)
+                u = np.zeros(code.N, dtype=np.uint8)
+                u[~code.frozen] = bits
+                expected.append(sample_llrs(channel, polar_transform(u), rng))
+                assert np.array_equal(msg[:, j], bits)
+            assert_batch_holds(llr, np.array(expected).T)
+            count += msg.shape[1]
+        assert count == trials
 
     @pytest.mark.parametrize("kind, param", [
         (ChannelKind.BEC, 0.0), (ChannelKind.BEC, 1.0),
@@ -813,17 +818,18 @@ class TestMonteCarlo:
         channel = BmsChannel(kind, param)
         code = code_from_frozen(channel, np.arange(2 ** n) % 2 == 0, 1e-3)
         seed = 2 ** 33 + n
-        frames = [(msg[:, j].copy(), llr[:, j].copy())
-                  for msg, llr in _frame_batches(code, channel, trials, seed, batch)
-                  for j in range(llr.shape[1])]
-        assert len(frames) == trials
-        for (msg, llr), stream in zip(frames, np.random.SeedSequence(seed).spawn(trials)):
-            rng = np.random.default_rng(stream)
-            bits = rng.integers(0, 2, code.k, dtype=np.uint8)
-            expected = sample_llrs(channel, encode_message(code, bits), rng)
-            assert np.array_equal(msg, bits)
-            assert np.array_equal(llr.astype(np.float64).view(np.uint64),
-                                  expected.view(np.uint64))
+        streams = iter(np.random.SeedSequence(seed).spawn(trials))
+        count = 0
+        for msg, llr in _frame_batches(code, channel, trials, seed, batch):
+            expected = []
+            for j in range(msg.shape[1]):
+                rng = np.random.default_rng(next(streams))
+                bits = rng.integers(0, 2, code.k, dtype=np.uint8)
+                expected.append(sample_llrs(channel, encode_message(code, bits), rng))
+                assert np.array_equal(msg[:, j], bits)
+            assert_batch_holds(llr, np.array(expected).T)
+            count += msg.shape[1]
+        assert count == trials
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     @pytest.mark.parametrize("trials, batch", [(1, 1024), (37, 1024), (70, 1024), (70, 29)])
@@ -848,12 +854,19 @@ class TestMonteCarlo:
            trials=st.integers(min_value=1, max_value=40),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_bec_frames_hold_only_erasure_llrs(self, cap, n, batch, trials, seed):
-        # _f_erasure's premise: BEC frames hold -LLR_CAP, +0.0 and +LLR_CAP only
+        # BEC batches are planes whose padding bits are 0, which the bitwise
+        # kernels read as a known positive LLR, and whose erased frames have
+        # no sign bit set, so the LLRs they stand for are -LLR_CAP, +0.0 and
+        # +LLR_CAP only, as sample_llrs's
         channel = BmsChannel(ChannelKind.BEC, 1.0 - cap)
         code = build_code(channel, n, 1e-3)
         allowed = np.array([-LLR_CAP, 0.0, LLR_CAP]).view(np.uint64)
-        for _msg, llr in _frame_batches(code, channel, trials, seed, batch):
-            assert np.isin(llr.astype(np.float64).view(np.uint64), allowed).all()
+        for msg, p in _frame_batches(code, channel, trials, seed, batch):
+            frames = msg.shape[1]
+            assert p.dtype == np.uint8 and p.shape == (2, code.N, -(-frames // 8))
+            assert not np.unpackbits(p, axis=-1)[..., frames:].any()
+            assert not (p[0] & p[1]).any()
+            assert np.isin(batch_llrs(p, frames).view(np.uint64), allowed).all()
 
     def test_channel_picks_the_f_kernel(self, monkeypatch):
         # BAWGNC batches run _f, in the shared pass and in the check, and
@@ -870,18 +883,18 @@ class TestMonteCarlo:
         assert calls["_f"] > 0 and calls["_f_planes"] == 0
 
     @pytest.mark.parametrize("kind, dtype", [
-        (ChannelKind.BEC, np.float32),
+        (ChannelKind.BEC, np.uint8),
         (ChannelKind.BSC, np.float64),
         (ChannelKind.BAWGNC, np.float64),
     ])
     def test_channel_picks_the_llr_dtype(self, monkeypatch, kind, dtype):
-        # Only BEC batches are made in float32, and only they decode on uint8
+        # Only BEC batches are made as uint8 planes, and only they decode on
         # planes: the shared pass, which reads each batch's buffer itself,
-        # and the check over each level's joined Rate-1 block pack their
-        # float32 LLRs into planes once each, and the inline SC runs on tie
-        # frames take a node's planes.  The code's frozen and information
-        # blocks of 4 make Rate-1 nodes with and without tie frames on the BEC.
-        batches, passes, checks, uncast, packed = [], [], [], [], []
+        # the check over each level's joined Rate-1 block, and the inline SC
+        # runs on tie frames, which take a node's planes.  The code's frozen
+        # and information blocks of 4 make Rate-1 nodes with and without tie
+        # frames on the BEC.
+        batches, passes, checks, uncast = [], [], [], []
 
         def batches_spy(*args):
             for msg, llr in _frame_batches(*args):
@@ -889,7 +902,7 @@ class TestMonteCarlo:
                 yield msg, llr
 
         def execute_spy(ops, llr, saved=None):
-            passes.append((llr.dtype, llr.shape[0]))
+            passes.append((llr.dtype, llr.shape[-2]))
             if saved is not None:  # the shared pass
                 uncast.append(llr is batches[-1])
             return _execute(ops, llr, saved)
@@ -898,15 +911,9 @@ class TestMonteCarlo:
             checks.append(x.dtype)
             return _rate1_divergence(s, x, bits, frames)
 
-        def planes_spy(llr):
-            p = _planes(llr)
-            packed.append((llr.dtype, p.dtype))
-            return p
-
         monkeypatch.setattr("sscpolar.codec._frame_batches", batches_spy)
         monkeypatch.setattr("sscpolar.codec._execute", execute_spy)
         monkeypatch.setattr("sscpolar.codec._rate1_divergence", divergence_spy)
-        monkeypatch.setattr("sscpolar.codec._planes", planes_spy)
         channel = channel_from_capacity(kind, 0.5)
         code = code_from_frozen(channel, np.arange(256) // 4 % 2 == 0, 1e-2)
         sc_ssc_agreement(code, channel, 24, 5, 7)
@@ -915,16 +922,11 @@ class TestMonteCarlo:
         assert set(checks) == {np.dtype(dtype)}
         # passes over whole frames, and SC inside Rate-1 nodes of 4 leaves
         assert {rows for _d, rows in passes} >= {256, 4}
+        assert {d for d, _rows in passes} == {np.dtype(dtype)}
         if kind is ChannelKind.BEC:
-            # beyond the 4 batches' passes and one SC run a check, each
-            # packed once, SC ran inline on tie frames' planes
-            float32 = [rows for d, rows in passes if d == np.float32]
-            assert len(float32) == 4 + len(checks)
-            assert packed == [(np.float32, np.uint8)] * len(float32)
-            assert {d for d, _rows in passes} == {np.dtype(np.float32), np.dtype(np.uint8)}
-        else:
-            assert {d for d, _rows in passes} == {np.dtype(dtype)}
-            assert packed == []
+            # beyond the 4 batches' passes and one SC run a check, SC ran
+            # inline on tie frames' planes
+            assert len(passes) > 4 + len(checks)
 
     def test_bec_agreement_calls_no_transcendental_function(self, monkeypatch):
         # BEC batches decode with bitwise ops only, so their bits cannot
@@ -954,11 +956,11 @@ class TestMonteCarlo:
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @example(n=10, log_block=2, pattern=3893328472462677366, erasure=0.5, trials=24,
              seed=3855495969)
-    def test_float32_pass_is_exact_on_the_bec(self, n, log_block, pattern, erasure, trials,
-                                              seed):
-        # sc_ssc_agreement's BEC batches: the pass on the planes of the
-        # float32 frames decides, finds tie frames, saves and checks what the
-        # float64 pass with _f does; ties occur at any erasure probability
+    def test_planes_pass_is_exact_on_the_bec(self, n, log_block, pattern, erasure, trials,
+                                             seed):
+        # sc_ssc_agreement's BEC batches: the pass on the planes decides,
+        # finds tie frames, saves and checks what the float64 pass with _f
+        # does on their LLRs; ties occur at any erasure probability
         channel = BmsChannel(ChannelKind.BEC, erasure)
         code = code_from_frozen(channel, block_mask(n, log_block, pattern), 1e-2)
         ops = list(ssc_schedule(build_ssc_tree(code)))
@@ -976,12 +978,12 @@ class TestMonteCarlo:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr("sscpolar.codec._tie_frames", tie_spy)
-            for _msg, llr in _frame_batches(code, channel, trials, seed, 1024):
-                frames = llr.shape[1]
+            for msg, llr in _frame_batches(code, channel, trials, seed, 1024):
+                frames = msg.shape[1]
                 saved_planes, saved64 = {}, {}
                 u = _decode(ops, llr, saved_planes)
                 assert np.array_equal(np.unpackbits(u, axis=1, count=frames),
-                                      _decode(ops, llr.astype(np.float64), saved64))
+                                      _decode(ops, batch_llrs(llr, frames), saved64))
                 assert len(ties[np.uint8]) == len(ties[np.float64])
                 assert all(map(np.array_equal, ties[np.uint8], ties[np.float64]))
                 ties = {np.uint8: [], np.float64: []}
@@ -989,10 +991,15 @@ class TestMonteCarlo:
                 for s, pairs in saved64.items():
                     assert len(saved_planes[s]) == len(pairs)
                     assert all(a.dtype == np.uint8 for a, _b in saved_planes[s])
-                    x, bits = _joined(saved_planes[s], frames)
-                    x64, bits64 = _joined(pairs, frames)
-                    assert np.array_equal(x == 0, x64 == 0) and np.array_equal(x < 0, x64 < 0)
-                    assert np.array_equal(bits, bits64)
+                    x, bits = _joined(saved_planes[s])
+                    x64, bits64 = _joined(pairs)
+                    # the joined planes, a node's ceil(frames/8) bytes at a time
+                    rows, width = bits.shape[0], -(-frames // 8)
+                    llrs = batch_llrs(x.reshape(2, rows, -1, width), frames).reshape(rows, -1)
+                    assert np.array_equal(llrs == 0, x64 == 0)
+                    assert np.array_equal(llrs < 0, x64 < 0)
+                    assert np.array_equal(np.unpackbits(bits.reshape(rows, -1, width), axis=-1,
+                                                        count=frames).reshape(rows, -1), bits64)
                     assert np.array_equal(_rate1_divergence(s, x, bits, frames),
                                           _rate1_divergence(s, x64, bits64, frames))
 
@@ -1009,13 +1016,14 @@ class TestMonteCarlo:
         # seed 7), which decode with fer=0 and full agreement, so their
         # output cannot show a change in the frames, and the BSC's frames at
         # the same settings, which no benchmark run makes.  Hashed per batch: the
-        # (k, trials) uint8 message bits, then the (N, trials) LLRs as float64.
+        # (k, trials) uint8 message bits, then the (N, trials) float64 LLRs,
+        # on the BEC rebuilt from the planes.
         channel = channel_from_capacity(kind, 0.5)
         code = build_code(channel, n, 1e-3)
         h = hashlib.sha256()
         for msg, llr in _frame_batches(code, channel, trials, 7, 1024):
             h.update(msg.tobytes())
-            h.update(llr.astype(np.float64).tobytes())
+            h.update(batch_llrs(llr, msg.shape[1]).tobytes())
         assert h.hexdigest() == digest
 
     def test_agreement_sees_disagreement(self, monkeypatch):
@@ -1040,20 +1048,22 @@ class TestMonteCarlo:
             tree = build_ssc_tree(code)
             rate1 = Counter(s for op, s, _lo in ssc_schedule(tree) if op == RATE1 and s > 1)
             expected, batches, levels = 0, [], []
-            for _u, llr in _frame_batches(code, channel, trials, 5, batch):
-                batches.append(llr.shape[1])
-                levels += [(2 ** s, m * llr.shape[1]) for s, m in rate1.items()]
-                llr = llr.astype(np.float64)
+            for msg, llr in _frame_batches(code, channel, trials, 5, batch):
+                # a batch is `width` columns of LLRs, or of packed bytes on planes
+                width = llr.shape[-1]
+                batches.append(width)
+                levels += [(2 ** s, m * width) for s, m in rate1.items()]
+                llr = batch_llrs(llr, msg.shape[1])
                 u_sc = _decode(sc_schedule(code.frozen), llr)
                 u_ssc = _decode(ssc_schedule(tree), llr)
                 expected += int((u_sc == u_ssc).all(axis=0).sum())
             passes, checks, nodes = [], [], []
 
             def count_passes(ops, llr, check=None):
-                if llr.shape[0] == code.N and check is not None:
-                    passes.append(llr.shape[1])
+                if llr.shape[-2] == code.N and check is not None:
+                    passes.append(llr.shape[-1])
                 else:  # SC inside one level's Rate-1 nodes, after a pass
-                    checks.append(llr.shape)
+                    checks.append(llr.shape[-2:])
                 return _execute(ops, llr, check)
 
             def node_divergence(s, x, bits, frames):
@@ -1127,19 +1137,19 @@ class TestMonteCarlo:
         code = build_code(bec_half, 5, 1e-2)
         result = sc_ssc_agreement(code, bec_half, 50, 3)
         monkeypatch.setattr("sscpolar.codec._BATCH_FRAME_BITS", 7 * 32)
-        assert [llr.shape[1] for _u, llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
+        assert [msg.shape[1] for msg, _llr in _frame_batches(code, bec_half, 50, 3, 1024)] \
             == [7] * 7 + [1]
         assert sc_ssc_agreement(code, bec_half, 50, 3) == result
 
 
-    def test_bec_agreement_peaks_under_12_bytes_a_frame_bit(self, bec_half):
-        # one batch of 1024 frames at n = 10: about 10.9 bytes a frame-bit; a
-        # float64 batch cast to float32 for the pass would peak near 21, and
-        # an N/2-row scratch beside the level buffers would add 2
+    def test_bec_agreement_peaks_under_5_bytes_a_frame_bit(self, bec_half):
+        # one batch of 1024 frames at n = 10: about 3.8 bytes a frame-bit, in
+        # making the frames (the kept bits, the codeword and the message
+        # bits); float32 LLRs packed into planes for the pass peaked at 7.5
         code = build_code(bec_half, 10, 1e-3)
         result, peak = agreement_peak(code, bec_half, 1024, 7)
         assert result[:2] == (1024, 1024)
-        assert peak < 12
+        assert peak < 5
 
     def test_agreement_peaks_under_21_bytes_a_frame_bit(self):
         # one batch of 1024 frames at n = 12 in float64: about 19 bytes a
@@ -1178,6 +1188,17 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def assert_batch_holds(llr, expected):
+    """A batch of _frame_batches holds the float64 LLRs `expected` (N, frames):
+    bit for bit, signed zeros too, or on the BEC as planes, byte for byte
+    reference_planes(expected)."""
+    if llr.dtype == np.uint8:
+        p = reference_planes(expected)
+        assert llr.shape == p.shape and llr.tobytes() == p.tobytes()
+    else:
+        assert np.array_equal(llr.view(np.uint64), expected.view(np.uint64))
 
 
 def agreement_peak(code, channel, trials, seed):
@@ -1220,7 +1241,7 @@ def agreement_equals_decoding_alone(channel, tie_frames, n, log_block, pattern, 
         m.setattr("sscpolar.codec._tie_frames", tie_frames)
         expected = errors = 0
         for msg, llr in _frame_batches(code, channel, trials, seed, batch):
-            llr = llr.astype(np.float64)
+            llr = batch_llrs(llr, msg.shape[1])
             u_sc = _decode(sc_schedule(code.frozen), llr)
             u_ssc = _decode(ssc_schedule(tree), llr)
             expected += int((u_sc == u_ssc).all(axis=0).sum())
