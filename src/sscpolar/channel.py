@@ -469,9 +469,10 @@ def _bawgnc_capacity(sigma: float) -> float:
 # h = 0.1, each weighted h * phi(z), phi the standard normal density.
 _ESTIMATE_NODES = np.arange(-90, 91) * 0.1
 _ESTIMATE_WEIGHTS = 0.1 * np.exp(-0.5 * _ESTIMATE_NODES ** 2) / math.sqrt(2.0 * math.pi)
-# channel_from_capacity decides a step by the estimate when it is farther
-# than this from the target, and runs the quadrature otherwise
-_SKIP_MARGIN = 1e-8
+# The bound on |_bawgnc_capacity_estimate - _bawgnc_capacity| that
+# _screened_capacity trusts: 100 times the 1e-12 the tests hold the estimate
+# to, about 7e4 times the 1.5e-15 measured
+_ESTIMATE_ERROR = 1e-10
 
 
 def _bawgnc_capacity_estimate(sigma: float) -> float:
@@ -507,20 +508,20 @@ def capacity(kind: ChannelKind, param: float) -> float:
     return _bawgnc_capacity(param)
 
 
-def _screened_capacity(kind: ChannelKind, param: float, target: float) -> float:
-    """The capacity a step of channel_from_capacity compares with target.
+def _screened_capacity(kind: ChannelKind, param: float, edges: tuple[float, ...]) -> float:
+    """The capacity a step of channel_from_capacity compares with edges.
 
     Where the BAWGNC's capacity takes a quadrature,
-    _bawgnc_capacity_estimate(param) when it is more than _SKIP_MARGIN from
-    target, and capacity(kind, param) otherwise.  The estimate is within
-    _SKIP_MARGIN - _CAPACITY_TOL of the exact capacity, so where it is
-    returned the exact capacity lies on its side of target and more than
-    _CAPACITY_TOL from it: the step decides as the exact value would, and
-    only an exact value can end the bisection.
+    _bawgnc_capacity_estimate(param) when it is more than _ESTIMATE_ERROR
+    from every edge, and capacity(kind, param) otherwise.  The estimate is
+    within _ESTIMATE_ERROR of the exact capacity, so where it is returned
+    the exact capacity lies on its side of every edge: each comparison
+    with an edge, the one that ends the bisection included, comes out as
+    the exact value's would.
     """
     if kind is ChannelKind.BAWGNC and _HIGH_SNR_SIGMA < param < _LOW_SNR_SIGMA:
         estimate = _bawgnc_capacity_estimate(param)
-        if abs(estimate - target) > _SKIP_MARGIN:
+        if all(abs(estimate - edge) > _ESTIMATE_ERROR for edge in edges):
             return estimate
     return capacity(kind, param)
 
@@ -531,8 +532,10 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
     Bisection on the parameter; capacity is strictly monotone (decreasing)
     in the parameter for all three families.  On the BAWGNC a step runs
     the quadrature only when the cheap estimate cannot decide it
-    (_screened_capacity), so the bisection visits the same midpoints and
-    returns the same sigma as one that runs it at every step.
+    (_screened_capacity): a bracket step compares the capacity with the
+    target, and a bisection step with the stopping edges target +- 1e-9.
+    The bisection so visits the same midpoints and returns the same sigma
+    as one that runs the quadrature at every step.
 
     Raises
     ------
@@ -553,14 +556,15 @@ def channel_from_capacity(kind: ChannelKind, target_capacity: float) -> BmsChann
         lo, hi = 0.0, 0.5
     else:
         lo, hi = 1e-6, 2.0
-        while _screened_capacity(kind, hi, target_capacity) > target_capacity:
+        while _screened_capacity(kind, hi, (target_capacity,)) > target_capacity:
             hi *= 2.0
             if hi > 1e6:
                 raise ArithmeticError("BAWGNC capacity bisection failed to bracket target")
 
+    edges = (target_capacity - _CAPACITY_TOL, target_capacity + _CAPACITY_TOL)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
-        c = _screened_capacity(kind, mid, target_capacity)
+        c = _screened_capacity(kind, mid, edges)
         if abs(c - target_capacity) <= _CAPACITY_TOL:
             return BmsChannel(kind, mid)
         if c > target_capacity:

@@ -23,9 +23,10 @@ from sscpolar import (
 )
 from sscpolar import channel as channel_module
 from sscpolar.channel import (
+    _CAPACITY_TOL,
+    _ESTIMATE_ERROR,
     _HIGH_SNR_SIGMA,
     _LOW_SNR_SIGMA,
-    _SKIP_MARGIN,
     LLR_CAP,
     _bawgnc_capacity,
     _bawgnc_capacity_estimate,
@@ -227,39 +228,47 @@ class TestChannelFromCapacity:
 
     @pytest.mark.parametrize("target", [0.02, 0.5, 0.9])
     def test_bawgnc_inversion_evaluates_each_capacity_once(self, monkeypatch, target):
-        # the quadratures run at distinct sigmas, each a bracket point or
-        # midpoint that the plain bisection visits too, in its order, and the
-        # last is the answer; the returned channel computes its own capacity
-        # when it is read
+        # an estimate on a stopping edge, the one on the exact capacity's
+        # side, decides no bisection step: the quadrature runs once at each
+        # midpoint the plain bisection visits, in its order, and the answer
+        # is the plain bisection's.  The estimate still decides the bracket
+        # steps (sigma 2, 4, ...), which compare with the target alone.  The
+        # returned channel computes its own capacity when it is read
+        def on_edge(sigma):
+            return target + math.copysign(_CAPACITY_TOL, _bawgnc_capacity(sigma) - target)
+
+        monkeypatch.setattr(channel_module, "_bawgnc_capacity_estimate", on_edge)
         (ch,), calls = _quadratures(monkeypatch, channel_from_capacity, [target])
-        _, visited = _quadratures(monkeypatch, reference_inversion, [target])
+        (plain,), visited = _quadratures(monkeypatch, reference_inversion, [target])
+        bracket = len(visited) - len(calls)
+        assert visited[:bracket] == [2.0 * 2.0 ** k for k in range(bracket)]
+        assert calls == visited[bracket:]
         assert len(set(calls)) == len(calls)
-        steps = iter(visited)
-        assert all(sigma in steps for sigma in calls)
-        assert calls[-1] == ch.param
+        assert ch.param == plain.param == calls[-1]
         assert ch.capacity == _bawgnc_capacity(ch.param)
 
     def test_fig6_inversions_run_few_quadratures(self, monkeypatch):
-        # 13 of the plain bisection's 90: a fall back to a quadrature at every
-        # step fails here
+        # none of the plain bisection's 90: a fall back to a quadrature near
+        # the target, or at every step, fails here
         _, calls = _quadratures(monkeypatch, channel_from_capacity, DEFAULT_CAPACITIES)
-        assert len(calls) <= 15
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("kind, target, evaluations", [
         (ChannelKind.BSC, 0.1, 28), (ChannelKind.BSC, 0.5, 25), (ChannelKind.BSC, 0.9, 29),
-        (ChannelKind.BAWGNC, 0.1, 4), (ChannelKind.BAWGNC, 0.5, 5),
-        (ChannelKind.BAWGNC, 0.9, 4),
+        (ChannelKind.BAWGNC, 0.1, 0), (ChannelKind.BAWGNC, 0.5, 0),
+        (ChannelKind.BAWGNC, 0.9, 0),
     ])
     def test_inversion_evaluates_each_step_once(self, monkeypatch, kind, target, evaluations):
         # one capacity a BSC bisection step, and one a BAWGNC step that the
-        # estimate cannot decide, as many as when the channel stored the
-        # capacity of the step that converged; building it reads none
+        # estimate cannot decide (here none), as many as when the channel
+        # stored the capacity of the step that converged; building it reads
+        # none
         calls = []
         monkeypatch.setattr(channel_module, "capacity",
                             lambda kind, param: calls.append(param) or capacity(kind, param))
         ch = channel_from_capacity(kind, target)
         assert len(calls) == evaluations
-        assert calls[-1] == ch.param
+        assert calls[-1:] == ([ch.param] if evaluations else [])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_target_out_of_range(self, bad):
@@ -278,12 +287,21 @@ class TestChannelFromCapacity:
                             lambda sigma: _bawgnc_capacity_estimate(sigma) + shift)
         assert _inversion_mismatches(DEFAULT_CAPACITIES) != []
 
-    def test_estimate_is_far_inside_the_margin(self):
-        # a skipped step decides as the quadrature would while the estimate is
-        # within _SKIP_MARGIN - 1e-9 of it; measured, it is within 1.5e-15
-        sigmas = np.geomspace(_HIGH_SNR_SIGMA, _LOW_SNR_SIGMA, 1002)[1:-1].tolist()
+    def test_bracket_decides_as_the_exact_value_would(self):
+        # a target equal to the capacity at a bracket point sigma = 2^k: the
+        # estimate there is up to 2.2e-16 off, on either side, and the
+        # bracket's question is whether the capacity exceeds the target
+        targets = [_bawgnc_capacity(2.0 ** k) for k in range(1, 9)]
+        assert _inversion_mismatches(targets) == []
+
+    def test_estimate_is_far_inside_the_margin(self, monkeypatch):
+        # a step decides by the estimate as the quadrature would while the
+        # estimate is within _ESTIMATE_ERROR of it; measured, it is within
+        # 1.5e-15.  The grid, and every sigma fig 6's plain bisections visit
+        _, visited = _quadratures(monkeypatch, reference_inversion, DEFAULT_CAPACITIES)
+        sigmas = np.geomspace(_HIGH_SNR_SIGMA, _LOW_SNR_SIGMA, 4002)[1:-1].tolist() + visited
         worst = max(abs(_bawgnc_capacity_estimate(s) - _bawgnc_capacity(s)) for s in sigmas)
-        assert worst <= 1e-12 <= _SKIP_MARGIN / 1e3
+        assert worst <= 1e-12 <= _ESTIMATE_ERROR / 100
 
 
 def _quadratures(monkeypatch, invert, targets):

@@ -109,15 +109,13 @@ class TestFKernel:
     def test_saturates_instead_of_overflowing(self):
         assert f_arm(LLR_CAP, LLR_CAP) == LLR_CAP
         assert f_arm(-LLR_CAP, LLR_CAP) == -LLR_CAP
-        # the clamp alone, in both widths: signed zeros, the smallest
-        # subnormals and NaN pass through, and infinities and magnitudes past
-        # the cap saturate
-        for dtype, tiny in ((np.float64, 5e-324), (np.float32, 1e-45)):
-            o = np.array([0.0, -0.0, tiny, -tiny, 301.0, -301.0, np.inf, -np.inf, np.nan], dtype)
-            _clamp(o)
-            expected = np.array([0.0, -0.0, tiny, -tiny, LLR_CAP, -LLR_CAP, LLR_CAP, -LLR_CAP,
-                                 np.nan], dtype)
-            assert o.tobytes() == expected.tobytes(), dtype
+        # the clamp alone: signed zeros, the smallest subnormal and NaN pass
+        # through, and infinities and magnitudes past the cap saturate
+        tiny = 5e-324
+        o = np.array([0.0, -0.0, tiny, -tiny, 301.0, -301.0, np.inf, -np.inf, np.nan])
+        _clamp(o)
+        expected = np.array([0.0, -0.0, tiny, -tiny, LLR_CAP, -LLR_CAP, LLR_CAP, -LLR_CAP, np.nan])
+        assert o.tobytes() == expected.tobytes()
 
     @given(finite_llr, finite_llr)
     def test_symmetry(self, a, b):
@@ -141,31 +139,28 @@ class TestFKernel:
     def test_magnitude_contraction(self, a, b):
         assert abs(f_arm(a, b)) <= min(abs(a), abs(b)) + 1e-6
 
-    # saturation, signed zeros, float64's and float32's smallest subnormals,
-    # and LLRs near where tanh(x/2) rounds to +-1: about 38 in float64, 18 in
-    # float32
+    # saturation, signed zeros, the smallest subnormal, and LLRs near where
+    # tanh(x/2) rounds to +-1, about 38
     tile_llr = st.one_of(
         finite_llr,
-        st.sampled_from([0.0, -0.0, LLR_CAP, -LLR_CAP, 5e-324, -5e-324, 1e-45, -1e-45]),
+        st.sampled_from([0.0, -0.0, LLR_CAP, -LLR_CAP, 5e-324, -5e-324]),
         st.floats(min_value=37.5, max_value=38.7), st.floats(min_value=-38.7, max_value=-37.5),
-        st.floats(min_value=17.0, max_value=19.0), st.floats(min_value=-19.0, max_value=-17.0),
     )
 
     @settings(max_examples=80, deadline=None)
-    @given(dtype=st.sampled_from([np.float64, np.float32]), h=st.integers(1, 12),
-           frames=st.integers(1, 5), data=st.data())
-    def test_short_scratch_gives_the_same_bits(self, dtype, h, frames, data):
+    @given(h=st.integers(1, 12), frames=st.integers(1, 5), data=st.data())
+    def test_short_scratch_gives_the_same_bits(self, h, frames, data):
         # the executor lends F a level buffer of half its output's rows, so
         # F runs one tile of the scratch's height at a time
         values = data.draw(st.lists(self.tile_llr, min_size=2 * h * frames,
                                     max_size=2 * h * frames))
-        a = np.array(values).astype(dtype).reshape(2 * h, frames)
-        expected = np.empty((h, frames), dtype)
+        a = np.array(values).reshape(2 * h, frames)
+        expected = np.empty((h, frames))
         with np.errstate(divide="ignore"):
-            _f(a, expected, np.empty((h, frames), dtype))
+            _f(a, expected, np.empty((h, frames)))
             for rows in {1, 3, h // 2, h} & set(range(1, h + 1)):
-                o = np.full((h, frames), np.nan, dtype)
-                _f(a, o, np.empty((rows, frames), dtype))
+                o = np.full((h, frames), np.nan)
+                _f(a, o, np.empty((rows, frames)))
                 assert o.tobytes() == expected.tobytes(), rows
 
 

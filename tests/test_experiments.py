@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sscpolar import ChannelKind, latency, realize_policy
+from sscpolar import ChannelKind, channel, latency, realize_policy
 from sscpolar.experiments import (
     CSV_HEADER,
     SC_REFERENCE,
@@ -98,6 +98,16 @@ class TestSerialSweep:
         csv = records_to_csv(run_serial_sweep(n_max=20))
         assert hashlib.sha256(csv.encode()).hexdigest() == \
             "a0ccc7fb31986d4dae609c57d6d33cdd128f5c2dbc76e8d1a523e0150f3c1dd6"
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        # the estimate decides every step of the three BAWGNC inversions, and
+        # nothing reads a channel's exact capacity: the pinned CSV comes out
+        # with no call to the quadrature
+        calls = []
+        quadrature = channel._qagi_loss
+        monkeypatch.setattr(channel, "_qagi_loss", lambda s2: calls.append(s2) or quadrature(s2))
+        self.test_csv_is_pinned()
+        assert calls == []
 
     def test_channels_scanned_together(self, monkeypatch):
         # preset 6 to n = 18 walks its nine channels together at each
